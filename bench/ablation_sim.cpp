@@ -1,4 +1,4 @@
-// Ablation studies of the simulator's design choices (DESIGN.md §4),
+// Ablation studies of the simulator's design choices,
 // as google-benchmark microbenches:
 //   - BM_SimThroughput: raw simulation speed (ops/second),
 //   - BM_QuantumSensitivity: result stability vs. the sync quantum,

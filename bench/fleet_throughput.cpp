@@ -150,6 +150,7 @@ int main(int argc, char** argv) try {
   }
 
   const harness::CorunMatrix truth = synthetic_fleet_truth(8);
+  harness::MatrixTruth additive{truth};
 
   struct Row {
     std::string policy;
@@ -186,7 +187,7 @@ int main(int argc, char** argv) try {
     cluster::PlacementPolicy* policies[] = {&random, &oracle};
     for (cluster::PlacementPolicy* policy : policies) {
       const auto t0 = Clock::now();
-      const auto res = cluster::simulate(cfg, truth, trace, *policy);
+      const auto res = cluster::simulate(cfg, additive, trace, *policy);
       const double wall =
           std::chrono::duration<double>(Clock::now() - t0).count();
       Row row;
@@ -280,7 +281,7 @@ int main(int argc, char** argv) try {
         cluster::PlacementPolicy* fpolicies[] = {&random, &oracle};
         for (cluster::PlacementPolicy* policy : fpolicies) {
           const auto t0 = Clock::now();
-          const auto res = cluster::simulate(cfg, truth, trace, *policy);
+          const auto res = cluster::simulate(cfg, additive, trace, *policy);
           FaultRow fr;
           fr.policy = policy->name();
           fr.protected_ = protect;

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
             << cfg.machines << " machines x " << cfg.slots
             << " slots (first placements):\n";
   {
-    const auto run = cluster::simulate(cfg, truth, trace, statics);
+    const auto run = cluster::simulate(cfg, ground, trace, statics);
     std::string text = run.log.str(truth.workloads);
     std::size_t lines = 0, pos = 0;
     while (lines < 8 && (pos = text.find('\n', pos)) != std::string::npos)

@@ -799,14 +799,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
   return res;
 }
 
-ClusterResult simulate(const ClusterConfig& cfg,
-                       const harness::CorunMatrix& truth,
-                       const std::vector<JobSpec>& trace,
-                       PlacementPolicy& policy) {
-  harness::MatrixTruth additive{truth};
-  return simulate(cfg, additive, trace, policy);
-}
-
 // --- reference engine (the executable specification) ----------------
 
 namespace {
@@ -1022,14 +1014,6 @@ ClusterResult simulate_reference(const ClusterConfig& cfg,
   }
   res.pairwise_fallbacks = truth.fallbacks() - fallbacks_before;
   return res;
-}
-
-ClusterResult simulate_reference(const ClusterConfig& cfg,
-                                 const harness::CorunMatrix& truth,
-                                 const std::vector<JobSpec>& trace,
-                                 PlacementPolicy& policy) {
-  harness::MatrixTruth additive{truth};
-  return simulate_reference(cfg, additive, trace, policy);
 }
 
 }  // namespace coperf::cluster

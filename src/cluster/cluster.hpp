@@ -258,15 +258,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
                        const std::vector<JobSpec>& trace,
                        PlacementPolicy& policy);
 
-/// Legacy entry point: additive pairwise composition over `truth`
-/// (wraps it in a MatrixTruth). Bit-identical to the pre-grouptruth
-/// simulator: clamped composition drives progress and billing, raw
-/// pair entries (sub-1.0 included) feed the observers.
-ClusterResult simulate(const ClusterConfig& cfg,
-                       const harness::CorunMatrix& truth,
-                       const std::vector<JobSpec>& trace,
-                       PlacementPolicy& policy);
-
 /// The pre-fleet event loop, kept as the executable specification for
 /// the equivalence suite: full machines x slots rescan per event,
 /// remaining work decremented at every global event, every MachineView
@@ -275,12 +266,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
 /// uses priority classes. Do not use at fleet scale.
 ClusterResult simulate_reference(const ClusterConfig& cfg,
                                  harness::InterferenceTruth& truth,
-                                 const std::vector<JobSpec>& trace,
-                                 PlacementPolicy& policy);
-
-/// Reference loop over additive pairwise composition (MatrixTruth).
-ClusterResult simulate_reference(const ClusterConfig& cfg,
-                                 const harness::CorunMatrix& truth,
                                  const std::vector<JobSpec>& trace,
                                  PlacementPolicy& policy);
 

@@ -51,7 +51,8 @@ namespace coperf {
 class Session {
  public:
   /// Defaults reproduce the paper's experiment configuration on the
-  /// scaled machine (see DESIGN.md "Scaled-machine mode").
+  /// scaled machine (MachineConfig::scaled) with Small inputs, which
+  /// keep the paper's footprint-to-cache ratios.
   explicit Session(sim::MachineConfig machine = sim::MachineConfig::scaled(),
                    wl::SizeClass size = wl::SizeClass::Small);
 

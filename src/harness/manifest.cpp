@@ -1,7 +1,5 @@
 #include "harness/manifest.hpp"
 
-#include <cctype>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -10,40 +8,11 @@
 
 #include "harness/runcache.hpp"
 #include "perf/metrics.hpp"
+#include "util/json.hpp"
 
 namespace coperf::harness {
 
 namespace {
-
-// --- JSON writing ----------------------------------------------------
-
-/// 17 significant digits round-trip any IEEE double exactly through
-/// strtod, so every stored floating-point field reloads bit-identical.
-void jnum(std::ostream& os, double v) {
-  os << std::setprecision(17) << v;
-}
-
-void jstr(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c)) << std::dec
-             << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void write_cache(std::ostream& os, const sim::CacheConfig& c) {
   os << '[' << c.size_bytes << ", " << c.assoc << ", " << c.latency_cycles
@@ -51,20 +20,17 @@ void write_cache(std::ostream& os, const sim::CacheConfig& c) {
 }
 
 void write_machine(std::ostream& os, const sim::MachineConfig& m) {
-  os << "{\"num_cores\": " << m.num_cores << ", \"freq_ghz\": ";
-  jnum(os, m.freq_ghz);
-  os << ", \"l1d\": ";
+  os << "{\"num_cores\": " << m.num_cores
+     << ", \"freq_ghz\": " << json::number(m.freq_ghz) << ", \"l1d\": ";
   write_cache(os, m.l1d);
   os << ", \"l2\": ";
   write_cache(os, m.l2);
   os << ", \"l3\": ";
   write_cache(os, m.l3);
   os << ", \"l3_inclusive\": " << (m.l3_inclusive ? "true" : "false")
-     << ", \"peak_bw_gbs\": ";
-  jnum(os, m.peak_bw_gbs);
-  os << ", \"per_core_bw_gbs\": ";
-  jnum(os, m.per_core_bw_gbs);
-  os << ", \"dram_latency_cycles\": " << m.dram_latency_cycles
+     << ", \"peak_bw_gbs\": " << json::number(m.peak_bw_gbs)
+     << ", \"per_core_bw_gbs\": " << json::number(m.per_core_bw_gbs)
+     << ", \"dram_latency_cycles\": " << m.dram_latency_cycles
      << ", \"mshr_per_core\": " << m.mshr_per_core
      << ", \"store_buffer\": " << m.store_buffer
      << ", \"rob_instructions\": " << m.rob_instructions
@@ -127,14 +93,11 @@ void write_latency(std::ostream& os, const sim::LatencyStats& l) {
 }
 
 void write_run(std::ostream& os, const RunResult& r) {
-  os << "{\"workload\": ";
-  jstr(os, r.workload);
-  os << ", \"threads\": " << r.threads << ", \"cycles\": " << r.cycles
-     << ", \"seconds\": ";
-  jnum(os, r.seconds);
-  os << ", \"avg_bw_gbs\": ";
-  jnum(os, r.avg_bw_gbs);
-  os << ", \"footprint_bytes\": " << r.footprint_bytes
+  os << "{\"workload\": " << json::quote(r.workload)
+     << ", \"threads\": " << r.threads << ", \"cycles\": " << r.cycles
+     << ", \"seconds\": " << json::number(r.seconds)
+     << ", \"avg_bw_gbs\": " << json::number(r.avg_bw_gbs)
+     << ", \"footprint_bytes\": " << r.footprint_bytes
      << ", \"hit_cycle_limit\": " << (r.hit_cycle_limit ? "true" : "false")
      << ", \"stats\": ";
   write_stats(os, r.stats);
@@ -154,231 +117,14 @@ void write_group_result(std::ostream& os, const GroupResult& g) {
     if (i != 0) os << ", ";
     os << g.runs_completed[i];
   }
-  os << "], \"total_avg_bw_gbs\": ";
-  jnum(os, g.total_avg_bw_gbs);
-  os << ", \"finish_cycle\": " << g.finish_cycle << ", \"hit_cycle_limit\": "
+  os << "], \"total_avg_bw_gbs\": " << json::number(g.total_avg_bw_gbs)
+     << ", \"finish_cycle\": " << g.finish_cycle << ", \"hit_cycle_limit\": "
      << (g.hit_cycle_limit ? "true" : "false") << '}';
 }
 
-// --- JSON parsing ----------------------------------------------------
-//
-// A small strict recursive-descent parser for exactly the documents
-// save_manifest emits (objects, arrays, strings, numbers, booleans,
-// null). Numbers keep their raw text so 64-bit integers reload exactly
-// (no double round-trip for counters).
-
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool b = false;
-  std::string text;  ///< Number: raw token; String: decoded value
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue& at(const std::string& key) const {
-    for (const auto& [k, v] : fields)
-      if (k == key) return v;
-    throw std::runtime_error{"manifest: missing field '" + key + "'"};
-  }
-  std::uint64_t u64() const {
-    if (kind != Kind::Number)
-      throw std::runtime_error{"manifest: expected a number"};
-    return std::stoull(text);
-  }
-  double num() const {
-    if (kind != Kind::Number)
-      throw std::runtime_error{"manifest: expected a number"};
-    return std::stod(text);
-  }
-  const std::string& str() const {
-    if (kind != Kind::String)
-      throw std::runtime_error{"manifest: expected a string"};
-    return text;
-  }
-  bool boolean() const {
-    if (kind != Kind::Bool)
-      throw std::runtime_error{"manifest: expected a boolean"};
-    return b;
-  }
-  const std::vector<JsonValue>& arr() const {
-    if (kind != Kind::Array)
-      throw std::runtime_error{"manifest: expected an array"};
-    return items;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::istream& is) {
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    text_ = buf.str();
-  }
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size())
-      fail("trailing content after the top-level value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error{"manifest: parse error at byte " +
-                             std::to_string(pos_) + ": " + what};
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string{"expected '"} + c + "'");
-    ++pos_;
-  }
-  bool consume_literal(const char* lit) {
-    const std::size_t n = std::char_traits<char>::length(lit);
-    if (text_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f' || c == 'n') return literal();
-    if (c == '-' || (c >= '0' && c <= '9')) return number();
-    fail("unexpected character");
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonValue key = string_value();
-      expect(':');
-      v.fields.emplace_back(std::move(key.text), value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']'");
-    }
-  }
-
-  JsonValue string_value() {
-    expect('"');
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c != '\\') {
-        v.text += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': v.text += '"'; break;
-        case '\\': v.text += '\\'; break;
-        case '/': v.text += '/'; break;
-        case 'n': v.text += '\n'; break;
-        case 't': v.text += '\t'; break;
-        case 'r': v.text += '\r'; break;
-        case 'b': v.text += '\b'; break;
-        case 'f': v.text += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const int code = std::stoi(text_.substr(pos_, 4), nullptr, 16);
-          pos_ += 4;
-          if (code > 0x7F) fail("non-ASCII \\u escape unsupported");
-          v.text += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue literal() {
-    JsonValue v;
-    if (consume_literal("true")) {
-      v.kind = JsonValue::Kind::Bool;
-      v.b = true;
-    } else if (consume_literal("false")) {
-      v.kind = JsonValue::Kind::Bool;
-      v.b = false;
-    } else if (consume_literal("null")) {
-      v.kind = JsonValue::Kind::Null;
-    } else {
-      fail("unknown literal");
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    const std::size_t start = pos_;
-    if (text_[pos_] == '-') ++pos_;
-    const auto digits = [&] {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
-        ++pos_;
-    };
-    digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      digits();
-    }
-    if (pos_ == start) fail("malformed number");
-    v.text = text_.substr(start, pos_ - start);
-    return v;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
 // --- deserialization -------------------------------------------------
 
-sim::CacheConfig parse_cache(const JsonValue& v) {
+sim::CacheConfig parse_cache(const json::Value& v) {
   const auto& a = v.arr();
   if (a.size() != 4)
     throw std::runtime_error{"manifest: cache config needs 4 entries"};
@@ -390,7 +136,7 @@ sim::CacheConfig parse_cache(const JsonValue& v) {
   return c;
 }
 
-sim::MachineConfig parse_machine(const JsonValue& v) {
+sim::MachineConfig parse_machine(const json::Value& v) {
   sim::MachineConfig m;
   m.num_cores = static_cast<std::uint32_t>(v.at("num_cores").u64());
   m.freq_ghz = v.at("freq_ghz").num();
@@ -418,7 +164,7 @@ sim::MachineConfig parse_machine(const JsonValue& v) {
   return m;
 }
 
-RunOptions parse_options(const JsonValue& v) {
+RunOptions parse_options(const json::Value& v) {
   RunOptions o;
   o.machine = parse_machine(v.at("machine"));
   o.size = parse_size(v.at("size").str());
@@ -430,7 +176,7 @@ RunOptions parse_options(const JsonValue& v) {
   return o;
 }
 
-sim::CoreStats parse_stats(const JsonValue& v) {
+sim::CoreStats parse_stats(const json::Value& v) {
   const auto& a = v.arr();
   if (a.size() != 16)
     throw std::runtime_error{"manifest: stats array needs 16 counters"};
@@ -454,12 +200,12 @@ sim::CoreStats parse_stats(const JsonValue& v) {
   return s;
 }
 
-sim::LatencyStats parse_latency(const JsonValue& v) {
+sim::LatencyStats parse_latency(const json::Value& v) {
   sim::LatencyStats l;
   l.count = v.at("count").u64();
   l.sum = v.at("sum").u64();
   std::uint64_t total = 0;
-  for (const JsonValue& pair : v.at("buckets").arr()) {
+  for (const json::Value& pair : v.at("buckets").arr()) {
     const auto& p = pair.arr();
     if (p.size() != 2)
       throw std::runtime_error{"manifest: latency bucket needs [index, count]"};
@@ -474,7 +220,7 @@ sim::LatencyStats parse_latency(const JsonValue& v) {
   return l;
 }
 
-RunResult parse_run(const JsonValue& v) {
+RunResult parse_run(const json::Value& v) {
   RunResult r;
   r.workload = v.at("workload").str();
   r.threads = static_cast<unsigned>(v.at("threads").u64());
@@ -491,11 +237,11 @@ RunResult parse_run(const JsonValue& v) {
   return r;
 }
 
-GroupResult parse_group_result(const JsonValue& v) {
+GroupResult parse_group_result(const json::Value& v) {
   GroupResult g;
-  for (const JsonValue& m : v.at("members").arr())
+  for (const json::Value& m : v.at("members").arr())
     g.members.push_back(parse_run(m));
-  for (const JsonValue& n : v.at("runs_completed").arr())
+  for (const json::Value& n : v.at("runs_completed").arr())
     g.runs_completed.push_back(n.u64());
   g.total_avg_bw_gbs = v.at("total_avg_bw_gbs").num();
   g.finish_cycle = v.at("finish_cycle").u64();
@@ -503,14 +249,14 @@ GroupResult parse_group_result(const JsonValue& v) {
   return g;
 }
 
-GroupSpec parse_members(const JsonValue& v) {
+GroupSpec parse_members(const json::Value& v) {
   GroupSpec spec;
-  for (const JsonValue& m : v.arr()) {
+  for (const json::Value& m : v.arr()) {
     MemberSpec mem;
     mem.workload = m.at("workload").str();
     mem.threads = static_cast<unsigned>(m.at("threads").u64());
-    const JsonValue& size = m.at("size");
-    if (size.kind != JsonValue::Kind::Null) mem.size = parse_size(size.str());
+    const json::Value& size = m.at("size");
+    if (size.kind != json::Value::Kind::Null) mem.size = parse_size(size.str());
     mem.restart_until_done = m.at("restart").boolean();
     spec.members.push_back(std::move(mem));
   }
@@ -526,16 +272,14 @@ void save_manifest(std::ostream& os, const ExperimentPlan& plan,
   os << ",\n\"trials\": [";
   bool first = true;
   for (const Trial& t : plan.trials()) {
-    os << (first ? "\n" : ",\n") << "{\"key\": ";
+    os << (first ? "\n" : ",\n") << "{\"key\": " << json::quote(t.key)
+       << ",\n \"members\": [";
     first = false;
-    jstr(os, t.key);
-    os << ",\n \"members\": [";
     for (std::size_t i = 0; i < t.group.members.size(); ++i) {
       const MemberSpec& m = t.group.members[i];
       if (i != 0) os << ", ";
-      os << "{\"workload\": ";
-      jstr(os, m.workload);
-      os << ", \"threads\": " << m.threads << ", \"size\": ";
+      os << "{\"workload\": " << json::quote(m.workload)
+         << ", \"threads\": " << m.threads << ", \"size\": ";
       if (m.size)
         os << '"' << size_name(*m.size) << '"';
       else
@@ -559,7 +303,9 @@ std::string manifest_json(const ExperimentPlan& plan, const ResultSet& rs) {
 }
 
 ResultSet load_manifest(std::istream& is) {
-  const JsonValue doc = JsonParser{is}.parse();
+  std::ostringstream text;
+  text << is.rdbuf();
+  const json::Value doc = json::parse(text.str());
   const std::uint64_t version = doc.at("coperf_manifest").u64();
   if (version != static_cast<std::uint64_t>(kManifestVersion))
     throw std::runtime_error{"manifest: version " + std::to_string(version) +
@@ -567,7 +313,7 @@ ResultSet load_manifest(std::istream& is) {
                              std::to_string(kManifestVersion) + ")"};
   ResultSet rs;
   rs.base_ = parse_options(doc.at("base"));
-  for (const JsonValue& t : doc.at("trials").arr()) {
+  for (const json::Value& t : doc.at("trials").arr()) {
     const std::string& key = t.at("key").str();
     const GroupSpec spec = parse_members(t.at("members"));
     const RunOptions opt = parse_options(t.at("options"));

@@ -38,8 +38,10 @@ void save_manifest(std::ostream& os, const ExperimentPlan& plan,
                    const ResultSet& rs);
 std::string manifest_json(const ExperimentPlan& plan, const ResultSet& rs);
 
-/// Parses a manifest back into a spec-addressable ResultSet. Throws
-/// std::runtime_error on malformed input, version mismatch, or a trial
+/// Parses a manifest back into a spec-addressable ResultSet with the
+/// strict json::parse reader. Throws std::runtime_error on malformed
+/// input, a counter that is not a plain unsigned 64-bit integer (a
+/// sign, fraction or overflow), version mismatch, or a trial
 /// whose stored key does not match the key recomputed from its
 /// deserialized spec (a corrupted or hand-edited manifest).
 ResultSet load_manifest(std::istream& is);

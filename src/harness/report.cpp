@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace coperf::harness {
 
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
@@ -109,34 +111,13 @@ namespace report {
 
 namespace {
 
-/// Shortest round-trippable double representation.
-std::string jnum(double v) {
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
-std::string jstr(const std::string& s) {
-  std::string out{'"'};
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 void json_metrics(std::ostringstream& os, const perf::Metrics& m) {
-  os << "{\"cpi\": " << jnum(m.cpi) << ", \"ipc\": " << jnum(m.ipc)
-     << ", \"l2_pcp\": " << jnum(m.l2_pcp)
-     << ", \"llc_mpki\": " << jnum(m.llc_mpki)
-     << ", \"l2_mpki\": " << jnum(m.l2_mpki) << ", \"ll\": " << jnum(m.ll)
-     << "}";
+  os << "{\"cpi\": " << json::number(m.cpi)
+     << ", \"ipc\": " << json::number(m.ipc)
+     << ", \"l2_pcp\": " << json::number(m.l2_pcp)
+     << ", \"llc_mpki\": " << json::number(m.llc_mpki)
+     << ", \"l2_mpki\": " << json::number(m.l2_mpki)
+     << ", \"ll\": " << json::number(m.ll) << "}";
 }
 
 /// Latency object: counts plus interpolated percentiles in cycles, and
@@ -145,9 +126,9 @@ void json_metrics(std::ostringstream& os, const perf::Metrics& m) {
 /// shape never depends on the workload.
 void json_latency(std::ostringstream& os, const sim::LatencyStats& l) {
   os << "{\"count\": " << l.count << ", \"sum\": " << l.sum
-     << ", \"p50\": " << jnum(l.quantile(0.50))
-     << ", \"p95\": " << jnum(l.quantile(0.95))
-     << ", \"p99\": " << jnum(l.quantile(0.99)) << ", \"buckets\": [";
+     << ", \"p50\": " << json::number(l.quantile(0.50))
+     << ", \"p95\": " << json::number(l.quantile(0.95))
+     << ", \"p99\": " << json::number(l.quantile(0.99)) << ", \"buckets\": [";
   bool first = true;
   for (unsigned b = 0; b < l.buckets.size(); ++b) {
     if (l.buckets[b] == 0) continue;
@@ -159,10 +140,11 @@ void json_latency(std::ostringstream& os, const sim::LatencyStats& l) {
 }
 
 void json_run(std::ostringstream& os, const RunResult& r) {
-  os << "{\"workload\": " << jstr(r.workload) << ", \"threads\": " << r.threads
-     << ", \"cycles\": " << r.cycles << ", \"seconds\": " << jnum(r.seconds)
+  os << "{\"workload\": " << json::quote(r.workload)
+     << ", \"threads\": " << r.threads << ", \"cycles\": " << r.cycles
+     << ", \"seconds\": " << json::number(r.seconds)
      << ", \"instructions\": " << r.stats.instructions
-     << ", \"avg_bw_gbs\": " << jnum(r.avg_bw_gbs)
+     << ", \"avg_bw_gbs\": " << json::number(r.avg_bw_gbs)
      << ", \"footprint_bytes\": " << r.footprint_bytes
      << ", \"hit_cycle_limit\": " << (r.hit_cycle_limit ? "true" : "false")
      << ", \"latency\": ";
@@ -174,7 +156,7 @@ void json_run(std::ostringstream& os, const RunResult& r) {
   for (const auto& reg : r.regions) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"region\": " << jstr(reg.region)
+    os << "{\"region\": " << json::quote(reg.region)
        << ", \"cycles\": " << reg.stats.cycles << ", \"metrics\": ";
     json_metrics(os, reg.metrics);
     os << "}";
@@ -195,21 +177,21 @@ void csv_run_row(std::ostringstream& os, const RunResult& r) {
   if (r.hit_cycle_limit)
     os << "nan,nan,";
   else
-    os << r.cycles << ',' << jnum(r.seconds) << ',';
-  os << r.stats.instructions << ','
-     << jnum(r.avg_bw_gbs) << ',' << r.footprint_bytes << ','
-     << (r.hit_cycle_limit ? 1 : 0) << ',' << jnum(r.metrics.cpi) << ','
-     << jnum(r.metrics.ipc) << ',' << jnum(r.metrics.llc_mpki) << ','
-     << jnum(r.metrics.l2_pcp) << ',' << jnum(r.metrics.ll) << ','
-     << r.latency.count << ',';
+    os << r.cycles << ',' << json::number(r.seconds) << ',';
+  os << r.stats.instructions << ',' << json::number(r.avg_bw_gbs) << ','
+     << r.footprint_bytes << ',' << (r.hit_cycle_limit ? 1 : 0) << ','
+     << json::number(r.metrics.cpi) << ',' << json::number(r.metrics.ipc)
+     << ',' << json::number(r.metrics.llc_mpki) << ','
+     << json::number(r.metrics.l2_pcp) << ',' << json::number(r.metrics.ll)
+     << ',' << r.latency.count << ',';
   // Batch workloads have no requests: the percentile columns stay
   // empty (not nan -- that marks cycle-limit-flagged members).
   if (r.latency.empty())
     os << ",,";
   else
-    os << jnum(r.latency.quantile(0.50)) << ','
-       << jnum(r.latency.quantile(0.95)) << ','
-       << jnum(r.latency.quantile(0.99));
+    os << json::number(r.latency.quantile(0.50)) << ','
+       << json::number(r.latency.quantile(0.95)) << ','
+       << json::number(r.latency.quantile(0.99));
   os << '\n';
 }
 
@@ -233,7 +215,7 @@ std::string to_json(const GroupResult& g) {
     if (i) os << ", ";
     os << g.runs_completed[i];
   }
-  os << "], \"total_avg_bw_gbs\": " << jnum(g.total_avg_bw_gbs)
+  os << "], \"total_avg_bw_gbs\": " << json::number(g.total_avg_bw_gbs)
      << ", \"finish_cycle\": " << g.finish_cycle
      << ", \"hit_cycle_limit\": " << (g.hit_cycle_limit ? "true" : "false")
      << "}";
@@ -244,10 +226,10 @@ std::string to_json(const CorunResult& c) {
   std::ostringstream os;
   os << "{\"fg\": ";
   json_run(os, c.fg);
-  os << ", \"bg_workload\": " << jstr(c.bg_workload)
+  os << ", \"bg_workload\": " << json::quote(c.bg_workload)
      << ", \"bg_runs_completed\": " << c.bg_runs_completed
-     << ", \"bg_avg_bw_gbs\": " << jnum(c.bg_avg_bw_gbs)
-     << ", \"total_avg_bw_gbs\": " << jnum(c.total_avg_bw_gbs) << "}";
+     << ", \"bg_avg_bw_gbs\": " << json::number(c.bg_avg_bw_gbs)
+     << ", \"total_avg_bw_gbs\": " << json::number(c.total_avg_bw_gbs) << "}";
   return os.str();
 }
 
@@ -256,7 +238,7 @@ std::string to_json(const CorunMatrix& m) {
   os << "{\"workloads\": [";
   for (std::size_t i = 0; i < m.workloads.size(); ++i) {
     if (i) os << ", ";
-    os << jstr(m.workloads[i]);
+    os << json::quote(m.workloads[i]);
   }
   os << "], \"solo_cycles\": [";
   for (std::size_t i = 0; i < m.solo_cycles.size(); ++i) {
@@ -269,7 +251,7 @@ std::string to_json(const CorunMatrix& m) {
     os << "[";
     for (std::size_t bg = 0; bg < m.size(); ++bg) {
       if (bg) os << ", ";
-      os << jnum(m.normalized[fg][bg]);
+      os << json::number(m.normalized[fg][bg]);
     }
     os << "]";
   }
@@ -282,9 +264,10 @@ std::string to_json(const CorunMatrix& m) {
 
 std::string to_json(const ScalabilityResult& s) {
   std::ostringstream os;
-  os << "{\"workload\": " << jstr(s.workload)
+  os << "{\"workload\": " << json::quote(s.workload)
      << ", \"rate_mode\": " << (s.rate_mode ? "true" : "false")
-     << ", \"class\": " << jstr(to_string(s.cls)) << ", \"threads\": [";
+     << ", \"class\": " << json::quote(to_string(s.cls))
+     << ", \"threads\": [";
   for (std::size_t i = 0; i < s.threads.size(); ++i) {
     if (i) os << ", ";
     os << s.threads[i];
@@ -297,12 +280,12 @@ std::string to_json(const ScalabilityResult& s) {
   os << "], \"speedup\": [";
   for (std::size_t i = 0; i < s.speedup.size(); ++i) {
     if (i) os << ", ";
-    os << jnum(s.speedup[i]);
+    os << json::number(s.speedup[i]);
   }
   os << "], \"bw_gbs\": [";
   for (std::size_t i = 0; i < s.bw_gbs.size(); ++i) {
     if (i) os << ", ";
-    os << jnum(s.bw_gbs[i]);
+    os << json::number(s.bw_gbs[i]);
   }
   os << "]}";
   return os.str();
@@ -321,12 +304,12 @@ std::string to_json(const std::vector<ScalabilityResult>& s) {
 
 std::string to_json(const PrefetchSensitivity& p) {
   std::ostringstream os;
-  os << "{\"workload\": " << jstr(p.workload)
+  os << "{\"workload\": " << json::quote(p.workload)
      << ", \"cycles_on\": " << p.cycles_on
      << ", \"cycles_off\": " << p.cycles_off
-     << ", \"speedup_ratio\": " << jnum(p.speedup_ratio)
-     << ", \"bw_on_gbs\": " << jnum(p.bw_on_gbs)
-     << ", \"bw_off_gbs\": " << jnum(p.bw_off_gbs) << "}";
+     << ", \"speedup_ratio\": " << json::number(p.speedup_ratio)
+     << ", \"bw_on_gbs\": " << json::number(p.bw_on_gbs)
+     << ", \"bw_off_gbs\": " << json::number(p.bw_off_gbs) << "}";
   return os.str();
 }
 
@@ -378,9 +361,10 @@ std::string to_csv(const CorunResult& c) {
   // The background never runs to completion, so its runtime fields are
   // nan (undefined), consistent with cycle-limit-flagged members.
   os << "bg," << csv_field(c.bg_workload) << ",,nan,nan,"
-     << c.bg_stats.instructions << ',' << jnum(c.bg_avg_bw_gbs) << ",,,"
-     << jnum(bg.cpi) << ',' << jnum(bg.ipc) << ',' << jnum(bg.llc_mpki) << ','
-     << jnum(bg.l2_pcp) << ',' << jnum(bg.ll) << ",0,,,,"
+     << c.bg_stats.instructions << ',' << json::number(c.bg_avg_bw_gbs)
+     << ",,," << json::number(bg.cpi) << ',' << json::number(bg.ipc) << ','
+     << json::number(bg.llc_mpki) << ',' << json::number(bg.l2_pcp) << ','
+     << json::number(bg.ll) << ",0,,,,"
      << c.bg_runs_completed << '\n';
   return os.str();
 }
@@ -405,8 +389,8 @@ std::string to_csv(const std::vector<ScalabilityResult>& s) {
   for (const auto& r : s)
     for (std::size_t i = 0; i < r.threads.size(); ++i)
       os << csv_field(r.workload) << ',' << r.threads[i] << ',' << r.cycles[i]
-         << ',' << jnum(r.speedup[i]) << ',' << jnum(r.bw_gbs[i]) << ','
-         << to_string(r.cls) << '\n';
+         << ',' << json::number(r.speedup[i]) << ','
+         << json::number(r.bw_gbs[i]) << ',' << to_string(r.cls) << '\n';
   return os.str();
 }
 
@@ -419,8 +403,9 @@ std::string to_csv(const std::vector<PrefetchSensitivity>& p) {
   os << "workload,cycles_on,cycles_off,speedup_ratio,bw_on_gbs,bw_off_gbs\n";
   for (const auto& s : p)
     os << csv_field(s.workload) << ',' << s.cycles_on << ',' << s.cycles_off
-       << ',' << jnum(s.speedup_ratio) << ',' << jnum(s.bw_on_gbs) << ','
-       << jnum(s.bw_off_gbs) << '\n';
+       << ',' << json::number(s.speedup_ratio) << ','
+       << json::number(s.bw_on_gbs) << ',' << json::number(s.bw_off_gbs)
+       << '\n';
   return os.str();
 }
 

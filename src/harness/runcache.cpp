@@ -13,6 +13,7 @@
 
 #include "obs/metrics.hpp"
 #include "perf/metrics.hpp"
+#include "util/json.hpp"
 
 namespace coperf::harness {
 
@@ -25,12 +26,6 @@ std::uint64_t fnv1a(std::string_view s) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 void put_stats(std::ostream& os, const char* tag, const sim::CoreStats& s) {
@@ -54,7 +49,7 @@ void put_run(std::ostream& os, const RunResult& r) {
   os << "workload " << r.workload << '\n'
      << "threads " << r.threads << '\n'
      << "cycles " << r.cycles << '\n'
-     << "seconds " << fmt_double(r.seconds) << '\n';
+     << "seconds " << json::number(r.seconds) << '\n';
   put_stats(os, "stats", r.stats);
   // Sparse latency line: count, sum, then (bucket, count) pairs.
   os << "latency " << r.latency.count << ' ' << r.latency.sum;
@@ -62,7 +57,7 @@ void put_run(std::ostream& os, const RunResult& r) {
     if (r.latency.buckets[b] != 0)
       os << ' ' << b << ' ' << r.latency.buckets[b];
   os << '\n';
-  os << "avg_bw " << fmt_double(r.avg_bw_gbs) << '\n'
+  os << "avg_bw " << json::number(r.avg_bw_gbs) << '\n'
      << "footprint " << r.footprint_bytes << '\n'
      << "hit_limit " << (r.hit_cycle_limit ? 1 : 0) << '\n'
      << "regions " << r.regions.size() << '\n';
@@ -127,7 +122,7 @@ void put_group(std::ostream& os, const GroupResult& g) {
     put_run(os, g.members[i]);
     os << "runs_completed " << g.runs_completed[i] << '\n';
   }
-  os << "total_avg_bw " << fmt_double(g.total_avg_bw_gbs) << '\n'
+  os << "total_avg_bw " << json::number(g.total_avg_bw_gbs) << '\n'
      << "finish_cycle " << g.finish_cycle << '\n'
      << "group_hit_limit " << (g.hit_cycle_limit ? 1 : 0) << '\n';
 }
@@ -358,14 +353,15 @@ std::string RunCache::machine_fingerprint(const sim::MachineConfig& m) {
     os << c.size_bytes << ',' << c.assoc << ',' << c.latency_cycles << ','
        << c.line_bytes << ';';
   };
-  os << "cores=" << m.num_cores << ";freq=" << fmt_double(m.freq_ghz) << ";l1=";
+  os << "cores=" << m.num_cores << ";freq=" << json::number(m.freq_ghz)
+     << ";l1=";
   cache(m.l1d);
   os << "l2=";
   cache(m.l2);
   os << "l3=";
   cache(m.l3);
-  os << "incl=" << m.l3_inclusive << ";bw=" << fmt_double(m.peak_bw_gbs)
-     << ";corebw=" << fmt_double(m.per_core_bw_gbs)
+  os << "incl=" << m.l3_inclusive << ";bw=" << json::number(m.peak_bw_gbs)
+     << ";corebw=" << json::number(m.per_core_bw_gbs)
      << ";dram=" << m.dram_latency_cycles << ";mshr=" << m.mshr_per_core
      << ";sb=" << m.store_buffer << ";rob=" << m.rob_instructions
      << ";q=" << m.quantum_cycles << ";pf=" << m.prefetch.l2_stream

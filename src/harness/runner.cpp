@@ -1,8 +1,5 @@
 #include "harness/runner.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "harness/group.hpp"
 
 namespace coperf::harness {
@@ -24,14 +21,6 @@ RunResult run_solo_median(std::string_view workload, const RunOptions& opt,
   return run_group_median(GroupSpec::solo(std::string{workload}, opt.threads),
                           opt, reps)
       .members[0];
-}
-
-CorunResult run_pair_median(std::string_view fg, std::string_view bg,
-                            const RunOptions& opt, unsigned reps) {
-  return to_corun(
-      run_group_median(GroupSpec::pair(std::string{fg}, std::string{bg},
-                                       opt.threads, opt.bg_threads),
-                       opt, reps));
 }
 
 }  // namespace coperf::harness

@@ -75,10 +75,8 @@ CorunResult run_pair(std::string_view fg, std::string_view bg,
                      const RunOptions& opt = {});
 
 /// Median-of-N helper matching the paper's three repeated runs: reruns
-/// with seeds seed+0..n-1 and returns the run with median fg cycles.
+/// with seeds seed+0..n-1 and returns the run with median cycles.
 RunResult run_solo_median(std::string_view workload, const RunOptions& opt = {},
                           unsigned reps = 3);
-CorunResult run_pair_median(std::string_view fg, std::string_view bg,
-                            const RunOptions& opt = {}, unsigned reps = 3);
 
 }  // namespace coperf::harness

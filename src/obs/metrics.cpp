@@ -4,51 +4,19 @@
 
 #include "obs/quantile.hpp"
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace coperf::obs {
 
 namespace {
 
 std::atomic<bool> g_metrics_enabled{true};
-
-void put_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void put_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;  // keep the snapshot valid JSON whatever happens upstream
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
-}
 
 }  // namespace
 
@@ -167,29 +135,23 @@ void Registry::snapshot_json(std::ostream& os) const {
   os << "{\n  \"counters\": {";
   const char* sep = "";
   for (const auto& [name, c] : impl_->counters) {
-    os << sep << "\n    ";
-    put_escaped(os, name);
-    os << ": " << c->value();
+    os << sep << "\n    " << json::quote(name) << ": " << c->value();
     sep = ",";
   }
   os << (impl_->counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   sep = "";
   for (const auto& [name, g] : impl_->gauges) {
-    os << sep << "\n    ";
-    put_escaped(os, name);
-    os << ": ";
-    put_double(os, g->value());
+    os << sep << "\n    " << json::quote(name) << ": "
+       << json::number(g->value());
     sep = ",";
   }
   os << (impl_->gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
   sep = "";
   for (const auto& [name, h] : impl_->histograms) {
-    os << sep << "\n    ";
-    put_escaped(os, name);
-    os << ": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
-       << ", \"mean\": ";
-    put_double(os, h->mean());
-    os << ", \"p50\": " << h->quantile_upper(0.50)
+    os << sep << "\n    " << json::quote(name) << ": {\"count\": "
+       << h->count() << ", \"sum\": " << h->sum()
+       << ", \"mean\": " << json::number(h->mean())
+       << ", \"p50\": " << h->quantile_upper(0.50)
        << ", \"p90\": " << h->quantile_upper(0.90)
        << ", \"p99\": " << h->quantile_upper(0.99) << ", \"buckets\": {";
     const char* bsep = "";

@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -10,41 +8,11 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace coperf::obs {
 
 namespace {
-
-std::string escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string fmt_num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 struct Event {
   char ph = 'X';
@@ -57,10 +25,10 @@ struct Event {
 };
 
 void put_event(std::ostream& os, const Event& e) {
-  os << "{\"name\": " << escaped(e.name) << ", \"ph\": \"" << e.ph
+  os << "{\"name\": " << json::quote(e.name) << ", \"ph\": \"" << e.ph
      << "\", \"pid\": " << e.pid << ", \"tid\": " << e.tid
-     << ", \"ts\": " << fmt_num(e.ts);
-  if (e.ph == 'X') os << ", \"dur\": " << fmt_num(e.dur);
+     << ", \"ts\": " << json::number(e.ts);
+  if (e.ph == 'X') os << ", \"dur\": " << json::number(e.dur);
   if (e.ph == 'i') os << ", \"s\": \"t\"";  // thread-scoped instant
   if (!e.args.empty()) os << ", \"args\": " << e.args;
   os << "}";
@@ -79,18 +47,18 @@ int host_lane() {
 
 Args& Args::raw(std::string_view key, std::string_view rendered) {
   if (!body_.empty()) body_ += ", ";
-  body_ += escaped(key);
+  body_ += json::quote(key);
   body_ += ": ";
   body_ += rendered;
   return *this;
 }
 
 Args& Args::set(std::string_view key, std::string_view value) {
-  return raw(key, escaped(value));
+  return raw(key, json::quote(value));
 }
 
 Args& Args::set(std::string_view key, double value) {
-  return raw(key, fmt_num(value));
+  return raw(key, json::number(value));
 }
 
 // --- Trace -----------------------------------------------------------

@@ -41,7 +41,7 @@ struct PrefetchMask {
 /// `scaled(f)` shrinks the shared LLC by `f` so experiments with
 /// proportionally shrunk workload footprints preserve the
 /// footprint-to-LLC and demand-to-peak-bandwidth ratios that drive
-/// every interference result (see DESIGN.md, "Scaled-machine mode").
+/// every interference result.
 struct MachineConfig {
   std::uint32_t num_cores = 8;
   double freq_ghz = 2.7;
@@ -86,7 +86,7 @@ struct MachineConfig {
   /// private L2s by 2 so the inclusive LLC stays larger than the sum of
   /// the private caches). Workload inputs built through SizeClass
   /// shrink correspondingly, preserving the footprint-to-cache ratios
-  /// that drive the paper's contention results (see DESIGN.md).
+  /// that drive the paper's contention results.
   static MachineConfig scaled(std::uint32_t factor = 16) {
     if (factor == 0) throw std::invalid_argument{"scale factor must be >= 1"};
     MachineConfig c;

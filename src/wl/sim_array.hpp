@@ -92,7 +92,7 @@ class GhostArray {
 /// scaled-down vertex counts: friendster keeps ~10-30 bytes of engine
 /// state per vertex across several arrays, and that state is orders of
 /// magnitude larger than the LLC -- with 2^17 vertices the same ratio
-/// requires widening the per-vertex record (see DESIGN.md).
+/// requires widening the per-vertex record.
 template <typename T, std::size_t Bytes = 32>
 struct Cell {
   static_assert(Bytes >= sizeof(T));

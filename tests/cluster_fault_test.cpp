@@ -94,6 +94,7 @@ TEST(FaultSchedule, RejectsBadOptions) {
 // engine must stay byte-identical to the reference specification.
 TEST(FaultFree, ByteIdenticalToReference) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   TraceOptions topt;
   topt.jobs = 400;
   topt.seed = 3;
@@ -102,9 +103,9 @@ TEST(FaultFree, ByteIdenticalToReference) {
   const ClusterConfig cfg{3, 2};
 
   CostModelPolicy pref{"oracle", truth};
-  const ClusterResult ref = simulate_reference(cfg, truth, trace, pref);
+  const ClusterResult ref = simulate_reference(cfg, additive, trace, pref);
   CostModelPolicy pfleet{"oracle", truth};
-  const ClusterResult fleet = simulate(cfg, truth, trace, pfleet);
+  const ClusterResult fleet = simulate(cfg, additive, trace, pfleet);
   EXPECT_EQ(ref.log.str(truth.workloads), fleet.log.str(truth.workloads));
   EXPECT_NEAR(ref.mean_decision_regret, fleet.mean_decision_regret, 1e-9);
   EXPECT_EQ(fleet.failures, 0u);
@@ -114,46 +115,49 @@ TEST(FaultFree, ByteIdenticalToReference) {
 
 TEST(FaultFree, ReferenceRejectsFaultConfigs) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs({{0.0, 1.0}});
   CostModelPolicy p{"oracle", truth};
 
   ClusterConfig cfg{2, 2};
   cfg.faults = {{1.0, 0, FaultEvent::Kind::Down},
                 {2.0, 0, FaultEvent::Kind::Up}};
-  EXPECT_THROW(simulate_reference(cfg, truth, trace, p),
+  EXPECT_THROW(simulate_reference(cfg, additive, trace, p),
                std::invalid_argument);
   cfg = ClusterConfig{2, 2};
   cfg.migration.preempt = true;
-  EXPECT_THROW(simulate_reference(cfg, truth, trace, p),
+  EXPECT_THROW(simulate_reference(cfg, additive, trace, p),
                std::invalid_argument);
   cfg = ClusterConfig{2, 2};
   cfg.admission.queue_limit = 4;
-  EXPECT_THROW(simulate_reference(cfg, truth, trace, p),
+  EXPECT_THROW(simulate_reference(cfg, additive, trace, p),
                std::invalid_argument);
 }
 
 TEST(FaultFree, EngineValidatesFaultSchedules) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs({{0.0, 1.0}});
   CostModelPolicy p{"oracle", truth};
 
   ClusterConfig cfg{2, 2};
   cfg.faults = {{1.0, 5, FaultEvent::Kind::Down}};  // machine out of range
-  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  EXPECT_THROW(simulate(cfg, additive, trace, p), std::invalid_argument);
   cfg.faults = {{2.0, 0, FaultEvent::Kind::Down},
                 {1.0, 0, FaultEvent::Kind::Up}};  // unsorted
-  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  EXPECT_THROW(simulate(cfg, additive, trace, p), std::invalid_argument);
   cfg.faults = {{1.0, 0, FaultEvent::Kind::Up}};  // Up without Down
-  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  EXPECT_THROW(simulate(cfg, additive, trace, p), std::invalid_argument);
   cfg.faults.clear();
   cfg.retry.checkpoint = 1.5;
-  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  EXPECT_THROW(simulate(cfg, additive, trace, p), std::invalid_argument);
 }
 
 // --- deterministic fault replay -------------------------------------
 
 TEST(FaultReplay, SameSeedSameAuditLog) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   FleetTraceOptions fopt;
   fopt.jobs = 1200;
   fopt.seed = 17;
@@ -173,7 +177,7 @@ TEST(FaultReplay, SameSeedSameAuditLog) {
 
   const auto run = [&] {
     CostModelPolicy p{"oracle", truth};
-    return simulate(cfg, truth, trace, p);
+    return simulate(cfg, additive, trace, p);
   };
   const ClusterResult a = run();
   const ClusterResult b = run();
@@ -207,6 +211,7 @@ TEST(FaultReplay, SameSeedSameAuditLog) {
 // it ready at t=5 but the machine only recovers at t=6.
 TEST(Retry, WorkLossModelRestartFromZero) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs({{0.0, 10.0}});
   ClusterConfig cfg{1, 2};
   cfg.faults = {{4.0, 0, FaultEvent::Kind::Down},
@@ -214,7 +219,7 @@ TEST(Retry, WorkLossModelRestartFromZero) {
   cfg.retry.backoff = 1.0;
   cfg.retry.checkpoint = 0.0;  // the whole attempt is lost
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
 
   ASSERT_TRUE(res.outcomes[0].completed());
   EXPECT_EQ(res.outcomes[0].retries, 1u);
@@ -228,6 +233,7 @@ TEST(Retry, WorkLossModelRestartFromZero) {
 
 TEST(Retry, WorkLossModelPerfectCheckpoint) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs({{0.0, 10.0}});
   ClusterConfig cfg{1, 2};
   cfg.faults = {{4.0, 0, FaultEvent::Kind::Down},
@@ -235,7 +241,7 @@ TEST(Retry, WorkLossModelPerfectCheckpoint) {
   cfg.retry.backoff = 1.0;
   cfg.retry.checkpoint = 1.0;  // only in-flight time is lost
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
 
   ASSERT_TRUE(res.outcomes[0].completed());
   EXPECT_NEAR(res.outcomes[0].finish, 12.0, 1e-9);  // 6 + remaining 6
@@ -244,6 +250,7 @@ TEST(Retry, WorkLossModelPerfectCheckpoint) {
 
 TEST(Retry, BackoffDelaysPastRecovery) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs({{0.0, 10.0}});
   ClusterConfig cfg{1, 2};
   cfg.faults = {{4.0, 0, FaultEvent::Kind::Down},
@@ -251,19 +258,20 @@ TEST(Retry, BackoffDelaysPastRecovery) {
   cfg.retry.backoff = 5.0;  // ready at t=9, after the t=6 recovery
   cfg.retry.checkpoint = 1.0;
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
   EXPECT_NEAR(res.outcomes[0].finish, 15.0, 1e-9);  // 9 + remaining 6
 }
 
 TEST(Retry, ExhaustedRetriesShed) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs({{0.0, 10.0}});
   ClusterConfig cfg{1, 2};
   cfg.faults = {{4.0, 0, FaultEvent::Kind::Down},
                 {6.0, 0, FaultEvent::Kind::Up}};
   cfg.retry.max_retries = 0;
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
 
   EXPECT_FALSE(res.outcomes[0].completed());
   EXPECT_TRUE(res.outcomes[0].shed);
@@ -278,6 +286,7 @@ TEST(Retry, ExhaustedRetriesShed) {
 
 TEST(Migration, HighPriorityPreemptsLowestClass) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   // Two best-effort residents fill the only machine; a class-1 job
   // arrives at t=1.
   std::vector<JobSpec> trace = neutral_jobs({{0.0, 100.0}, {0.0, 100.0}});
@@ -292,7 +301,7 @@ TEST(Migration, HighPriorityPreemptsLowestClass) {
   ClusterConfig cfg{1, 2};
   cfg.migration.preempt = true;
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
 
   EXPECT_EQ(res.migrations, 1u);
   EXPECT_EQ(res.outcomes[0].evictions, 1u);  // lowest slot is the victim
@@ -311,6 +320,7 @@ TEST(Migration, HighPriorityPreemptsLowestClass) {
 
 TEST(Migration, NeverEvictsEqualOrHigherClass) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   std::vector<JobSpec> trace =
       neutral_jobs({{0.0, 100.0}, {0.0, 100.0}}, /*priority=*/1);
   JobSpec hp;
@@ -324,7 +334,7 @@ TEST(Migration, NeverEvictsEqualOrHigherClass) {
   ClusterConfig cfg{1, 2};
   cfg.migration.preempt = true;
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
   EXPECT_EQ(res.migrations, 0u);
   EXPECT_NEAR(res.outcomes[2].start, 100.0, 1e-9)
       << "equal-class residents must not be preempted";
@@ -334,12 +344,13 @@ TEST(Migration, NeverEvictsEqualOrHigherClass) {
 
 TEST(Admission, ShedBillingConservesWork) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs(
       {{0.0, 50.0}, {0.1, 50.0}, {0.2, 50.0}, {0.3, 50.0}});
   ClusterConfig cfg{1, 2};
   cfg.admission.queue_limit = 1;  // one waiter is already overload
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
 
   // Jobs 0/1 run, job 2 waits, job 3 arrives over the limit and sheds.
   EXPECT_EQ(res.shed_jobs, 1u);
@@ -361,6 +372,7 @@ TEST(Admission, ShedBillingConservesWork) {
 
 TEST(Admission, HighClassesAreNeverShed) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   std::vector<JobSpec> trace = neutral_jobs(
       {{0.0, 50.0}, {0.1, 50.0}, {0.2, 50.0}});
   JobSpec hp;
@@ -375,7 +387,7 @@ TEST(Admission, HighClassesAreNeverShed) {
   cfg.admission.queue_limit = 1;
   cfg.admission.shed_below = 1;  // only class 0 is sheddable
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
   EXPECT_FALSE(res.outcomes[3].shed);
   EXPECT_TRUE(res.outcomes[3].completed());
   ASSERT_EQ(res.class_stats.size(), 2u);
@@ -384,6 +396,7 @@ TEST(Admission, HighClassesAreNeverShed) {
 
 TEST(Admission, DeferThenShedUnderPersistentOverload) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs(
       {{0.0, 50.0}, {0.1, 50.0}, {0.2, 50.0}, {0.3, 50.0}});
   ClusterConfig cfg{1, 2};
@@ -391,7 +404,7 @@ TEST(Admission, DeferThenShedUnderPersistentOverload) {
   cfg.admission.defer_delay = 10.0;
   cfg.admission.max_defers = 1;
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
 
   // Job 3 defers once (until t=10.3, still overloaded: job 2 waits
   // until the first completion at t=50) and then sheds.
@@ -404,6 +417,7 @@ TEST(Admission, DeferThenShedUnderPersistentOverload) {
 
 TEST(Admission, DeferredJobAdmittedOnceLoadClears) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto trace = neutral_jobs(
       {{0.0, 10.0}, {0.1, 10.0}, {0.2, 10.0}, {0.3, 10.0}});
   ClusterConfig cfg{1, 2};
@@ -411,7 +425,7 @@ TEST(Admission, DeferredJobAdmittedOnceLoadClears) {
   cfg.admission.defer_delay = 25.0;  // re-enters at t=25.3: queue empty
   cfg.admission.max_defers = 3;
   CostModelPolicy p{"oracle", truth};
-  const ClusterResult res = simulate(cfg, truth, trace, p);
+  const ClusterResult res = simulate(cfg, additive, trace, p);
   EXPECT_EQ(res.outcomes[3].defers, 1u);
   EXPECT_FALSE(res.outcomes[3].shed);
   ASSERT_TRUE(res.outcomes[3].completed());
@@ -426,6 +440,7 @@ TEST(Admission, DeferredJobAdmittedOnceLoadClears) {
 // no-shed baseline.
 TEST(Degradation, ProtectionLiftsHighPriorityGoodput) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   FleetTraceOptions fopt;
   fopt.jobs = 2000;
   fopt.seed = 21;
@@ -448,9 +463,9 @@ TEST(Degradation, ProtectionLiftsHighPriorityGoodput) {
   prot.admission.shed_below = 1;
 
   CostModelPolicy pb{"oracle", truth};
-  const ClusterResult rb = simulate(base, truth, trace, pb);
+  const ClusterResult rb = simulate(base, additive, trace, pb);
   CostModelPolicy pp{"oracle", truth};
-  const ClusterResult rp = simulate(prot, truth, trace, pp);
+  const ClusterResult rp = simulate(prot, additive, trace, pp);
 
   ASSERT_EQ(rb.class_stats.size(), 2u);
   ASSERT_EQ(rp.class_stats.size(), 2u);

@@ -25,6 +25,7 @@ namespace {
 // families, on the additive synthetic truth.
 TEST(FleetEquivalence, MatchesReferenceOnSyntheticTruth) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto sigs = synthetic_sigs();
   TraceOptions topt;
   topt.jobs = 500;
@@ -51,10 +52,10 @@ TEST(FleetEquivalence, MatchesReferenceOnSyntheticTruth) {
       }
     };
     const ClusterResult ref = make_run([&](PlacementPolicy& p) {
-      return simulate_reference(cfg, truth, trace, p);
+      return simulate_reference(cfg, additive, trace, p);
     });
     const ClusterResult fleet = make_run(
-        [&](PlacementPolicy& p) { return simulate(cfg, truth, trace, p); });
+        [&](PlacementPolicy& p) { return simulate(cfg, additive, trace, p); });
     EXPECT_EQ(ref.log.str(truth.workloads), fleet.log.str(truth.workloads))
         << "policy family " << which << " diverged from the reference loop";
     EXPECT_NEAR(ref.mean_decision_regret, fleet.mean_decision_regret, 1e-9);
@@ -98,6 +99,7 @@ TEST(FleetEquivalence, MatchesReferenceOnRegimeChangeTruth) {
 // Place/Finish lines about which job was which.
 TEST(FleetAuditLog, PlaceAndFinishLogJobIdsNotTraceIndices) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   TraceOptions topt;
   topt.jobs = 120;
   topt.seed = 9;
@@ -108,8 +110,8 @@ TEST(FleetAuditLog, PlaceAndFinishLogJobIdsNotTraceIndices) {
   for (int engine = 0; engine < 2; ++engine) {
     CostModelPolicy policy{"oracle", truth};
     const auto res = engine == 0
-                         ? simulate_reference({2, 2}, truth, trace, policy)
-                         : simulate({2, 2}, truth, trace, policy);
+                         ? simulate_reference({2, 2}, additive, trace, policy)
+                         : simulate({2, 2}, additive, trace, policy);
     // Every event must carry a JobSpec::id, and each job's Arrive,
     // Place, and Finish must agree on it (exactly one of each).
     std::map<std::size_t, std::array<int, 3>> kinds;
@@ -137,6 +139,7 @@ TEST(FleetAuditLog, PlaceAndFinishLogJobIdsNotTraceIndices) {
 // slowdown below 1: negative-residue drift would show up here.
 TEST(FleetNumerics, LongTraceStretchStaysAboveOneAndReplays) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   TraceOptions topt;
   topt.jobs = 20'000;
   topt.seed = 31;
@@ -146,7 +149,7 @@ TEST(FleetNumerics, LongTraceStretchStaysAboveOneAndReplays) {
 
   const auto run = [&] {
     CostModelPolicy policy{"oracle", truth};
-    return simulate(cfg, truth, trace, policy);
+    return simulate(cfg, additive, trace, policy);
   };
   const auto res = run();
   for (const JobOutcome& o : res.outcomes) {
@@ -164,6 +167,7 @@ TEST(FleetNumerics, LongTraceStretchStaysAboveOneAndReplays) {
 // simulation itself, only how many decisions are priced.
 TEST(FleetRegret, SamplingChangesBillingNotDynamics) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   TraceOptions topt;
   topt.jobs = 300;
   topt.seed = 13;
@@ -173,7 +177,7 @@ TEST(FleetRegret, SamplingChangesBillingNotDynamics) {
     ClusterConfig cfg{3, 2};
     cfg.regret_sample = sample;
     CostModelPolicy policy{"oracle", truth};
-    return simulate(cfg, truth, trace, policy);
+    return simulate(cfg, additive, trace, policy);
   };
   const auto every = run(1);
   const auto tenth = run(10);
@@ -197,6 +201,7 @@ TEST(FleetPriority, HigherClassLeavesTheQueueFirst) {
   truth.workloads = {"unit"};
   truth.solo_cycles = {1};
   truth.normalized = {{1.0}};
+  harness::MatrixTruth additive{truth};
   // One 2-slot machine, full until t=4; a best-effort job arrives at
   // t=1, a priority-3 job at t=2. The freed slot at t=4 must go to the
   // later, higher-class arrival.
@@ -205,17 +210,17 @@ TEST(FleetPriority, HigherClassLeavesTheQueueFirst) {
                                       {2, 0, 1.0, 1.0, 0},
                                       {3, 0, 2.0, 1.0, 3}};
   CostModelPolicy policy{"oracle", truth};
-  const auto res = simulate({1, 2}, truth, trace, policy);
+  const auto res = simulate({1, 2}, additive, trace, policy);
   EXPECT_DOUBLE_EQ(res.outcomes[3].start, 4.0) << "priority job first";
   EXPECT_DOUBLE_EQ(res.outcomes[2].start, 5.0) << "best-effort job after";
 
   // All-zero priorities are plain FIFO -- and the reference loop only
   // accepts those.
   CostModelPolicy ref_policy{"oracle", truth};
-  EXPECT_THROW(simulate_reference({1, 2}, truth, trace, ref_policy),
+  EXPECT_THROW(simulate_reference({1, 2}, additive, trace, ref_policy),
                std::invalid_argument);
   const std::vector<JobSpec> bad = {{0, 0, 0.0, 1.0, kMaxPriority + 1}};
-  EXPECT_THROW(simulate({1, 2}, truth, bad, policy), std::invalid_argument);
+  EXPECT_THROW(simulate({1, 2}, additive, bad, policy), std::invalid_argument);
 }
 
 // --- fleet trace generators -----------------------------------------
@@ -373,6 +378,7 @@ TEST(FleetTrace, RejectsDegenerateOptions) {
 // engine honest at a size ctest can afford.)
 TEST(FleetEngine, HandlesAFleetShapedTrace) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   FleetTraceOptions opt;
   opt.jobs = 30'000;
   opt.seed = 2;
@@ -384,7 +390,7 @@ TEST(FleetEngine, HandlesAFleetShapedTrace) {
   ClusterConfig cfg{64, 2};
   cfg.regret_sample = 100;
   CostModelPolicy policy{"oracle", truth};
-  const auto res = simulate(cfg, truth, trace, policy);
+  const auto res = simulate(cfg, additive, trace, policy);
   ASSERT_EQ(res.outcomes.size(), trace.size());
   for (const JobOutcome& o : res.outcomes) {
     ASSERT_GT(o.finish, 0.0);

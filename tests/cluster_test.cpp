@@ -47,6 +47,7 @@ TEST(Trace, RejectsDegenerateOptions) {
 // under every policy family, including the stateful online one.
 TEST(Cluster, ThousandJobTraceIsByteIdenticalAcrossRuns) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   const auto sigs = synthetic_sigs();
   TraceOptions topt;
   topt.jobs = 1000;
@@ -61,15 +62,15 @@ TEST(Cluster, ThousandJobTraceIsByteIdenticalAcrossRuns) {
     switch (which) {
       case 0: {
         RandomPolicy p{99};
-        return simulate(cfg, truth, trace, p).log.str(truth.workloads);
+        return simulate(cfg, additive, trace, p).log.str(truth.workloads);
       }
       case 1: {
         CostModelPolicy p{"oracle", truth};
-        return simulate(cfg, truth, trace, p).log.str(truth.workloads);
+        return simulate(cfg, additive, trace, p).log.str(truth.workloads);
       }
       default: {
         OnlineRefinedPolicy p{"online", distilled_model(truth, sigs), sigs};
-        return simulate(cfg, truth, trace, p).log.str(truth.workloads);
+        return simulate(cfg, additive, trace, p).log.str(truth.workloads);
       }
     }
   };
@@ -84,12 +85,13 @@ TEST(Cluster, ThousandJobTraceIsByteIdenticalAcrossRuns) {
 
 TEST(Cluster, EveryJobArrivesPlacesAndFinishesOnce) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   TraceOptions topt;
   topt.jobs = 300;
   topt.seed = 8;
   const auto trace = synthetic_trace(truth.size(), topt);
   RandomPolicy policy{1};
-  const auto res = simulate({2, 3}, truth, trace, policy);
+  const auto res = simulate({2, 3}, additive, trace, policy);
   std::size_t arrives = 0, places = 0, finishes = 0;
   for (const TraceEvent& e : res.log.events) {
     if (e.kind == TraceEvent::Kind::Arrive) ++arrives;
@@ -119,10 +121,11 @@ TEST(Cluster, JobsQueueWhenTheClusterIsFull) {
   truth.workloads = {"idle"};
   truth.solo_cycles = {1};
   truth.normalized = {{1.0}};
+  harness::MatrixTruth additive{truth};
   std::vector<JobSpec> trace = {{0, 0, 0.0, 1.0}, {1, 0, 0.0, 1.0},
                                 {2, 0, 0.0, 1.0}};
   CostModelPolicy policy{"oracle", truth};
-  const auto res = simulate({1, 2}, truth, trace, policy);
+  const auto res = simulate({1, 2}, additive, trace, policy);
   EXPECT_DOUBLE_EQ(res.outcomes[0].start, 0.0);
   EXPECT_DOUBLE_EQ(res.outcomes[1].start, 0.0);
   EXPECT_DOUBLE_EQ(res.outcomes[2].start, 1.0);
@@ -132,76 +135,34 @@ TEST(Cluster, JobsQueueWhenTheClusterIsFull) {
 
 TEST(Cluster, OracleKeepsTheVictimOffTheHogsMachine) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   // hog arrives first, then the victim, with an empty second machine
   // available: the truth-driven policy must not co-locate them.
   std::vector<JobSpec> trace = {{0, 0, 0.0, 10.0}, {1, 1, 0.1, 10.0}};
   CostModelPolicy oracle{"oracle", truth};
-  const auto res = simulate({2, 2}, truth, trace, oracle);
+  const auto res = simulate({2, 2}, additive, trace, oracle);
   EXPECT_NE(res.outcomes[0].machine, res.outcomes[1].machine)
       << "oracle paired the victim (2.2x) with the hog despite a free machine";
 }
 
 TEST(Cluster, SimulateValidatesItsInput) {
   const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   RandomPolicy policy{1};
   const std::vector<JobSpec> ok = {{0, 0, 0.0, 1.0}};
-  EXPECT_THROW(simulate({0, 2}, truth, ok, policy), std::invalid_argument);
-  EXPECT_THROW(simulate({2, 1}, truth, ok, policy), std::invalid_argument);
-  EXPECT_THROW(simulate({2, 2}, truth, {{0, 9, 0.0, 1.0}}, policy),
+  EXPECT_THROW(simulate({0, 2}, additive, ok, policy), std::invalid_argument);
+  EXPECT_THROW(simulate({2, 1}, additive, ok, policy), std::invalid_argument);
+  EXPECT_THROW(simulate({2, 2}, additive, {{0, 9, 0.0, 1.0}}, policy),
                std::invalid_argument);
-  EXPECT_THROW(simulate({2, 2}, truth, {{0, 0, 0.0, 0.0}}, policy),
+  EXPECT_THROW(simulate({2, 2}, additive, {{0, 0, 0.0, 0.0}}, policy),
                std::invalid_argument);
   EXPECT_THROW(
-      simulate({2, 2}, truth, {{0, 0, 5.0, 1.0}, {1, 0, 1.0, 1.0}}, policy),
+      simulate({2, 2}, additive, {{0, 0, 5.0, 1.0}, {1, 0, 1.0, 1.0}}, policy),
       std::invalid_argument);
 }
 
 // (RegimeChangeTruth -- the non-additive group-truth fixture -- lives
 // in cluster_fixtures.hpp, shared with the fleet equivalence suite.)
-
-// The refactor guard: simulate() on a MatrixTruth must reproduce the
-// legacy matrix-driven simulator byte for byte -- same audit log, same
-// regret -- across policy families.
-TEST(GroupTruthCluster, MatrixTruthIsByteIdenticalToLegacySimulate) {
-  const auto truth = synthetic_truth();
-  const auto sigs = synthetic_sigs();
-  TraceOptions topt;
-  topt.jobs = 400;
-  topt.seed = 17;
-  const auto trace = synthetic_trace(truth.size(), topt);
-  const ClusterConfig cfg{3, 2};
-
-  for (int which = 0; which < 3; ++which) {
-    const auto make_run = [&](auto&& run) {
-      switch (which) {
-        case 0: {
-          RandomPolicy p{5};
-          return run(p);
-        }
-        case 1: {
-          CostModelPolicy p{"oracle", truth};
-          return run(p);
-        }
-        default: {
-          OnlineRefinedPolicy p{"online", distilled_model(truth, sigs), sigs};
-          return run(p);
-        }
-      }
-    };
-    const ClusterResult legacy = make_run(
-        [&](PlacementPolicy& p) { return simulate(cfg, truth, trace, p); });
-    const ClusterResult oracle_backed = make_run([&](PlacementPolicy& p) {
-      harness::MatrixTruth t{truth};
-      return simulate(cfg, t, trace, p);
-    });
-    EXPECT_EQ(legacy.log.str(truth.workloads),
-              oracle_backed.log.str(truth.workloads))
-        << "policy family " << which;
-    EXPECT_DOUBLE_EQ(legacy.mean_decision_regret,
-                     oracle_backed.mean_decision_regret);
-    EXPECT_EQ(legacy.pairwise_fallbacks, oracle_backed.pairwise_fallbacks);
-  }
-}
 
 // The simulator must *run* jobs at group-truth rates, not composed
 // ones: a victim packed with two hogs progresses at 4.0x, so on one
@@ -218,8 +179,8 @@ TEST(GroupTruthCluster, ProgressFollowsGroupTruthNotComposition) {
       << "the victim must run at the measured group slowdown";
 
   RandomPolicy again{1};
-  const auto additive =
-      simulate({1, 3}, RegimeChangeTruth::regime_matrix(), trace, again);
+  harness::MatrixTruth composed{RegimeChangeTruth::regime_matrix()};
+  const auto additive = simulate({1, 3}, composed, trace, again);
   EXPECT_DOUBLE_EQ(additive.outcomes[2].finish, 1.2)
       << "the legacy additive path composes 1 + 2*(1.1-1)";
   EXPECT_GT(additive.pairwise_fallbacks, 0u)
@@ -365,6 +326,7 @@ TEST(ClusterIntegration, OnlineRefinedBeatsStaticOnTinyGroundTruth) {
   const auto sigs = predict::collect_signatures(subset, mo.run, /*reps=*/1);
   for (const auto& s : sigs) mo.solo_cycles.push_back(s.solo_cycles);
   const harness::CorunMatrix truth = harness::corun_matrix(mo);
+  harness::MatrixTruth additive{truth};
 
   const predict::BandwidthContentionModel analytic;
   const harness::CorunMatrix predicted =
@@ -393,10 +355,10 @@ TEST(ClusterIntegration, OnlineRefinedBeatsStaticOnTinyGroundTruth) {
     OnlineRefinedPolicy online{"online-lstsq",
                                distilled_model(predicted, sigs), sigs};
     CostModelPolicy oracle{"oracle", truth};
-    random_total += simulate(cfg, truth, trace, random).mean_decision_regret;
-    static_total += simulate(cfg, truth, trace, statics).mean_decision_regret;
-    online_total += simulate(cfg, truth, trace, online).mean_decision_regret;
-    oracle_total += simulate(cfg, truth, trace, oracle).mean_decision_regret;
+    random_total += simulate(cfg, additive, trace, random).mean_decision_regret;
+    static_total += simulate(cfg, additive, trace, statics).mean_decision_regret;
+    online_total += simulate(cfg, additive, trace, online).mean_decision_regret;
+    oracle_total += simulate(cfg, additive, trace, oracle).mean_decision_regret;
   }
   EXPECT_NEAR(oracle_total, 0.0, 1e-12)
       << "the truth-driven policy must have zero decision regret";
@@ -424,6 +386,7 @@ TEST(ClusterIntegration, FleetEngineMatchesReferenceOnTinyTruth) {
   const auto sigs = predict::collect_signatures(subset, mo.run, /*reps=*/1);
   for (const auto& s : sigs) mo.solo_cycles.push_back(s.solo_cycles);
   const harness::CorunMatrix truth = harness::corun_matrix(mo);
+  harness::MatrixTruth additive{truth};
 
   const ClusterConfig cfg{4, 3};
   TraceOptions topt;
@@ -443,10 +406,10 @@ TEST(ClusterIntegration, FleetEngineMatchesReferenceOnTinyTruth) {
       return run(p);
     };
     const ClusterResult ref = make_run([&](PlacementPolicy& p) {
-      return simulate_reference(cfg, truth, trace, p);
+      return simulate_reference(cfg, additive, trace, p);
     });
     const ClusterResult fleet = make_run(
-        [&](PlacementPolicy& p) { return simulate(cfg, truth, trace, p); });
+        [&](PlacementPolicy& p) { return simulate(cfg, additive, trace, p); });
     EXPECT_EQ(ref.log.str(truth.workloads), fleet.log.str(truth.workloads))
         << "policy family " << which << " diverged on the Tiny truth";
     EXPECT_NEAR(ref.mean_decision_regret, fleet.mean_decision_regret, 1e-9);

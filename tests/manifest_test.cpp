@@ -114,5 +114,33 @@ TEST(Manifest, RejectsVersionMismatchTamperingAndGarbage) {
   }
 }
 
+// Manifests are outside input: a counter must be a plain unsigned
+// 64-bit integer, never a negative, fractional or overflowing number
+// silently wrapped or truncated into one.
+TEST(Manifest, RejectsCountersThatAreNotUnsigned64BitIntegers) {
+  const ExperimentPlan plan = make_plan();
+  const ResultSet rs = plan.execute();  // cache-served: nothing re-runs
+  const std::string doc = manifest_json(plan, rs);
+  const std::string field = "\"cycles\": ";
+  const auto pos = doc.find(field);
+  ASSERT_NE(pos, std::string::npos);
+  const auto digits = pos + field.size();
+  const auto len = doc.find_first_not_of("0123456789", digits) - digits;
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+    std::string tampered = doc;
+    tampered.replace(digits, len, bad);
+    std::istringstream is{tampered};
+    EXPECT_THROW(load_manifest(is), std::runtime_error) << bad;
+  }
+  {  // a \u escape without four hex digits in a workload name
+    std::string tampered = doc;
+    const auto name = tampered.find("\"Bandit\"");
+    ASSERT_NE(name, std::string::npos);
+    tampered.replace(name + 1, 1, "\\u00zB");
+    std::istringstream is{tampered};
+    EXPECT_THROW(load_manifest(is), std::runtime_error);
+  }
+}
+
 }  // namespace
 }  // namespace coperf::harness

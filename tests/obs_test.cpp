@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,162 +17,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/stats.hpp"
+#include "util/json.hpp"
 
 namespace coperf::obs {
 namespace {
-
-// --- minimal JSON parser (validation only) ---------------------------
-
-struct Json {
-  enum class Kind { Object, Array, String, Number, Bool, Null };
-  Kind kind = Kind::Null;
-  std::map<std::string, Json> obj;
-  std::vector<Json> arr;
-  std::string str;
-  double num = 0.0;
-  bool boolean = false;
-
-  const Json& at(const std::string& key) const {
-    const auto it = obj.find(key);
-    if (it == obj.end()) throw std::runtime_error{"missing key " + key};
-    return it->second;
-  }
-  bool has(const std::string& key) const { return obj.count(key) != 0; }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != s_.size()) throw std::runtime_error{"trailing bytes"};
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) throw std::runtime_error{"unexpected end"};
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      throw std::runtime_error{std::string{"expected "} + c + " got " +
-                               s_[pos_]};
-    ++pos_;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) throw std::runtime_error{"unterminated string"};
-      const char c = s_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) throw std::runtime_error{"bad escape"};
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            if (pos_ + 4 > s_.size()) throw std::runtime_error{"bad \\u"};
-            for (int i = 0; i < 4; ++i)
-              if (!std::isxdigit(static_cast<unsigned char>(s_[pos_ + i])))
-                throw std::runtime_error{"bad \\u digit"};
-            out += '?';  // value irrelevant for validation
-            pos_ += 4;
-            break;
-          default: throw std::runtime_error{"unknown escape"};
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        throw std::runtime_error{"raw control char in string"};
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  Json value() {
-    skip_ws();
-    Json v;
-    const char c = peek();
-    if (c == '{') {
-      ++pos_;
-      v.kind = Json::Kind::Object;
-      if (!consume('}')) {
-        do {
-          skip_ws();
-          std::string key = string();
-          skip_ws();
-          expect(':');
-          v.obj.emplace(std::move(key), value());
-        } while (consume(','));
-        skip_ws();
-        expect('}');
-      }
-    } else if (c == '[') {
-      ++pos_;
-      v.kind = Json::Kind::Array;
-      if (!consume(']')) {
-        do {
-          v.arr.push_back(value());
-        } while (consume(','));
-        skip_ws();
-        expect(']');
-      }
-    } else if (c == '"') {
-      v.kind = Json::Kind::String;
-      v.str = string();
-    } else if (c == 't' || c == 'f') {
-      v.kind = Json::Kind::Bool;
-      const std::string word = c == 't' ? "true" : "false";
-      if (s_.compare(pos_, word.size(), word) != 0)
-        throw std::runtime_error{"bad literal"};
-      pos_ += word.size();
-      v.boolean = c == 't';
-    } else if (c == 'n') {
-      if (s_.compare(pos_, 4, "null") != 0)
-        throw std::runtime_error{"bad literal"};
-      pos_ += 4;
-    } else {
-      v.kind = Json::Kind::Number;
-      const std::size_t start = pos_;
-      while (pos_ < s_.size() &&
-             (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-              s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-              s_[pos_] == 'e' || s_[pos_] == 'E'))
-        ++pos_;
-      if (pos_ == start) throw std::runtime_error{"bad number"};
-      v.num = std::stod(s_.substr(start, pos_ - start));
-    }
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 /// Structural validation of a trace document. Checks every event is
 /// well formed, 'X' spans on one (pid, tid) lane are disjoint or
@@ -182,11 +28,11 @@ class Parser {
 /// kHostPid, where timestamps are event-loop time) are nondecreasing
 /// in file order. Host counter tracks are exempt: their timestamps are
 /// read before the buffer lock, so concurrent emitters may interleave.
-void validate_trace_doc(const Json& doc) {
-  ASSERT_EQ(doc.kind, Json::Kind::Object);
+void validate_trace_doc(const json::Value& doc) {
+  ASSERT_EQ(doc.kind, json::Value::Kind::Object);
   ASSERT_TRUE(doc.has("traceEvents"));
-  const Json& events = doc.at("traceEvents");
-  ASSERT_EQ(events.kind, Json::Kind::Array);
+  const json::Value& events = doc.at("traceEvents");
+  ASSERT_EQ(events.kind, json::Value::Kind::Array);
 
   struct SpanRec {
     double ts, dur;
@@ -194,28 +40,28 @@ void validate_trace_doc(const Json& doc) {
   std::map<std::pair<int, int>, std::vector<SpanRec>> spans;
   std::map<std::pair<int, std::string>, double> counter_last;
 
-  for (const Json& e : events.arr) {
-    ASSERT_EQ(e.kind, Json::Kind::Object);
-    ASSERT_EQ(e.at("name").kind, Json::Kind::String);
-    ASSERT_EQ(e.at("ph").kind, Json::Kind::String);
-    ASSERT_EQ(e.at("ph").str.size(), 1u);
-    const char ph = e.at("ph").str[0];
+  for (const json::Value& e : events.arr()) {
+    ASSERT_EQ(e.kind, json::Value::Kind::Object);
+    ASSERT_EQ(e.at("name").kind, json::Value::Kind::String);
+    ASSERT_EQ(e.at("ph").kind, json::Value::Kind::String);
+    ASSERT_EQ(e.at("ph").str().size(), 1u);
+    const char ph = e.at("ph").str()[0];
     ASSERT_TRUE(ph == 'X' || ph == 'i' || ph == 'C' || ph == 'M')
         << "unexpected phase " << ph;
-    const int pid = static_cast<int>(e.at("pid").num);
-    const int tid = static_cast<int>(e.at("tid").num);
-    const double ts = e.at("ts").num;
+    const int pid = static_cast<int>(e.at("pid").num());
+    const int tid = static_cast<int>(e.at("tid").num());
+    const double ts = e.at("ts").num();
     ASSERT_GE(ts, 0.0);
     if (ph == 'X') {
-      ASSERT_GE(e.at("dur").num, 0.0);
-      spans[{pid, tid}].push_back({ts, e.at("dur").num});
+      ASSERT_GE(e.at("dur").num(), 0.0);
+      spans[{pid, tid}].push_back({ts, e.at("dur").num()});
     }
-    if (ph == 'i') ASSERT_EQ(e.at("s").str, "t");
+    if (ph == 'i') ASSERT_EQ(e.at("s").str(), "t");
     if (ph == 'C') {
       ASSERT_TRUE(e.has("args"));
       ASSERT_TRUE(e.at("args").has("value"));
       if (pid != Trace::kHostPid) {
-        const auto key = std::make_pair(pid, e.at("name").str);
+        const auto key = std::make_pair(pid, e.at("name").str());
         const auto it = counter_last.find(key);
         if (it != counter_last.end())
           ASSERT_GE(ts, it->second) << "counter track went backwards";
@@ -244,10 +90,10 @@ void validate_trace_doc(const Json& doc) {
   }
 }
 
-Json parse_current_trace() {
+json::Value parse_current_trace() {
   std::ostringstream os;
   Trace::instance().write(os);
-  return Parser{os.str()}.parse();
+  return json::parse(os.str());
 }
 
 /// RAII guard: every test leaves metrics enabled and the trace stopped
@@ -375,13 +221,13 @@ TEST(MetricsTest, SnapshotIsValidJsonAndCarriesValues) {
   reg.counter("obs_test.snap_counter").add(3);
   reg.gauge("obs_test.snap_gauge").set(1.5);
   reg.histogram("obs_test.snap_hist").record(10);
-  const Json doc = Parser{reg.snapshot_json()}.parse();
-  ASSERT_EQ(doc.kind, Json::Kind::Object);
-  EXPECT_DOUBLE_EQ(doc.at("counters").at("obs_test.snap_counter").num, 3.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("obs_test.snap_gauge").num, 1.5);
-  const Json& h = doc.at("histograms").at("obs_test.snap_hist");
-  EXPECT_DOUBLE_EQ(h.at("count").num, 1.0);
-  EXPECT_DOUBLE_EQ(h.at("sum").num, 10.0);
+  const json::Value doc = json::parse(reg.snapshot_json());
+  ASSERT_EQ(doc.kind, json::Value::Kind::Object);
+  EXPECT_DOUBLE_EQ(doc.at("counters").at("obs_test.snap_counter").num(), 3.0);
+  EXPECT_DOUBLE_EQ(doc.at("gauges").at("obs_test.snap_gauge").num(), 1.5);
+  const json::Value& h = doc.at("histograms").at("obs_test.snap_hist");
+  EXPECT_DOUBLE_EQ(h.at("count").num(), 1.0);
+  EXPECT_DOUBLE_EQ(h.at("sum").num(), 10.0);
 }
 
 TEST(MetricsTest, LabeledSeriesName) {
@@ -421,12 +267,12 @@ TEST(TraceTest, HostSpansFormValidDocument) {
     tr.counter("inflight", 0.0);
   }
   ASSERT_GT(tr.event_count(), 64u);
-  const Json doc = parse_current_trace();
+  const json::Value doc = parse_current_trace();
   validate_trace_doc(doc);
   // Every span event landed on the host timeline.
-  for (const Json& e : doc.at("traceEvents").arr)
-    if (e.at("ph").str == "X")
-      EXPECT_EQ(static_cast<int>(e.at("pid").num), Trace::kHostPid);
+  for (const json::Value& e : doc.at("traceEvents").arr())
+    if (e.at("ph").str() == "X")
+      EXPECT_EQ(static_cast<int>(e.at("pid").num()), Trace::kHostPid);
   tr.stop();
   tr.clear();
 }
@@ -435,11 +281,11 @@ TEST(TraceTest, ArgsEscapesAndRenders) {
   const std::string json =
       Args{}.set("s", "a\"b\\c\nd").set("n", 42).set("d", 1.5).set("b", true)
           .str();
-  const Json v = Parser{json}.parse();
-  EXPECT_EQ(v.at("s").str, "a\"b\\c\nd");
-  EXPECT_DOUBLE_EQ(v.at("n").num, 42.0);
-  EXPECT_DOUBLE_EQ(v.at("d").num, 1.5);
-  EXPECT_TRUE(v.at("b").boolean);
+  const json::Value v = json::parse(json);
+  EXPECT_EQ(v.at("s").str(), "a\"b\\c\nd");
+  EXPECT_DOUBLE_EQ(v.at("n").num(), 42.0);
+  EXPECT_DOUBLE_EQ(v.at("d").num(), 1.5);
+  EXPECT_TRUE(v.at("b").boolean());
 }
 
 // --- cluster simulated-time timeline ---------------------------------
@@ -467,7 +313,8 @@ cluster::ClusterResult run_cluster(std::uint64_t seed) {
   topt.mean_interarrival = 2.0;
   const auto trace = cluster::synthetic_trace(3, topt);
   cluster::RandomPolicy policy{seed};
-  return cluster::simulate(cfg, synthetic_matrix(), trace, policy);
+  harness::MatrixTruth truth{synthetic_matrix()};
+  return cluster::simulate(cfg, truth, trace, policy);
 }
 
 TEST(TraceTest, ClusterTimelineWellFormed) {
@@ -476,7 +323,7 @@ TEST(TraceTest, ClusterTimelineWellFormed) {
   tr.start();
   const auto res = run_cluster(7);
   ASSERT_EQ(res.outcomes.size(), 60u);
-  const Json doc = parse_current_trace();
+  const json::Value doc = parse_current_trace();
   tr.stop();
   tr.clear();
   validate_trace_doc(doc);
@@ -486,14 +333,14 @@ TEST(TraceTest, ClusterTimelineWellFormed) {
   // billing args, and a queue-depth counter track.
   int sim_pid = -1;
   std::size_t resident_spans = 0, place_events = 0, queue_samples = 0;
-  for (const Json& e : doc.at("traceEvents").arr) {
-    const int pid = static_cast<int>(e.at("pid").num);
+  for (const json::Value& e : doc.at("traceEvents").arr()) {
+    const int pid = static_cast<int>(e.at("pid").num());
     if (pid == Trace::kHostPid) continue;
-    const std::string& ph = e.at("ph").str;
+    const std::string& ph = e.at("ph").str();
     if (ph == "M") continue;
     if (sim_pid == -1) sim_pid = pid;
     EXPECT_EQ(pid, sim_pid) << "one simulate() call must use one pid";
-    const int tid = static_cast<int>(e.at("tid").num);
+    const int tid = static_cast<int>(e.at("tid").num());
     if (ph == "X") {
       ++resident_spans;
       EXPECT_GE(tid, 0);
@@ -501,14 +348,14 @@ TEST(TraceTest, ClusterTimelineWellFormed) {
       EXPECT_TRUE(e.at("args").has("residents"));
     } else if (ph == "i") {
       ++place_events;
-      EXPECT_EQ(e.at("name").str.rfind("place ", 0), 0u);
-      const Json& a = e.at("args");
+      EXPECT_EQ(e.at("name").str().rfind("place ", 0), 0u);
+      const json::Value& a = e.at("args");
       EXPECT_TRUE(a.has("policy"));
       EXPECT_TRUE(a.has("predicted_cost"));
       EXPECT_TRUE(a.has("true_cost"));
       EXPECT_TRUE(a.has("regret"));
     } else if (ph == "C") {
-      EXPECT_EQ(e.at("name").str, "queue_depth");
+      EXPECT_EQ(e.at("name").str(), "queue_depth");
       ++queue_samples;
     }
   }
@@ -539,12 +386,12 @@ TEST(TraceTest, SeparatePidPerSimulateCall) {
   tr.start();
   (void)run_cluster(1);
   (void)run_cluster(2);
-  const Json doc = parse_current_trace();
+  const json::Value doc = parse_current_trace();
   tr.stop();
   tr.clear();
   std::vector<int> pids;
-  for (const Json& e : doc.at("traceEvents").arr) {
-    const int pid = static_cast<int>(e.at("pid").num);
+  for (const json::Value& e : doc.at("traceEvents").arr()) {
+    const int pid = static_cast<int>(e.at("pid").num());
     if (pid != Trace::kHostPid &&
         std::find(pids.begin(), pids.end(), pid) == pids.end())
       pids.push_back(pid);
