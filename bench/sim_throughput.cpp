@@ -13,17 +13,15 @@
 //      cache it must finish with ZERO new simulations.
 //
 // --json appends a machine-readable object for the CI perf artifact.
-// The matrix phases run the work-stealing Dynamic schedule (the same
-// default ExperimentPlan::execute uses) so idle lanes pick up
-// straggler trials; trial results are bit-identical either way, only
-// the wall time moves.
+// Each matrix phase builds and executes one ExperimentPlan on every
+// host lane; idle lanes pick up straggler trials.
 #include <chrono>
 #include <iostream>
 #include <sstream>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "harness/matrix.hpp"
+#include "harness/plan.hpp"
 #include "harness/report.hpp"
 #include "harness/runcache.hpp"
 #include "snapshot.hpp"
@@ -109,20 +107,17 @@ int main(int argc, char** argv) try {
               << " M cycles/s\n";
 
   // ---- phase 2: cold matrix build ------------------------------------
-  harness::MatrixOptions mo;
-  mo.run = args.run_options();
-  mo.reps = args.effective_reps();
-  mo.subset = subset;
-  mo.host_threads = 0;  // pool default: hardware concurrency
-  // Dynamic (work-stealing) keeps every lane busy until the queue is
-  // empty; StaticChunk's precomputed chunks leave lanes idle behind a
-  // straggler chunk. Cell results are bit-identical under both.
-  mo.schedule = harness::ParallelSchedule::Dynamic;
+  const harness::MatrixSpec mspec{subset, args.effective_reps(), {}};
+  const auto build_matrix = [&] {
+    harness::ExperimentPlan plan = args.plan();
+    plan.add_matrix(mspec);
+    return plan.execute().matrix(mspec);
+  };
 
   cache.clear();  // phase 1's solos must not warm the "cold" build
   cache.reset_stats();
   const double t1 = now_seconds();
-  const harness::CorunMatrix cold = harness::corun_matrix(mo);
+  const harness::CorunMatrix cold = build_matrix();
   const double cold_wall = now_seconds() - t1;
   const auto cold_stats = cache.stats();
   // plan.utilization / pool.workers are written by the cold build's
@@ -146,7 +141,7 @@ int main(int argc, char** argv) try {
   const std::uint64_t misses_before_warm =
       Session::metrics().counter("runcache.misses").value();
   const double t2 = now_seconds();
-  const harness::CorunMatrix warm = harness::corun_matrix(mo);
+  const harness::CorunMatrix warm = build_matrix();
   const double warm_wall = now_seconds() - t2;
   const auto warm_stats = cache.stats();
   std::cout << "matrix warm: " << harness::Table::fmt(warm_wall, 2) << " s ("

@@ -2,13 +2,13 @@
 //
 // The measured 25x25 sweep costs 625 co-runs. This example builds the
 // same artifact from 6 solo runs and the analytic bandwidth-contention
-// model, then feeds it -- unchanged -- to the classification and
-// scheduling layers, exactly as a measured matrix would be.
+// model, then feeds it -- unchanged -- to the classification layer,
+// exactly as a measured matrix would be. example_schedule_cluster
+// takes the next step: online placement on a predicted matrix.
 #include <iostream>
 #include <sstream>
 
 #include "harness/report.hpp"
-#include "harness/scheduler.hpp"
 #include "predict/eval.hpp"
 
 int main() {
@@ -48,15 +48,7 @@ int main() {
   std::cout << "\npredicted pair classes: " << counts.harmony << " Harmony, "
             << counts.victim_offender << " Victim-Offender, "
             << counts.both_victim << " Both-Victim\n";
-
-  std::vector<std::size_t> jobs(m.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i] = i;
-  const auto study = harness::scheduling_study(m, jobs);
-  std::cout << "\ninterference-aware placement on predicted costs:\n";
-  for (const auto& p : study.greedy.pairs)
-    std::cout << "  " << m.workloads[p.a] << " + " << m.workloads[p.b]
-              << "  (cost " << harness::Table::fmt(p.cost) << ")\n";
-  std::cout << "greedy vs adversarial improvement: "
-            << harness::Table::fmt(study.improvement) << "x\n";
+  std::cout << "\nfor interference-aware placement on predicted costs, run "
+               "example_schedule_cluster\n";
   return 0;
 }

@@ -5,7 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "harness/scheduler.hpp"
+#include "harness/matrix.hpp"
 #include "predict/predicted_matrix.hpp"
 
 namespace coperf::cluster {

@@ -58,11 +58,10 @@ harness::PrefetchSensitivity Session::prefetch_sensitivity(
 
 harness::CorunMatrix Session::corun_matrix(
     unsigned reps, std::vector<std::string> subset) const {
-  harness::MatrixOptions mo;
-  mo.run = base_;
-  mo.reps = reps;
-  mo.subset = std::move(subset);
-  return harness::corun_matrix(mo);
+  const harness::MatrixSpec spec{std::move(subset), reps, {}};
+  harness::ExperimentPlan p = plan();
+  p.add_matrix(spec);
+  return p.execute().matrix(spec);
 }
 
 }  // namespace coperf

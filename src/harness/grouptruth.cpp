@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "harness/scheduler.hpp"
+#include "harness/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "wl/registry.hpp"

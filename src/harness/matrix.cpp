@@ -1,6 +1,6 @@
 #include "harness/matrix.hpp"
 
-#include "harness/plan.hpp"
+#include <algorithm>
 
 namespace coperf::harness {
 
@@ -22,17 +22,11 @@ CorunMatrix::ClassCounts CorunMatrix::count_classes() const {
   return c;
 }
 
-CorunMatrix corun_matrix(const MatrixOptions& opt) {
-  // One plan holds the whole sweep: solo baselines (unless the caller
-  // measured them) and all fg x bg cells, deduplicated against
-  // anything the RunCache already knows.
-  MatrixSpec spec;
-  spec.subset = opt.subset;
-  spec.reps = opt.reps;
-  spec.solo_cycles = opt.solo_cycles;
-  ExperimentPlan plan{opt.run};
-  plan.add_matrix(spec);
-  return plan.execute(opt.host_threads, {}, opt.schedule).matrix(spec);
+double corun_slowdown(const CorunMatrix& m, std::size_t job,
+                      const std::vector<std::size_t>& others) {
+  double excess = 0.0;
+  for (std::size_t o : others) excess += m.at(job, o) - 1.0;
+  return std::max(1.0, 1.0 + excess);
 }
 
 }  // namespace coperf::harness

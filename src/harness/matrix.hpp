@@ -1,7 +1,7 @@
 // The full co-running matrix (paper Section V, Fig. 5): every workload
 // as foreground against every workload as background, normalized to
-// the solo run. Simulations are independent, so the sweep fans out
-// over a host thread pool.
+// the solo run. The sweep itself is an ExperimentPlan MatrixSpec
+// (harness/plan.hpp).
 #pragma once
 
 #include <cstddef>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "harness/classify.hpp"
-#include "harness/parallel.hpp"
 #include "harness/runner.hpp"
 
 namespace coperf::harness {
@@ -38,25 +37,11 @@ struct CorunMatrix {
   ClassCounts count_classes() const;
 };
 
-struct MatrixOptions {
-  RunOptions run;
-  unsigned reps = 3;           ///< median-of-N (paper: 3 runs per pair)
-  unsigned host_threads = 0;   ///< 0 = hardware_concurrency
-  /// StaticChunk gives a reproducible index-to-worker partition for
-  /// benchmarking (bench/sim_throughput); Dynamic balances load.
-  ParallelSchedule schedule = ParallelSchedule::Dynamic;
-  /// Restrict to a subset of workloads (empty = all 25 applications).
-  std::vector<std::string> subset;
-  /// Precomputed solo baselines, one per workload in the exact axis
-  /// order of `subset` (e.g. from an earlier signature-collection pass
-  /// over the same list). When non-empty the solo pass is skipped; a
-  /// size mismatch throws. The caller is responsible for the order --
-  /// build this and `subset` from the same vector.
-  std::vector<sim::Cycle> solo_cycles;
-};
-
-/// Runs the (subset of the) 25x25 sweep. With the default subset this
-/// is the paper's 625-pair experiment.
-CorunMatrix corun_matrix(const MatrixOptions& opt = {});
+/// Slowdown of `job` co-resident with `others` on one machine: pairwise
+/// excess slowdowns compose additively (each co-runner independently
+/// steals its share of the channel/LLC), clamped to >= 1.0. With a
+/// single co-runner this is exactly the matrix entry.
+double corun_slowdown(const CorunMatrix& m, std::size_t job,
+                      const std::vector<std::size_t>& others);
 
 }  // namespace coperf::harness

@@ -15,13 +15,10 @@ namespace coperf::harness {
 namespace {
 
 /// One parallel_for invocation, shared between the caller and the pool
-/// workers that join it. Work is claimed in units (single indices under
-/// ParallelSchedule::Dynamic, contiguous chunks under ParallelSchedule::StaticChunk).
+/// workers that join it. Work is claimed one index at a time.
 struct Job {
   std::size_t total = 0;
-  std::size_t units = 0;
   unsigned participants = 1;
-  ParallelSchedule schedule = ParallelSchedule::Dynamic;
   const std::function<void(std::size_t)>* body = nullptr;
 
   std::atomic<std::size_t> next{0};
@@ -39,25 +36,13 @@ struct Job {
 
   void work() {
     for (;;) {
-      // Check BEFORE claiming: a failed sweep must not burn one unit
+      // Check BEFORE claiming: a failed sweep must not burn one index
       // per worker loop on its way out.
       if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t u = next.fetch_add(1);
-      if (u >= units) return;
+      const std::size_t i = next.fetch_add(1);
+      if (i >= total) return;
       try {
-        if (schedule == ParallelSchedule::Dynamic) {
-          (*body)(u);
-        } else {
-          // Chunk u of `participants`: a pure function of (total,
-          // participants), so the work grouping is reproducible no
-          // matter which worker claims it.
-          const std::size_t lo = u * total / participants;
-          const std::size_t hi = (u + 1) * total / participants;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (failed.load(std::memory_order_relaxed)) return;
-            (*body)(i);
-          }
-        }
+        (*body)(i);
       } catch (...) {
         record_error();
         return;
@@ -82,13 +67,11 @@ class WorkerPool {
     return static_cast<unsigned>(threads_.size());
   }
 
-  void run(std::size_t total, unsigned participants, ParallelSchedule schedule,
+  void run(std::size_t total, unsigned participants,
            const std::function<void(std::size_t)>& body) {
     auto job = std::make_shared<Job>();
     job->total = total;
     job->participants = participants;
-    job->units = schedule == ParallelSchedule::Dynamic ? total : participants;
-    job->schedule = schedule;
     job->body = &body;
     {
       std::lock_guard lock{mu_};
@@ -166,8 +149,7 @@ class WorkerPool {
 }  // namespace
 
 void parallel_for(std::size_t total, unsigned host_threads,
-                  const std::function<void(std::size_t)>& body,
-                  ParallelSchedule schedule) {
+                  const std::function<void(std::size_t)>& body) {
   unsigned n = host_threads != 0 ? host_threads
                                  : std::thread::hardware_concurrency();
   if (n == 0) n = 4;
@@ -178,7 +160,7 @@ void parallel_for(std::size_t total, unsigned host_threads,
     for (std::size_t i = 0; i < total; ++i) body(i);
     return;
   }
-  WorkerPool::instance().run(total, n, schedule, body);
+  WorkerPool::instance().run(total, n, body);
 }
 
 unsigned pool_size() { return WorkerPool::instance().size(); }

@@ -13,25 +13,14 @@
 
 namespace coperf::harness {
 
-/// How parallel_for hands indices to workers.
-enum class ParallelSchedule {
-  /// Workers race on a shared atomic counter: best load balance when
-  /// per-index cost varies (co-run cells differ wildly in cycles).
-  Dynamic,
-  /// Static block partition: participant t of n processes the
-  /// contiguous range [t*total/n, (t+1)*total/n). Index-to-thread
-  /// assignment is a pure function of (total, n), making wall-clock
-  /// runs reproducible for benchmarking (bench/sim_throughput).
-  StaticChunk,
-};
-
 /// Runs body(i) for i in [0, total) on up to `host_threads` workers
-/// (0 = hardware concurrency) from the persistent pool. Blocks until
-/// all complete. The first exception thrown by any worker is rethrown
+/// (0 = hardware concurrency) from the persistent pool. Workers race on
+/// a shared atomic counter, one index at a time, so lanes stay busy
+/// when per-index cost varies (co-run cells differ wildly in cycles).
+/// Blocks until all complete. The first exception thrown by any worker is rethrown
 /// here; remaining workers stop claiming new indices.
 void parallel_for(std::size_t total, unsigned host_threads,
-                  const std::function<void(std::size_t)>& body,
-                  ParallelSchedule schedule = ParallelSchedule::Dynamic);
+                  const std::function<void(std::size_t)>& body);
 
 /// Number of workers the persistent pool currently holds (diagnostics).
 unsigned pool_size();

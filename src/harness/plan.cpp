@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "harness/parallel.hpp"
 #include "harness/runcache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -126,8 +127,8 @@ std::size_t ExperimentPlan::residue_count() const {
   return residue;
 }
 
-ResultSet ExperimentPlan::execute(unsigned host_threads, Progress progress,
-                                  ParallelSchedule schedule) const {
+ResultSet ExperimentPlan::execute(unsigned host_threads,
+                                  Progress progress) const {
   std::vector<GroupResult> results(trials_.size());
   std::mutex progress_mu;
   std::size_t done = 0;
@@ -145,7 +146,7 @@ ResultSet ExperimentPlan::execute(unsigned host_threads, Progress progress,
   // Core-saturation accounting: total busy lane-time vs. plan wall
   // time. utilization == busy / (wall * workers); 1.0 means every pool
   // worker simulated for the whole build, lower means lanes idled on
-  // stragglers (StaticChunk tail) or queue gaps.
+  // stragglers or queue gaps.
   std::atomic<std::uint64_t> busy_us{0};
   const double plan_t0 = obs::wall_us();
   {
@@ -197,8 +198,7 @@ ResultSet ExperimentPlan::execute(unsigned host_threads, Progress progress,
             std::lock_guard lock{progress_mu};
             progress(++done, trials_.size(), trials_[i]);
           }
-        },
-        schedule);
+        });
   }
   // The pool spawns lazily inside parallel_for: sample it afterwards.
   reg.gauge("pool.workers").set(pool_size());

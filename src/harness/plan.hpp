@@ -20,9 +20,9 @@
 //   CorunMatrix m = rs.matrix(fig5);
 //   RunResult solo = rs.solo({subset[0], 4, 3});
 //
-// corun_matrix(), scalability_sweep() and prefetch_sensitivity() are
-// rebuilt on top of plans, so every bench binary is "build plan ->
-// execute -> emit report".
+// scalability_sweep() and prefetch_sensitivity() are rebuilt on top of
+// plans, so every bench binary is "build plan -> execute -> emit
+// report".
 #pragma once
 
 #include <cstddef>
@@ -34,7 +34,6 @@
 
 #include "harness/group.hpp"
 #include "harness/matrix.hpp"
-#include "harness/parallel.hpp"
 #include "harness/prefetch_study.hpp"
 #include "harness/runner.hpp"
 #include "harness/scalability.hpp"
@@ -42,7 +41,7 @@
 namespace coperf::harness {
 
 /// One workload solo at a fixed thread count, median-of-reps (seeds
-/// seed+0..reps-1, exactly like run_solo_median).
+/// seed+0..reps-1, exactly like run_group_median).
 struct SoloSpec {
   std::string workload;
   unsigned threads = 4;
@@ -139,8 +138,7 @@ class ExperimentPlan {
 
   /// Runs every unique trial on the persistent pool (cache hits return
   /// without simulating) and collects the results.
-  ResultSet execute(unsigned host_threads = 0, Progress progress = {},
-                    ParallelSchedule schedule = ParallelSchedule::Dynamic) const;
+  ResultSet execute(unsigned host_threads = 0, Progress progress = {}) const;
 
   const RunOptions& options() const { return base_; }
 

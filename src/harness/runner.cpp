@@ -16,11 +16,4 @@ CorunResult run_pair(std::string_view fg, std::string_view bg,
                             opt));
 }
 
-RunResult run_solo_median(std::string_view workload, const RunOptions& opt,
-                          unsigned reps) {
-  return run_group_median(GroupSpec::solo(std::string{workload}, opt.threads),
-                          opt, reps)
-      .members[0];
-}
-
 }  // namespace coperf::harness

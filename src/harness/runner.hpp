@@ -4,7 +4,8 @@
 //   * background application restarted indefinitely until the
 //     foreground finishes,
 //   * bandwidth sampled PCM-style throughout,
-//   * repeated runs under distinct seeds, reported as the median.
+//   * repeated runs under distinct seeds, reported as the median
+//     (SoloSpec/GroupSpec reps in harness/plan.hpp).
 #pragma once
 
 #include <cstdint>
@@ -73,10 +74,5 @@ RunResult run_solo(std::string_view workload, const RunOptions& opt = {});
 /// as the 2-member special case of run_group (harness/group.hpp).
 CorunResult run_pair(std::string_view fg, std::string_view bg,
                      const RunOptions& opt = {});
-
-/// Median-of-N helper matching the paper's three repeated runs: reruns
-/// with seeds seed+0..n-1 and returns the run with median cycles.
-RunResult run_solo_median(std::string_view workload, const RunOptions& opt = {},
-                          unsigned reps = 3);
 
 }  // namespace coperf::harness

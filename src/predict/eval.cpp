@@ -217,19 +217,4 @@ GroupEval evaluate_groups(const std::vector<harness::GroupObservation>& obs,
   return e;
 }
 
-SchedulingComparison compare_scheduling(const harness::CorunMatrix& measured,
-                                        const harness::CorunMatrix& predicted,
-                                        const std::vector<std::size_t>& jobs) {
-  check_axes(measured, predicted);
-  SchedulingComparison c;
-  harness::Schedule planned = harness::schedule_greedy(predicted, jobs);
-  c.from_predicted = harness::bill_pairs(measured, std::move(planned.pairs));
-  c.from_measured = harness::schedule_greedy(measured, jobs);
-  c.worst = harness::schedule_worst(measured, jobs);
-  c.regret = c.from_measured.total_cost > 0
-                 ? c.from_predicted.total_cost / c.from_measured.total_cost
-                 : 1.0;
-  return c;
-}
-
 }  // namespace coperf::predict

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "harness/grouptruth.hpp"
-#include "harness/scheduler.hpp"
+#include "harness/matrix.hpp"
 #include "predict/model.hpp"
 #include "predict/predicted_matrix.hpp"
 
@@ -49,27 +49,12 @@ EvalResult evaluate(const harness::CorunMatrix& measured,
 /// predicts w's row and column. The assembled matrix is scored against
 /// `measured` -- no cell is ever predicted by a model that saw it.
 /// When `predicted_out` is non-null it receives the assembled held-out
-/// matrix (e.g. to schedule on an honest prediction).
+/// matrix (e.g. to place jobs on an honest prediction).
 EvalResult leave_one_out(
     const harness::CorunMatrix& measured,
     const std::vector<WorkloadSignature>& sigs,
     const std::function<std::unique_ptr<TrainableModel>()>& make_model,
     harness::CorunMatrix* predicted_out = nullptr);
-
-/// The scheduling consequence of prediction error: pairs jobs greedily
-/// on the *predicted* matrix, then bills that schedule at *measured*
-/// cost and compares against scheduling directly on the measurements.
-struct SchedulingComparison {
-  harness::Schedule from_predicted;  ///< predicted-greedy, measured cost
-  harness::Schedule from_measured;   ///< measured-greedy (oracle)
-  harness::Schedule worst;           ///< adversarial baseline
-  /// measured cost of predicted schedule / oracle cost (1.0 = perfect).
-  double regret = 1.0;
-};
-
-SchedulingComparison compare_scheduling(const harness::CorunMatrix& measured,
-                                        const harness::CorunMatrix& predicted,
-                                        const std::vector<std::size_t>& jobs);
 
 /// Accuracy against *measured group truth* -- the re-baseline. Each
 /// observation is one member of a measured N-resident group; the model

@@ -25,12 +25,6 @@ harness::CorunMatrix predicted_matrix(
   return m;
 }
 
-harness::CorunMatrix predict_from_solo_runs(
-    const std::vector<std::string>& workloads, const harness::RunOptions& opt,
-    const InterferenceModel& model, unsigned reps) {
-  return predicted_matrix(collect_signatures(workloads, opt, reps), model);
-}
-
 std::vector<TrainingPair> training_pairs(
     const harness::CorunMatrix& measured,
     const std::vector<WorkloadSignature>& sigs) {

@@ -3,8 +3,8 @@
 // Builds a harness::CorunMatrix from N solo signatures and an
 // InterferenceModel -- the O(N) replacement for the O(N^2) measured
 // sweep. The result is shape- and semantics-compatible with the
-// measured matrix, so classify, report, and scheduler consume it
-// unchanged.
+// measured matrix, so classify, report, and the cluster placement
+// policies consume it unchanged.
 #pragma once
 
 #include "harness/matrix.hpp"
@@ -19,12 +19,6 @@ namespace coperf::predict {
 /// consumers assume slowdowns.
 harness::CorunMatrix predicted_matrix(const std::vector<WorkloadSignature>& sigs,
                                       const InterferenceModel& model);
-
-/// Convenience end-to-end path: N solo runs -> signatures -> predicted
-/// matrix, never invoking run_pair.
-harness::CorunMatrix predict_from_solo_runs(
-    const std::vector<std::string>& workloads, const harness::RunOptions& opt,
-    const InterferenceModel& model, unsigned reps = 3);
 
 /// Extracts the measured training set for the data-driven models: one
 /// TrainingPair per (fg, bg) cell of a measured matrix.

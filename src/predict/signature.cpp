@@ -1,17 +1,39 @@
 #include "predict/signature.hpp"
 
 #include <algorithm>
-
-#include "harness/parallel.hpp"
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "harness/plan.hpp"
+
 namespace coperf::predict {
 
 namespace {
+
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
+
+constexpr const char* kSignatureHeader = "coperf-signatures v2";
+
+[[noreturn]] void malformed(const std::string& line) {
+  throw std::runtime_error{"load_signatures: malformed line '" + line + "'"};
+}
+
+/// One unsigned count field. Parsed with from_chars rather than
+/// `istream >> unsigned`, which reads "-1" as the type's maximum.
+template <typename T>
+T read_count(std::istream& is, const std::string& line) {
+  std::string tok;
+  is >> tok;
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (tok.empty() || ec != std::errc{} || ptr != end) malformed(line);
+  return v;
+}
+
 }  // namespace
 
 double WorkloadSignature::dram_share() const {
@@ -141,33 +163,36 @@ WorkloadSignature WorkloadSignature::from(const harness::RunResult& solo,
 std::vector<WorkloadSignature> collect_signatures(
     const std::vector<std::string>& workloads, const harness::RunOptions& opt,
     unsigned reps) {
-  // The N solo simulations are independent; fan out over host threads
-  // exactly like the matrix sweep's baseline pass.
-  std::vector<WorkloadSignature> sigs(workloads.size());
-  harness::parallel_for(workloads.size(), 0, [&](std::size_t i) {
-    const harness::RunResult solo =
-        harness::run_solo_median(workloads[i], opt, reps);
-    sigs[i] = WorkloadSignature::from(solo, opt.machine);
-  });
+  // One plan for the N solos: repeated names and solos the RunCache
+  // already holds are deduplicated like any other plan's trials.
+  harness::ExperimentPlan plan{opt};
+  for (const auto& w : workloads) plan.add_solo({w, opt.threads, reps});
+  const harness::ResultSet rs = plan.execute();
+  std::vector<WorkloadSignature> sigs;
+  sigs.reserve(workloads.size());
+  for (const auto& w : workloads)
+    sigs.push_back(
+        WorkloadSignature::from(rs.solo({w, opt.threads, reps}), opt.machine));
   return sigs;
 }
 
 void save_signatures(std::ostream& os,
                      const std::vector<WorkloadSignature>& sigs) {
-  os << "coperf-signatures v1\n";
+  os << kSignatureHeader << '\n';
   os.precision(17);
   for (const auto& s : sigs) {
     os << s.workload << '\t' << s.threads << '\t' << s.solo_cycles << '\t'
        << s.solo_seconds << '\t' << s.solo_bw_gbs;
     for (double f : s.features()) os << '\t' << f;
-    os << '\n';
+    os << '\t' << s.solo_lat_p50 << '\t' << s.solo_lat_p99 << '\t'
+       << s.request_count << '\n';
   }
 }
 
 std::vector<WorkloadSignature> load_signatures(std::istream& is) {
   std::string header;
   std::getline(is, header);
-  if (header != "coperf-signatures v1")
+  if (header != kSignatureHeader)
     throw std::runtime_error{"load_signatures: bad header '" + header + "'"};
   std::vector<WorkloadSignature> sigs;
   std::string line;
@@ -176,12 +201,14 @@ std::vector<WorkloadSignature> load_signatures(std::istream& is) {
     std::istringstream ls{line};
     WorkloadSignature s;
     std::getline(ls, s.workload, '\t');
-    ls >> s.threads >> s.solo_cycles >> s.solo_seconds >> s.solo_bw_gbs >>
-        s.cpi >> s.ipc >> s.l2_pcp >> s.llc_mpki >> s.l2_mpki >> s.ll >>
-        s.bw_fraction >> s.footprint_vs_llc >> s.mem_stall_frac >>
-        s.prefetch_share >> s.peak_region_llc_mpki >> s.peak_region_l2_pcp;
-    if (!ls)
-      throw std::runtime_error{"load_signatures: malformed line '" + line + "'"};
+    s.threads = read_count<unsigned>(ls, line);
+    s.solo_cycles = read_count<sim::Cycle>(ls, line);
+    ls >> s.solo_seconds >> s.solo_bw_gbs >> s.cpi >> s.ipc >> s.l2_pcp >>
+        s.llc_mpki >> s.l2_mpki >> s.ll >> s.bw_fraction >> s.footprint_vs_llc >>
+        s.mem_stall_frac >> s.prefetch_share >> s.peak_region_llc_mpki >>
+        s.peak_region_l2_pcp >> s.solo_lat_p50 >> s.solo_lat_p99;
+    s.request_count = read_count<std::uint64_t>(ls, line);
+    if (!ls || !(ls >> std::ws).eof()) malformed(line);
     sigs.push_back(std::move(s));
   }
   return sigs;

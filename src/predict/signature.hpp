@@ -93,13 +93,18 @@ struct WorkloadSignature {
 };
 
 /// Runs each workload alone (median of `reps` seeds) and extracts its
-/// signature -- the O(N) measurement pass.
+/// signature -- the O(N) measurement pass, executed as one
+/// ExperimentPlan of solo specs (one signature per input name, in
+/// order; repeated names simulate once).
 std::vector<WorkloadSignature> collect_signatures(
     const std::vector<std::string>& workloads, const harness::RunOptions& opt,
     unsigned reps = 3);
 
-/// Text serialization (one signature per line, tab-separated), so solo
-/// profiling and matrix prediction can run as separate processes.
+/// Text serialization (header "coperf-signatures v2", then one
+/// signature per line, tab-separated, serving-latency fields last), so
+/// solo profiling and matrix prediction can run as separate processes.
+/// The loader throws std::runtime_error on any other header, a signed
+/// or fractional count, or a line with missing or extra fields.
 void save_signatures(std::ostream& os, const std::vector<WorkloadSignature>& sigs);
 std::vector<WorkloadSignature> load_signatures(std::istream& is);
 

@@ -11,7 +11,6 @@
 
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
-#include "harness/scheduler.hpp"
 #include "predict/predicted_matrix.hpp"
 
 namespace coperf::cluster {

@@ -11,7 +11,7 @@
 #include "cluster_fixtures.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
-#include "harness/scheduler.hpp"
+#include "harness/plan.hpp"
 #include "predict/predicted_matrix.hpp"
 
 namespace coperf::cluster {
@@ -317,15 +317,16 @@ TEST(ClusterIntegration, OnlineRefinedBeatsStaticOnTinyGroundTruth) {
   const std::vector<std::string> subset = {
       "Stream", "Bandit", "G-PR", "CIFAR",
       "fotonik3d", "swaptions", "IRSmk", "blackscholes"};
-  harness::MatrixOptions mo;
-  mo.run.machine = sim::MachineConfig::scaled();
-  mo.run.size = wl::SizeClass::Tiny;
-  mo.run.threads = 4;
-  mo.reps = 1;
-  mo.subset = subset;
-  const auto sigs = predict::collect_signatures(subset, mo.run, /*reps=*/1);
-  for (const auto& s : sigs) mo.solo_cycles.push_back(s.solo_cycles);
-  const harness::CorunMatrix truth = harness::corun_matrix(mo);
+  harness::RunOptions run;
+  run.machine = sim::MachineConfig::scaled();
+  run.size = wl::SizeClass::Tiny;
+  run.threads = 4;
+  const auto sigs = predict::collect_signatures(subset, run, /*reps=*/1);
+  harness::MatrixSpec spec{subset, 1, {}};
+  for (const auto& s : sigs) spec.solo_cycles.push_back(s.solo_cycles);
+  harness::ExperimentPlan plan{run};
+  plan.add_matrix(spec);
+  const harness::CorunMatrix truth = plan.execute().matrix(spec);
   harness::MatrixTruth additive{truth};
 
   const predict::BandwidthContentionModel analytic;
@@ -377,15 +378,16 @@ TEST(ClusterIntegration, OnlineRefinedBeatsStaticOnTinyGroundTruth) {
 TEST(ClusterIntegration, FleetEngineMatchesReferenceOnTinyTruth) {
   const std::vector<std::string> subset = {"Stream", "Bandit", "G-PR",
                                            "CIFAR"};
-  harness::MatrixOptions mo;
-  mo.run.machine = sim::MachineConfig::scaled();
-  mo.run.size = wl::SizeClass::Tiny;
-  mo.run.threads = 4;
-  mo.reps = 1;
-  mo.subset = subset;
-  const auto sigs = predict::collect_signatures(subset, mo.run, /*reps=*/1);
-  for (const auto& s : sigs) mo.solo_cycles.push_back(s.solo_cycles);
-  const harness::CorunMatrix truth = harness::corun_matrix(mo);
+  harness::RunOptions run;
+  run.machine = sim::MachineConfig::scaled();
+  run.size = wl::SizeClass::Tiny;
+  run.threads = 4;
+  const auto sigs = predict::collect_signatures(subset, run, /*reps=*/1);
+  harness::MatrixSpec spec{subset, 1, {}};
+  for (const auto& s : sigs) spec.solo_cycles.push_back(s.solo_cycles);
+  harness::ExperimentPlan plan{run};
+  plan.add_matrix(spec);
+  const harness::CorunMatrix truth = plan.execute().matrix(spec);
   harness::MatrixTruth additive{truth};
 
   const ClusterConfig cfg{4, 3};

@@ -16,9 +16,9 @@
 
 #include "cluster/cluster.hpp"
 #include "harness/grouptruth.hpp"
+#include "harness/matrix.hpp"
 #include "harness/plan.hpp"
 #include "harness/runcache.hpp"
-#include "harness/scheduler.hpp"
 
 namespace coperf::harness {
 namespace {

@@ -1,17 +1,19 @@
 // Tests for the experiment harness: solo/pair runners, classification,
-// scalability math, reporters.
+// scalability math, the co-run matrix and its additive composition,
+// reporters.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "harness/classify.hpp"
 #include "harness/matrix.hpp"
+#include "harness/plan.hpp"
 #include "harness/prefetch_study.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "harness/scalability.hpp"
-#include "harness/scheduler.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace coperf::harness {
 namespace {
@@ -101,17 +103,6 @@ TEST(Runner, BgThreadPlacementRespected) {
   EXPECT_THROW(run_pair("Stream", "Bandit", o), std::invalid_argument);
 }
 
-TEST(Runner, MedianOfThreeIsDeterministic) {
-  const RunResult a = run_solo_median("Bandit", tiny_opts(), 3);
-  const RunResult b = run_solo_median("Bandit", tiny_opts(), 3);
-  EXPECT_EQ(a.cycles, b.cycles);
-}
-
-TEST(Runner, RejectsZeroReps) {
-  EXPECT_THROW(run_solo_median("Bandit", tiny_opts(), 0),
-               std::invalid_argument);
-}
-
 TEST(PrefetchStudy, StreamIsSensitiveBanditIsNot) {
   const auto stream = prefetch_sensitivity("Stream", tiny_opts());
   const auto bandit = prefetch_sensitivity("Bandit", tiny_opts());
@@ -135,11 +126,10 @@ TEST(PrefetchStudy, AblationTogglesIndividually) {
 }
 
 TEST(Matrix, SubsetSweepAndClasses) {
-  MatrixOptions mo;
-  mo.run = tiny_opts();
-  mo.reps = 1;
-  mo.subset = {"Bandit", "swaptions"};
-  const CorunMatrix m = corun_matrix(mo);
+  const MatrixSpec spec{{"Bandit", "swaptions"}, 1, {}};
+  ExperimentPlan plan{tiny_opts()};
+  plan.add_matrix(spec);
+  const CorunMatrix m = plan.execute().matrix(spec);
   ASSERT_EQ(m.size(), 2u);
   // Diagonal and off-diagonal values are defined and >= ~1.
   for (std::size_t i = 0; i < 2; ++i)
@@ -159,25 +149,65 @@ TEST(Matrix, AtRejectsOutOfRangeIndices) {
   EXPECT_THROW(m.at(0, 2), std::out_of_range);
 }
 
-TEST(Scheduler, ValidatesJobLists) {
+/// Random slowdown matrix with entries in [1.0, 2.5) -- a co-runner
+/// never speeds the foreground up, like every matrix the harness and
+/// the predictor produce.
+CorunMatrix random_matrix(std::size_t n, util::SplitMix64& rng) {
   CorunMatrix m;
-  m.workloads = {"a", "b", "c", "d"};
-  m.solo_cycles = {1, 1, 1, 1};
-  m.normalized.assign(4, std::vector<double>(4, 1.0));
-  const std::vector<std::size_t> ok = {0, 1, 2, 3};
-  EXPECT_EQ(schedule_greedy(m, ok).pairs.size(), 2u);
-  EXPECT_EQ(schedule_optimal(m, ok).pairs.size(), 2u);
-  EXPECT_EQ(schedule_worst(m, ok).pairs.size(), 2u);
-  // Odd-sized, out-of-range, and duplicate job lists are rejected with
-  // clear errors instead of undefined behavior.
-  const std::vector<std::size_t> odd = {0, 1, 2};
-  const std::vector<std::size_t> oob = {0, 1, 2, 4};
-  const std::vector<std::size_t> dup = {0, 1, 1, 2};
-  for (auto* fn : {&schedule_greedy, &schedule_optimal, &schedule_worst}) {
-    EXPECT_THROW((*fn)(m, odd), std::invalid_argument);
-    EXPECT_THROW((*fn)(m, oob), std::out_of_range);
-    EXPECT_THROW((*fn)(m, dup), std::invalid_argument);
+  for (std::size_t i = 0; i < n; ++i)
+    m.workloads.push_back("wl" + std::to_string(i));
+  m.solo_cycles.assign(n, 1'000'000);
+  m.normalized.assign(n, std::vector<double>(n, 1.0));
+  for (auto& row : m.normalized)
+    for (double& cell : row) cell = 1.0 + 1.5 * rng.uniform();
+  return m;
+}
+
+TEST(Matrix, CorunSlowdownWithOneCoRunnerIsTheEntry) {
+  util::SplitMix64 rng{13};
+  for (int trial = 0; trial < 50; ++trial) {
+    const CorunMatrix m = random_matrix(5, rng);
+    const std::size_t a = rng.below(5), b = rng.below(5);
+    EXPECT_NEAR(corun_slowdown(m, a, {b}), m.at(a, b), 1e-12);
   }
+}
+
+TEST(Matrix, CorunSlowdownAloneIsOne) {
+  util::SplitMix64 rng{5};
+  const CorunMatrix m = random_matrix(4, rng);
+  for (std::size_t a = 0; a < m.size(); ++a)
+    EXPECT_DOUBLE_EQ(corun_slowdown(m, a, {}), 1.0);
+}
+
+TEST(Matrix, CorunSlowdownGrowsWithResidents) {
+  // Entries >= 1 add non-negative excess, so each added co-runner can
+  // only raise the slowdown.
+  util::SplitMix64 rng{17};
+  for (int trial = 0; trial < 20; ++trial) {
+    const CorunMatrix m = random_matrix(6, rng);
+    std::vector<std::size_t> others;
+    double prev = corun_slowdown(m, 0, others);
+    for (std::size_t extra = 1; extra < 6; ++extra) {
+      others.push_back(extra);
+      const double s = corun_slowdown(m, 0, others);
+      EXPECT_GE(s, prev);
+      prev = s;
+    }
+  }
+}
+
+TEST(Matrix, CorunSlowdownClampsAtOne) {
+  // Entries below 1 (a co-runner that measured faster than solo) sum to
+  // a negative excess; the composition never reports a speedup.
+  CorunMatrix m;
+  m.workloads = {"a", "b", "c"};
+  m.solo_cycles = {1, 1, 1};
+  m.normalized = {{1.0, 0.7, 0.8}, {1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}};
+  EXPECT_DOUBLE_EQ(corun_slowdown(m, 0, {1}), 1.0);
+  EXPECT_DOUBLE_EQ(corun_slowdown(m, 0, {1, 2}), 1.0);
+  // Below the clamp, an entry under 1 offsets another co-runner's excess.
+  m.normalized[0][0] = 1.5;
+  EXPECT_NEAR(corun_slowdown(m, 0, {0, 1}), 1.2, 1e-12);
 }
 
 TEST(Report, TableFormatsAndCsv) {

@@ -112,7 +112,9 @@ TEST(Plan, SoloMedianMatchesRunSoloMedian) {
   plan.add_solo({"Bandit", 2, 3});
   const ResultSet rs = plan.execute();
   EXPECT_EQ(rs.solo({"Bandit", 2, 3}).cycles,
-            run_solo_median("Bandit", opt, 3).cycles);
+            run_group_median(GroupSpec::solo("Bandit", 2), opt, 3)
+                .members[0]
+                .cycles);
 }
 
 TEST(Plan, ScalabilityAndPrefetchAssembleFromTrials) {

@@ -6,7 +6,8 @@
 #include <sstream>
 
 #include "harness/classify.hpp"
-#include "harness/scheduler.hpp"
+#include "harness/group.hpp"
+#include "harness/matrix.hpp"
 #include "predict/deconvolve.hpp"
 #include "predict/eval.hpp"
 #include "predict/model.hpp"
@@ -100,6 +101,64 @@ TEST(Signature, SaveLoadRoundTrip) {
 TEST(Signature, LoadRejectsBadHeader) {
   std::stringstream ss{"not-a-signature-file\n"};
   EXPECT_THROW(load_signatures(ss), std::runtime_error);
+  std::stringstream v1{"coperf-signatures v1\n"};
+  EXPECT_THROW(load_signatures(v1), std::runtime_error);
+}
+
+TEST(Signature, SaveLoadKeepsServingFields) {
+  auto s = synthetic("kvserve-like", 0.3, 0.4, 5.0, 12.0, 0.8, 0.1);
+  s.solo_lat_p50 = 1234.5;
+  s.solo_lat_p99 = 98765.25;
+  s.request_count = 4096;
+  ASSERT_TRUE(s.latency_critical());
+  std::stringstream ss;
+  save_signatures(ss, {s});
+  const auto loaded = load_signatures(ss);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0], s);
+  EXPECT_TRUE(loaded[0].latency_critical());
+}
+
+TEST(Signature, LoadRejectsNegativeCountsAndExtraFields) {
+  std::stringstream good;
+  save_signatures(good, {synthetic("x", 0.5, 0.5, 10.0, 20.0, 1.0, 0.5)});
+  const std::string text = good.str();
+  const std::size_t row = text.find('\n') + 1;
+  const std::string header = text.substr(0, row);
+  const std::string line = text.substr(row, text.size() - row - 1);
+  {
+    std::stringstream ok{header + line + "\n"};
+    EXPECT_EQ(load_signatures(ok).size(), 1u);
+  }
+  {
+    // "x\t4\t..." -> "x\t-1\t...": istream >> unsigned would wrap it.
+    std::string neg = line;
+    neg.replace(neg.find('\t') + 1, 1, "-1");
+    std::stringstream in{header + neg + "\n"};
+    EXPECT_THROW(load_signatures(in), std::runtime_error);
+  }
+  {
+    std::stringstream in{header + line + "\t7\n"};
+    EXPECT_THROW(load_signatures(in), std::runtime_error);
+  }
+}
+
+// collect_signatures runs one plan; every field must equal a signature
+// built from the reference median runner, in input order, with the
+// repeated name served twice.
+TEST(Signature, CollectMatchesGroupMedianReference) {
+  const auto opt = tiny_opts();
+  const std::vector<std::string> workloads = {"Bandit", "Stream", "Bandit"};
+  const auto sigs = collect_signatures(workloads, opt, /*reps=*/3);
+  ASSERT_EQ(sigs.size(), workloads.size());
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const harness::RunResult ref =
+        harness::run_group_median(
+            harness::GroupSpec::solo(workloads[i], opt.threads), opt, 3)
+            .members[0];
+    EXPECT_EQ(sigs[i], WorkloadSignature::from(ref, opt.machine))
+        << workloads[i];
+  }
 }
 
 TEST(Model, BandwidthSaveLoadRoundTrip) {
@@ -380,19 +439,11 @@ TEST(PredictedMatrix, FeedsExistingConsumersUnchanged) {
   const auto sigs = synthetic_suite();
   const BandwidthContentionModel model;
   const harness::CorunMatrix m = predicted_matrix(sigs, model);
-  // classify / count_classes / scheduler all operate on the predicted
-  // matrix exactly as on a measured one.
+  // classify / count_classes operate on the predicted matrix exactly as
+  // on a measured one.
   const auto counts = m.count_classes();
   EXPECT_EQ(counts.harmony + counts.victim_offender + counts.both_victim,
             sigs.size() * (sigs.size() + 1) / 2);
-  std::vector<std::size_t> jobs(sigs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i] = i;
-  const auto study = harness::scheduling_study(m, jobs);
-  EXPECT_EQ(study.greedy.pairs.size(), jobs.size() / 2);
-  EXPECT_GE(study.improvement, 1.0);
-  // The greedy plan must beat pairing the two loudest workloads
-  // together, which is what the adversarial baseline does.
-  EXPECT_LE(study.greedy.total_cost, study.worst.total_cost);
 }
 
 TEST(PredictedMatrix, TrainingPairsValidatesAxes) {

@@ -475,27 +475,6 @@ TEST(ParallelPool, ThrowMidPlanPropagatesFirstErrorAndPoolSurvives) {
   EXPECT_EQ(sum.load(), 2000u * 1999u / 2);
   EXPECT_EQ(harness::pool_size(), workers_before)
       << "a thrown trial must not wedge or regrow the pool";
-
-  // Same contract under the static-chunk schedule.
-  EXPECT_THROW(
-      harness::parallel_for(
-          512, 4, [](std::size_t i) {
-            if (i == 300) throw std::logic_error{"chunk failure"};
-          },
-          harness::ParallelSchedule::StaticChunk),
-      std::logic_error);
-  std::atomic<std::size_t> again{0};
-  harness::parallel_for(256, 4, [&](std::size_t) { again.fetch_add(1); },
-                        harness::ParallelSchedule::StaticChunk);
-  EXPECT_EQ(again.load(), 256u);
-}
-
-TEST(ParallelPool, StaticChunksCoverEveryIndex) {
-  std::vector<std::atomic<int>> seen(97);
-  harness::parallel_for(
-      seen.size(), 4, [&](std::size_t i) { seen[i].fetch_add(1); },
-      harness::ParallelSchedule::StaticChunk);
-  for (auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
 TEST(ParallelPool, ExceptionPropagatesAndStopsTheSweep) {
