@@ -17,28 +17,16 @@
 // deterministic: same trace + same policy state => byte-identical
 // audit log.
 //
-// Two engines share the semantics:
-//
-//  * simulate() -- the fleet-scale indexed event loop. Per-machine
-//    resident slowdowns and absolute completion ETAs are cached and
-//    recomputed only when that machine's resident multiset changes; a
-//    lazy binary heap of per-machine next completions (deterministic
-//    (eta, machine, slot) tie-breaking) replaces the per-event
-//    machines x slots rescan, and a free-slot bitset index feeds the
-//    policies' ClusterView so a decision prices only candidate
-//    machines. Completion arithmetic is drift-free: each resident's
-//    remaining work is decremented once per constant-rate interval
-//    (clamped at zero), not once per global event. Scales to
-//    thousands of machines and millions of arrivals.
-//  * simulate_reference() -- the original O(machines x slots)-per-event
-//    scan loop, kept verbatim as the executable specification. The
-//    equivalence suite pins simulate() against it: byte-identical
-//    audit logs and matching regret on the shared fixtures. Exact
-//    arithmetic is identical between the engines; floating-point
-//    rounding may differ below the log's fixed precision because the
-//    reference decrements remaining work at every global event.
-//    Priority classes are a fleet-engine feature; the reference loop
-//    rejects traces that use them.
+// simulate() is an indexed event loop built for fleet scale: each
+// machine's resident slowdowns and completion ETAs are cached and
+// recomputed only when its resident multiset changes, a lazy heap of
+// per-machine next completions (deterministic (eta, machine, slot)
+// ties) replaces a per-event rescan, and a free-slot bitset feeds the
+// policies' ClusterView so a decision prices only candidate machines.
+// Remaining work is decremented once per constant-rate interval
+// (clamped at zero), so completion arithmetic does not drift. The
+// tests pin it to the pre-fleet scan loop, kept as the executable
+// specification in tests/cluster_reference.hpp.
 #pragma once
 
 #include <cstddef>
@@ -115,8 +103,7 @@ struct ClusterConfig {
   /// Machine failure/recovery schedule (fault_schedule(), or
   /// hand-built: sorted by time, alternating Down/Up per machine).
   /// Empty = no faults; the fault-free path is byte-identical to the
-  /// pre-fault engine. Fleet-engine only: simulate_reference rejects
-  /// configs that inject faults or enable migration/admission.
+  /// pre-fault engine. Times must be finite.
   std::vector<FaultEvent> faults;
   RetryConfig retry;
   MigrationConfig migration;
@@ -257,16 +244,5 @@ ClusterResult simulate(const ClusterConfig& cfg,
                        harness::InterferenceTruth& truth,
                        const std::vector<JobSpec>& trace,
                        PlacementPolicy& policy);
-
-/// The pre-fleet event loop, kept as the executable specification for
-/// the equivalence suite: full machines x slots rescan per event,
-/// remaining work decremented at every global event, every MachineView
-/// materialized per waiting job, every decision billed
-/// (regret_sample is ignored). Priority-blind: throws if the trace
-/// uses priority classes. Do not use at fleet scale.
-ClusterResult simulate_reference(const ClusterConfig& cfg,
-                                 harness::InterferenceTruth& truth,
-                                 const std::vector<JobSpec>& trace,
-                                 PlacementPolicy& policy);
 
 }  // namespace coperf::cluster

@@ -10,18 +10,6 @@
 
 namespace coperf::cluster {
 
-VectorClusterView::VectorClusterView(const std::vector<MachineView>& views)
-    : views_(views) {
-  for (const MachineView& v : views_)
-    if (v.free_slots > 0) ++open_count_;
-}
-
-std::size_t VectorClusterView::kth_open(std::size_t k) const {
-  for (std::size_t m = 0; m < views_.size(); ++m)
-    if (views_[m].free_slots > 0 && k-- == 0) return m;
-  throw std::out_of_range{"VectorClusterView::kth_open: index past open set"};
-}
-
 std::size_t RandomPolicy::place(const JobSpec& job,
                                 const ClusterView& cluster) {
   (void)job;

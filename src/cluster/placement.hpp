@@ -16,9 +16,8 @@
 // (open_count/kth_open, ascending machine order) plus lazily
 // materialized per-machine MachineViews. The simulator's fleet-scale
 // implementation only materializes the machines a policy actually
-// prices; the legacy vector-of-views entry point is kept as a thin
-// adapter (VectorClusterView) so hand-built views in tests and the
-// reference event loop keep working unchanged.
+// prices. ClusterView is the only entry point; tests that hand-build a
+// vector of MachineViews wrap it in their own adapter.
 //
 // Fault tolerance is invisible here by design: a failed machine simply
 // leaves the open set (its slots are never offered), a recovered one
@@ -78,26 +77,6 @@ class ClusterView {
   virtual const MachineView& view(std::size_t m) const = 0;
 };
 
-/// Adapter over a caller-built vector of MachineViews (tests, the
-/// reference event loop). kth_open is a count-then-pick scan, so even
-/// the adapter allocates nothing.
-class VectorClusterView final : public ClusterView {
- public:
-  explicit VectorClusterView(const std::vector<MachineView>& views);
-
-  std::size_t machines() const override { return views_.size(); }
-  std::size_t open_count() const override { return open_count_; }
-  std::size_t kth_open(std::size_t k) const override;
-  std::size_t free_slots(std::size_t m) const override {
-    return views_[m].free_slots;
-  }
-  const MachineView& view(std::size_t m) const override { return views_[m]; }
-
- private:
-  const std::vector<MachineView>& views_;
-  std::size_t open_count_ = 0;
-};
-
 /// Estimated machine time that admitting `job_type` with `job_work`
 /// units of work adds to `machine`, priced by the slowdown matrix
 /// `est`: the job's own excess slowdown persists for its whole work,
@@ -143,14 +122,6 @@ class PlacementPolicy {
   virtual std::size_t place(const JobSpec& job,
                             const ClusterView& cluster) = 0;
 
-  /// Legacy convenience entry point over caller-built views; forwards
-  /// to the ClusterView overload. (Derived classes re-export it with
-  /// `using PlacementPolicy::place;`.)
-  std::size_t place(const JobSpec& job,
-                    const std::vector<MachineView>& machines) {
-    return place(job, VectorClusterView{machines});
-  }
-
   /// Ground-truth feedback after a placement: the normalized runtime of
   /// fg_type when bg_type shares its machine. Default: ignore.
   virtual void observe_pair(std::size_t fg_type, std::size_t bg_type,
@@ -183,7 +154,6 @@ class RandomPolicy final : public PlacementPolicy {
  public:
   explicit RandomPolicy(std::uint64_t seed = 1) : rng_(seed) {}
   std::string name() const override { return "random"; }
-  using PlacementPolicy::place;
   std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
 
  private:
@@ -202,7 +172,6 @@ class CostModelPolicy : public PlacementPolicy {
   CostModelPolicy(std::string name, harness::CorunMatrix estimate);
 
   std::string name() const override { return name_; }
-  using PlacementPolicy::place;
   std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
   double last_cost_delta() const override { return last_delta_; }
 
@@ -226,7 +195,6 @@ class GroupTruthPolicy final : public PlacementPolicy {
   GroupTruthPolicy(std::string name, harness::InterferenceTruth& truth);
 
   std::string name() const override { return name_; }
-  using PlacementPolicy::place;
   std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
   double last_cost_delta() const override { return last_delta_; }
 
@@ -257,7 +225,6 @@ class SloAwarePolicy final : public PlacementPolicy {
                  harness::CorunMatrix tail);
 
   std::string name() const override { return name_; }
-  using PlacementPolicy::place;
   std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
   double last_cost_delta() const override { return last_delta_; }
 
@@ -294,7 +261,6 @@ class OnlineRefinedPolicy final : public CostModelPolicy {
                       std::unique_ptr<predict::InterferenceModel> model,
                       std::vector<predict::WorkloadSignature> sigs);
 
-  using CostModelPolicy::place;
   std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
   void observe_pair(std::size_t fg_type, std::size_t bg_type,
                     double slowdown) override;

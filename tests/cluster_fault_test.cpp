@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster_fixtures.hpp"
+#include "cluster_reference.hpp"
 #include "harness/matrix.hpp"
 
 namespace coperf::cluster {
@@ -151,6 +155,30 @@ TEST(FaultFree, EngineValidatesFaultSchedules) {
   cfg.faults.clear();
   cfg.retry.checkpoint = 1.5;
   EXPECT_THROW(simulate(cfg, additive, trace, p), std::invalid_argument);
+
+  // Non-finite fields. A NaN fault time used to reach the requeue
+  // heap's top() while it was empty.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [&](auto&& mutate) {
+    ClusterConfig bad;
+    mutate(bad);
+    EXPECT_THROW(simulate(bad, additive, trace, p), std::invalid_argument);
+  };
+  rejects([&](ClusterConfig& c) {
+    c.faults = {{nan, 0, FaultEvent::Kind::Down}};
+  });
+  rejects([&](ClusterConfig& c) {
+    c.faults = {{1.0, 0, FaultEvent::Kind::Down},
+                {inf, 0, FaultEvent::Kind::Up}};
+  });
+  rejects([&](ClusterConfig& c) { c.retry.backoff = nan; });
+  rejects([&](ClusterConfig& c) { c.retry.backoff = inf; });
+  rejects([&](ClusterConfig& c) { c.retry.backoff_factor = nan; });
+  rejects([&](ClusterConfig& c) { c.retry.checkpoint = nan; });
+  rejects([&](ClusterConfig& c) { c.admission.util_limit = nan; });
+  rejects([&](ClusterConfig& c) { c.admission.defer_delay = nan; });
+  rejects([&](ClusterConfig& c) { c.admission.defer_delay = inf; });
 }
 
 // --- deterministic fault replay -------------------------------------
@@ -476,6 +504,167 @@ TEST(Degradation, ProtectionLiftsHighPriorityGoodput) {
   EXPECT_LT(rp.class_stats[1].mean_stretch, rb.class_stats[1].mean_stretch)
       << "class-1 jobs must also wait less";
   EXPECT_EQ(rp.class_stats[1].shed, 0u);
+}
+
+// --- golden grid over the engine's config space ---------------------
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// One point of the grid: slots x faults x protection x LC jobs, plus a
+// regret-sampling cell. Protection 0 = none, 1 = migration + shed,
+// 2 = migration + defer (queue and utilization limits).
+struct GridCell {
+  std::size_t slots;
+  bool faults;
+  int protection;
+  bool lc;
+  std::size_t regret_sample;
+};
+
+// What a cell pins: FNV-1a of the audit log plus the billed scalars,
+// and the protection counters.
+struct GridPin {
+  std::uint64_t digest;
+  std::size_t completed, shed, migrations, fault_kills;
+  std::uint64_t fallbacks;
+};
+
+std::vector<GridCell> grid_cells() {
+  std::vector<GridCell> cells;
+  for (const std::size_t slots : {2u, 3u})
+    for (const bool faults : {false, true})
+      for (const int protection : {0, 1, 2})
+        for (const bool lc : {false, true})
+          cells.push_back({slots, faults, protection, lc, 1});
+  cells.push_back({3, true, 2, true, 7});
+  return cells;
+}
+
+ClusterResult run_grid_cell(const GridCell& c, std::size_t index) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  FleetTraceOptions fopt;
+  fopt.jobs = 400;
+  fopt.seed = 29;
+  fopt.mean_interarrival = 0.4;
+  fopt.class_shares = {0.7, 0.2, 0.1};
+  auto trace = fleet_trace(truth.size(), fopt);
+  if (c.lc)
+    for (std::size_t i = 0; i < trace.size(); i += 5) trace[i].slo_p99 = 1.3;
+
+  ClusterConfig cfg;
+  cfg.machines = 8;
+  cfg.slots = c.slots;
+  cfg.regret_sample = c.regret_sample;
+  if (c.faults) {
+    FaultScheduleOptions sched;
+    sched.seed = 5;
+    sched.horizon = 160.0;
+    sched.mtbf = 60.0;
+    sched.mttr = 10.0;
+    cfg.faults = fault_schedule(cfg.machines, sched);
+  }
+  if (c.protection > 0) {
+    cfg.migration.preempt = true;
+    cfg.admission.queue_limit = 10;
+  }
+  if (c.protection == 2) {
+    cfg.admission.util_limit = 0.9;
+    cfg.admission.defer_delay = 3.0;
+    cfg.admission.max_defers = 2;
+  }
+  if (c.slots == 2) {
+    CostModelPolicy p{"oracle", truth};
+    return simulate(cfg, additive, trace, p);
+  }
+  RandomPolicy p{index};
+  return simulate(cfg, additive, trace, p);
+}
+
+// The byte-identity net over faults x admission x migration x
+// priorities x SLOs x slots x regret sampling: every cell's audit log,
+// billed scalars and protection counters are pinned, and the
+// accounting invariants are checked on each.
+TEST(EngineGrid, GoldenDigestsAndInvariants) {
+  const std::vector<GridPin> pins = {
+      {0xfc9213cf0d60a997ull, 400, 0, 0, 0, 0},
+      {0xac51e5d95879733aull, 400, 0, 0, 0, 0},
+      {0x2668ba55f9693540ull, 232, 168, 127, 0, 0},
+      {0xc1b6dc085e15e3bcull, 232, 168, 127, 0, 0},
+      {0x1214660e24120d2cull, 231, 169, 70, 0, 0},
+      {0x8fb7643e66e0fe58ull, 231, 169, 70, 0, 0},
+      {0xbf136a88fa9f7379ull, 400, 0, 0, 32, 0},
+      {0x63bd566f9b5418d9ull, 400, 0, 0, 32, 0},
+      {0x6a3830d164c0d93aull, 179, 221, 128, 32, 0},
+      {0x4b06549321d60f5cull, 179, 221, 128, 32, 0},
+      {0x319118ea4532246eull, 173, 227, 106, 31, 0},
+      {0x256248f95b664446ull, 173, 227, 106, 31, 0},
+      {0x9071365bd345759bull, 400, 0, 0, 0, 3681},
+      {0x117787022756c92ull, 400, 0, 0, 0, 3867},
+      {0x769ff827e9d819e1ull, 293, 107, 114, 0, 3645},
+      {0x320f227c9b628c93ull, 291, 109, 113, 0, 3988},
+      {0xc01f93291523db9full, 301, 99, 16, 0, 3663},
+      {0x595d9b57d69f4df2ull, 304, 96, 14, 0, 3813},
+      {0xe33c9abafe7417a5ull, 400, 0, 0, 47, 3684},
+      {0x509ff3e860cb2316ull, 400, 0, 0, 47, 3957},
+      {0x29e2772570724df3ull, 212, 188, 137, 47, 3330},
+      {0xe2f975dd14261bddull, 218, 182, 139, 48, 3636},
+      {0xf849b031baf665aull, 227, 173, 82, 46, 3240},
+      {0x261a897d7c3f7b9aull, 217, 183, 74, 44, 3222},
+      {0xf5f4374a0fcee522ull, 213, 187, 78, 46, 1804},
+  };
+  const auto names = synthetic_truth().workloads;
+  const auto cells = grid_cells();
+  ASSERT_EQ(pins.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const ClusterResult res = run_grid_cell(cells[i], i);
+    char scalars[256];
+    std::snprintf(scalars, sizeof scalars,
+                  "regret=%.12g lc=%.12g shed_work=%.12g stretch=%.12g "
+                  "makespan=%.12g billed=%zu lc_billed=%zu slo=%zu",
+                  res.mean_decision_regret, res.mean_lc_tail_regret,
+                  res.shed_work, res.mean_stretch, res.makespan,
+                  res.billed_decisions, res.lc_billed_decisions,
+                  res.slo_violation_decisions);
+    const GridPin got{fnv1a(res.log.str(names) + scalars), res.completed_jobs,
+                      res.shed_jobs, res.migrations, res.fault_kills,
+                      res.pairwise_fallbacks};
+    const GridPin& want = pins[i];
+    EXPECT_TRUE(got.digest == want.digest && got.completed == want.completed &&
+                got.shed == want.shed && got.migrations == want.migrations &&
+                got.fault_kills == want.fault_kills &&
+                got.fallbacks == want.fallbacks)
+        << "cell " << i << " is now {0x" << std::hex << got.digest << std::dec
+        << "ull, " << got.completed << ", " << got.shed << ", "
+        << got.migrations << ", " << got.fault_kills << ", " << got.fallbacks
+        << "},";
+
+    std::size_t arrivals = 0, completed = 0, shed = 0;
+    for (const TraceEvent& e : res.log.events)
+      if (e.kind == TraceEvent::Kind::Arrive) ++arrivals;
+    for (const JobOutcome& o : res.outcomes) {
+      EXPECT_NE(o.completed(), o.shed) << "cell " << i << " job " << o.job;
+      if (o.completed()) {
+        EXPECT_GE(o.stretch(), 1.0 - 1e-9);
+      }
+    }
+    for (const ClassStats& cs : res.class_stats) {
+      arrivals -= cs.jobs;
+      completed += cs.completed;
+      shed += cs.shed;
+    }
+    EXPECT_EQ(arrivals, 0u) << "cell " << i;
+    EXPECT_EQ(res.completed_jobs + res.shed_jobs, res.outcomes.size());
+    EXPECT_EQ(completed, res.completed_jobs) << "cell " << i;
+    EXPECT_EQ(shed, res.shed_jobs) << "cell " << i;
+  }
 }
 
 }  // namespace

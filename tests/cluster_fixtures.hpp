@@ -1,19 +1,50 @@
 // Shared cluster-test fixtures: the hand-built 4-type co-run truth,
-// matching synthetic signatures for the trainable models, and the
-// non-additive RegimeChangeTruth oracle. Used by cluster_test.cpp and
-// the fleet-engine equivalence suite (cluster_fleet_test.cpp) so both
-// pin their behavior to the exact same ground truth.
+// matching synthetic signatures for the trainable models, the
+// non-additive RegimeChangeTruth oracle, and VectorClusterView for
+// hand-built machine views. Used by cluster_test.cpp and the
+// fleet-engine suites so they pin their behavior to the exact same
+// ground truth.
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cluster/placement.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
 #include "predict/predicted_matrix.hpp"
 
 namespace coperf::cluster {
+
+/// ClusterView over a caller-built vector of MachineViews (hand-built
+/// test views, the reference event loop). kth_open is a count-then-pick
+/// scan, so the adapter allocates nothing.
+class VectorClusterView final : public ClusterView {
+ public:
+  explicit VectorClusterView(const std::vector<MachineView>& views)
+      : views_(views) {
+    for (const MachineView& v : views_)
+      if (v.free_slots > 0) ++open_count_;
+  }
+
+  std::size_t machines() const override { return views_.size(); }
+  std::size_t open_count() const override { return open_count_; }
+  std::size_t kth_open(std::size_t k) const override {
+    for (std::size_t m = 0; m < views_.size(); ++m)
+      if (views_[m].free_slots > 0 && k-- == 0) return m;
+    throw std::out_of_range{"VectorClusterView::kth_open: index past open set"};
+  }
+  std::size_t free_slots(std::size_t m) const override {
+    return views_[m].free_slots;
+  }
+  const MachineView& view(std::size_t m) const override { return views_[m]; }
+
+ private:
+  const std::vector<MachineView>& views_;
+  std::size_t open_count_ = 0;
+};
 
 /// Hand-built 4-type truth: a bandwidth hog, a victim that suffers
 /// badly next to it, and two near-neutral types.

@@ -12,6 +12,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster_fixtures.hpp"
+#include "cluster_reference.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
 

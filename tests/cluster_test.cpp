@@ -4,11 +4,13 @@
 // end-to-end regret ordering on the 8-workload Tiny ground truth.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "cluster/cluster.hpp"
 #include "cluster_fixtures.hpp"
+#include "cluster_reference.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
 #include "harness/plan.hpp"
@@ -159,6 +161,15 @@ TEST(Cluster, SimulateValidatesItsInput) {
   EXPECT_THROW(
       simulate({2, 2}, additive, {{0, 0, 5.0, 1.0}, {1, 0, 1.0, 1.0}}, policy),
       std::invalid_argument);
+  // Non-finite fields: every range check is a comparison, which NaN
+  // passes silently unless it is rejected explicitly.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const JobSpec& bad : {JobSpec{0, 0, 0.0, nan}, JobSpec{0, 0, 0.0, inf},
+                             JobSpec{0, 0, nan, 1.0}, JobSpec{0, 0, inf, 1.0},
+                             JobSpec{0, 0, 0.0, 1.0, 0, nan}})
+    EXPECT_THROW(simulate(ClusterConfig{}, additive, {bad}, policy),
+                 std::invalid_argument);
 }
 
 // (RegimeChangeTruth -- the non-additive group-truth fixture -- lives
@@ -204,12 +215,12 @@ TEST(GroupTruthCluster, GroupTruthOracleAvoidsTheRegimeChange) {
 
   CostModelPolicy additive_oracle{"additive",
                                   RegimeChangeTruth::regime_matrix()};
-  EXPECT_EQ(additive_oracle.place(victim, views), 0u)
+  EXPECT_EQ(additive_oracle.place(victim, VectorClusterView{views}), 0u)
       << "pair entries make the two-hog machine look cheapest";
 
   RegimeChangeTruth truth;
   GroupTruthPolicy group_oracle{"group-oracle", truth};
-  EXPECT_EQ(group_oracle.place(victim, views), 1u)
+  EXPECT_EQ(group_oracle.place(victim, VectorClusterView{views}), 1u)
       << "group truth says the two-hog machine quadruples the victim";
 
   // What the simulator bills each choice at measured group truth: the
@@ -261,7 +272,7 @@ TEST(GroupTruthCluster, OnlineRefinedDeconvolvesGroupOutcomes) {
   // The estimate refreshes lazily at the next placement.
   const JobSpec job{0, 0, 0.0, 1.0};
   const std::vector<MachineView> open = {{2, {}}};
-  (void)online.place(job, open);
+  (void)online.place(job, VectorClusterView{open});
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_NEAR(online.estimate().at(i, j), truth.at(i, j), 1e-2)
@@ -297,13 +308,13 @@ TEST(Placement, PoliciesRejectImpossibleRequests) {
   CostModelPolicy cost{"oracle", truth};
   const JobSpec job{0, 0, 0.0, 1.0};
   const std::vector<MachineView> full = {{0, {{1, 1.0}, {2, 1.0}}}};
-  EXPECT_THROW(random.place(job, full), std::logic_error);
-  EXPECT_THROW(cost.place(job, full), std::logic_error);
+  EXPECT_THROW(random.place(job, VectorClusterView{full}), std::logic_error);
+  EXPECT_THROW(cost.place(job, VectorClusterView{full}), std::logic_error);
   EXPECT_THROW((CostModelPolicy{"empty", harness::CorunMatrix{}}),
                std::invalid_argument);
   const JobSpec alien{0, 9, 0.0, 1.0};
   const std::vector<MachineView> open = {{2, {}}};
-  EXPECT_THROW(cost.place(alien, open), std::out_of_range);
+  EXPECT_THROW(cost.place(alien, VectorClusterView{open}), std::out_of_range);
   OnlineRefinedPolicy online{"online", distilled_model(truth, synthetic_sigs()),
                              synthetic_sigs()};
   EXPECT_THROW(online.observe_pair(9, 0, 1.5), std::out_of_range);

@@ -364,20 +364,98 @@ TEST(TraceTest, ClusterTimelineWellFormed) {
   EXPECT_GT(queue_samples, 0u);
 }
 
+// A run through every traced path: machine faults (DOWN spans),
+// preemptive migration (evict instants), admission shed and defer,
+// priority lanes, and latency-critical jobs (lc_regret args).
+cluster::ClusterResult run_protected_cluster() {
+  cluster::ClusterConfig cfg;
+  cfg.machines = 4;
+  cfg.slots = 2;
+  cfg.type_names = {"hog", "victim", "neutral"};
+  cluster::FaultScheduleOptions sched;
+  sched.seed = 3;
+  sched.horizon = 60.0;
+  sched.mtbf = 25.0;
+  sched.mttr = 5.0;
+  cfg.faults = cluster::fault_schedule(cfg.machines, sched);
+  cfg.migration.preempt = true;
+  cfg.admission.queue_limit = 6;
+  cfg.admission.defer_delay = 2.0;
+  cfg.admission.max_defers = 1;
+  cluster::FleetTraceOptions fopt;
+  fopt.jobs = 150;
+  fopt.seed = 12;
+  fopt.mean_interarrival = 0.5;
+  fopt.class_shares = {0.6, 0.3, 0.1};
+  auto trace = cluster::fleet_trace(3, fopt);
+  for (std::size_t i = 0; i < trace.size(); i += 4) trace[i].slo_p99 = 1.3;
+  cluster::RandomPolicy policy{5};
+  harness::MatrixTruth truth{synthetic_matrix()};
+  return cluster::simulate(cfg, truth, trace, policy);
+}
+
 TEST(TraceTest, TracingNeverChangesClusterResults) {
   ObsSandbox sandbox;
   Trace& tr = Trace::instance();
   tr.stop();
   tr.clear();
-  const auto plain = run_cluster(11);
+  const auto plain = run_protected_cluster();
   tr.start();
-  const auto traced = run_cluster(11);
+  const auto traced = run_protected_cluster();
+  const json::Value doc = parse_current_trace();
   tr.stop();
   tr.clear();
-  EXPECT_EQ(plain.mean_stretch, traced.mean_stretch);
-  EXPECT_EQ(plain.mean_decision_regret, traced.mean_decision_regret);
-  EXPECT_EQ(plain.makespan, traced.makespan);
-  EXPECT_EQ(plain.log.events.size(), traced.log.events.size());
+  validate_trace_doc(doc);
+
+  // The protection paths were recorded...
+  std::size_t down_spans = 0, evicts = 0, lc_args = 0;
+  for (const json::Value& e : doc.at("traceEvents").arr()) {
+    const std::string& ph = e.at("ph").str();
+    if (ph == "X" && e.at("name").str() == "DOWN") ++down_spans;
+    if (ph == "i" && e.at("name").str().rfind("evict ", 0) == 0) ++evicts;
+    if (ph == "i" && e.at("args").has("lc_regret")) ++lc_args;
+  }
+  EXPECT_GT(down_spans, 0u);
+  EXPECT_GT(evicts, 0u);
+  EXPECT_GT(lc_args, 0u);
+  EXPECT_GT(plain.shed_jobs, 0u);
+  const std::vector<std::string> names = synthetic_matrix().workloads;
+  const std::string log = plain.log.str(names);
+  EXPECT_NE(log.find(" defer job="), std::string::npos);
+
+  // ...and changed nothing.
+  EXPECT_EQ(log, traced.log.str(names));
+#define SAME(field) EXPECT_EQ(plain.field, traced.field) << #field
+  SAME(mean_stretch);
+  SAME(mean_corun_slowdown);
+  SAME(makespan);
+  SAME(mean_decision_regret);
+  SAME(billed_decisions);
+  SAME(pairwise_fallbacks);
+  SAME(failures);
+  SAME(recoveries);
+  SAME(fault_kills);
+  SAME(migrations);
+  SAME(shed_jobs);
+  SAME(shed_work);
+  SAME(completed_jobs);
+  SAME(lc_jobs);
+  SAME(mean_lc_tail_regret);
+  SAME(lc_billed_decisions);
+  SAME(slo_violation_decisions);
+  ASSERT_EQ(plain.class_stats.size(), traced.class_stats.size());
+  for (std::size_t c = 0; c < plain.class_stats.size(); ++c) {
+    SAME(class_stats[c].jobs);
+    SAME(class_stats[c].completed);
+    SAME(class_stats[c].shed);
+    SAME(class_stats[c].work_arrived);
+    SAME(class_stats[c].work_completed);
+    SAME(class_stats[c].goodput);
+    SAME(class_stats[c].mean_stretch);
+    SAME(class_stats[c].mean_regret);
+    SAME(class_stats[c].billed);
+  }
+#undef SAME
 }
 
 TEST(TraceTest, SeparatePidPerSimulateCall) {
