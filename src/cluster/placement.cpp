@@ -258,24 +258,13 @@ void OnlineRefinedPolicy::observe_group(const std::vector<std::size_t>& types,
     CostModelPolicy::observe_group(types, slowdowns);
     return;
   }
-  // 3+-resident outcome: one deconvolution equation per member. The
-  // signature-copying TrainingGroup is only built for models that
-  // actually absorb group samples (none of the shipped ones do).
-  const bool feed_model = model_->wants_group_samples();
+  // 3+-resident outcome: one deconvolution equation per member.
   for (std::size_t i = 0; i < types.size(); ++i) {
     if (types[i] >= sigs_.size())
       throw std::out_of_range{
           "OnlineRefinedPolicy: observed type outside matrix"};
-    const std::vector<std::size_t> others =
-        harness::others_excluding(types, i);
-    decon_.observe(types[i], others, slowdowns[i]);
-    if (feed_model) {
-      predict::TrainingGroup g;
-      g.fg = sigs_[types[i]];
-      for (const std::size_t o : others) g.others.push_back(sigs_[o]);
-      g.slowdown = slowdowns[i];
-      model_->observe_group(g);
-    }
+    decon_.observe(types[i], harness::others_excluding(types, i),
+                   slowdowns[i]);
   }
   estimate_stale_ = true;
 }

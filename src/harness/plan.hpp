@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -103,9 +102,6 @@ class ResultSet {
 
  private:
   friend class ExperimentPlan;
-  /// Manifest loader (harness/manifest.hpp): rebuilds a ResultSet from
-  /// a serialized plan execution without re-running anything.
-  friend ResultSet load_manifest(std::istream& is);
   const GroupResult& median_ref(const GroupSpec& spec, unsigned reps) const;
 
   RunOptions base_;

@@ -54,24 +54,6 @@ std::uint64_t Histogram::bucket(unsigned b) const noexcept {
   return b < kBuckets ? buckets_[b].load(std::memory_order_relaxed) : 0;
 }
 
-std::uint64_t Histogram::quantile_upper(double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double target = q * static_cast<double>(n);
-  std::uint64_t cum = 0;
-  for (unsigned b = 0; b < kBuckets; ++b) {
-    cum += bucket(b);
-    if (static_cast<double>(cum) >= target && cum > 0) {
-      if (b == 0) return 0;
-      if (b >= 64) return UINT64_MAX;
-      return (std::uint64_t{1} << b) - 1;
-    }
-  }
-  return UINT64_MAX;
-}
-
 double Histogram::quantile(double q) const noexcept {
   // Snapshot the buckets once so the interpolation sees one coherent
   // view even while other threads record.
@@ -151,9 +133,10 @@ void Registry::snapshot_json(std::ostream& os) const {
     os << sep << "\n    " << json::quote(name) << ": {\"count\": "
        << h->count() << ", \"sum\": " << h->sum()
        << ", \"mean\": " << json::number(h->mean())
-       << ", \"p50\": " << h->quantile_upper(0.50)
-       << ", \"p90\": " << h->quantile_upper(0.90)
-       << ", \"p99\": " << h->quantile_upper(0.99) << ", \"buckets\": {";
+       << ", \"p50\": " << json::number(h->quantile(0.50))
+       << ", \"p90\": " << json::number(h->quantile(0.90))
+       << ", \"p99\": " << json::number(h->quantile(0.99))
+       << ", \"buckets\": {";
     const char* bsep = "";
     for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
       if (h->bucket(b) == 0) continue;

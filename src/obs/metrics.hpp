@@ -91,8 +91,6 @@ class Histogram {
   }
   double mean() const noexcept;
   std::uint64_t bucket(unsigned b) const noexcept;
-  /// Upper bound of the bucket containing the q-quantile (q in [0,1]).
-  std::uint64_t quantile_upper(double q) const noexcept;
   /// The q-quantile linearly interpolated within its bucket
   /// (obs/quantile.hpp math); 0.0 for an empty histogram.
   double quantile(double q) const noexcept;
@@ -123,7 +121,7 @@ class Registry {
 
   /// One JSON object: {"counters":{...},"gauges":{...},
   /// "histograms":{name:{count,sum,mean,p50,p90,p99,buckets}}}, names
-  /// sorted, stable across runs.
+  /// sorted, stable across runs. The percentiles are quantile(q).
   void snapshot_json(std::ostream& os) const;
   std::string snapshot_json() const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace coperf::predict {
 
@@ -85,54 +84,6 @@ std::uint64_t PairDeconvolver::support(std::size_t fg, std::size_t bg) const {
   if (fg >= n_ || bg >= n_)
     throw std::out_of_range{"PairDeconvolver::support: index outside the axis"};
   return support_[fg][bg];
-}
-
-harness::CorunMatrix deconvolve_pairwise(
-    const std::vector<std::string>& workloads,
-    const std::vector<harness::GroupObservation>& obs, double ridge) {
-  const std::size_t n = workloads.size();
-  PairDeconvolver d{n, ridge};
-  for (const harness::GroupObservation& o : obs) d.observe(o);
-  harness::CorunMatrix m;
-  m.workloads = workloads;
-  m.normalized.assign(n, std::vector<double>(n, 1.0));
-  for (std::size_t fg = 0; fg < n; ++fg)
-    for (std::size_t bg = 0; bg < n; ++bg)
-      m.normalized[fg][bg] = d.entry(fg, bg);
-  return m;
-}
-
-std::vector<TrainingPair> training_pairs_from_groups(
-    const std::vector<TrainingGroup>& groups, double ridge) {
-  // Axis from distinct workload names, first-seen signature as the
-  // representative (signatures of the same workload at the same
-  // config are identical in practice).
-  std::unordered_map<std::string, std::size_t> index;
-  std::vector<WorkloadSignature> reps;
-  const auto intern = [&](const WorkloadSignature& s) {
-    const auto [it, fresh] = index.emplace(s.workload, reps.size());
-    if (fresh) reps.push_back(s);
-    return it->second;
-  };
-  std::vector<harness::GroupObservation> obs;
-  obs.reserve(groups.size());
-  for (const TrainingGroup& g : groups) {
-    harness::GroupObservation o;
-    o.type = intern(g.fg);
-    for (const WorkloadSignature& s : g.others) o.others.push_back(intern(s));
-    std::sort(o.others.begin(), o.others.end());
-    o.slowdown = g.slowdown;
-    obs.push_back(std::move(o));
-  }
-  if (reps.empty()) return {};
-  PairDeconvolver d{reps.size(), ridge};
-  for (const harness::GroupObservation& o : obs) d.observe(o);
-  std::vector<TrainingPair> pairs;
-  for (std::size_t fg = 0; fg < reps.size(); ++fg)
-    for (std::size_t bg = 0; bg < reps.size(); ++bg)
-      if (d.support(fg, bg) > 0)
-        pairs.push_back({reps[fg], reps[bg], d.entry(fg, bg)});
-  return pairs;
 }
 
 }  // namespace coperf::predict

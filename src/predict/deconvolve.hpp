@@ -15,21 +15,15 @@
 // predicts multi-tenant slowdowns straight from solo counters).
 //
 // PairDeconvolver maintains the running least-squares estimate
-// incrementally (one O(n^2) recursive-least-squares update per
-// observation, one independent RLS state per foreground row);
-// deconvolve_pairwise() is the batch form for offline fits and tests;
-// training_pairs_from_groups() distills signature-keyed group samples
-// into the TrainingPair feed the data-driven models train() on.
+// incrementally: one O(n^2) recursive-least-squares update per
+// observation, one independent RLS state per foreground row.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
-#include "predict/model.hpp"
 
 namespace coperf::predict {
 
@@ -53,9 +47,6 @@ class PairDeconvolver {
   /// groups constrain sums of row entries.
   void observe(std::size_t type, const std::vector<std::size_t>& others,
                double slowdown);
-  void observe(const harness::GroupObservation& o) {
-    observe(o.type, o.others, o.slowdown);
-  }
 
   /// Current estimate of the pairwise entry M[fg][bg], clamped >= 1.
   double entry(std::size_t fg, std::size_t bg) const;
@@ -74,20 +65,5 @@ class PairDeconvolver {
   std::vector<std::vector<std::vector<double>>> cov_;
   std::vector<std::vector<std::uint64_t>> support_;
 };
-
-/// Batch form: the least-squares pairwise matrix recovered from a set
-/// of group observations over the `workloads` axis. solo_cycles is
-/// left empty (observations are already normalized).
-harness::CorunMatrix deconvolve_pairwise(
-    const std::vector<std::string>& workloads,
-    const std::vector<harness::GroupObservation>& obs, double ridge = 1e-3);
-
-/// Distills signature-keyed group samples into pairwise TrainingPairs
-/// via deconvolution (axis = distinct workload names, first-seen
-/// signatures as representatives; only pairs that some observation
-/// actually involved are emitted), so TrainableModel::train() can fit
-/// on 3+-resident measurements without ever running a dedicated pair.
-std::vector<TrainingPair> training_pairs_from_groups(
-    const std::vector<TrainingGroup>& groups, double ridge = 1e-3);
 
 }  // namespace coperf::predict

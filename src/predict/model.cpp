@@ -59,10 +59,6 @@ double InterferenceModel::predict_group(
   return std::max(1.0, 1.0 + excess);
 }
 
-void InterferenceModel::observe_group(const TrainingGroup& g) {
-  if (g.others.size() == 1) observe({g.fg, g.others.front(), g.slowdown});
-}
-
 // ---------------------------------------------------------------------
 // BandwidthContentionModel
 // ---------------------------------------------------------------------

@@ -31,15 +31,6 @@ struct TrainingPair {
   double slowdown = 1.0;  ///< measured t(fg|bg) / t(fg solo)
 };
 
-/// One measured N-resident group observation: fg's slowdown while the
-/// `others` multiset shared its machine (a GroupResult member, seen
-/// from the prediction side).
-struct TrainingGroup {
-  WorkloadSignature fg;
-  std::vector<WorkloadSignature> others;
-  double slowdown = 1.0;  ///< measured t(fg | others) / t(fg solo)
-};
-
 class InterferenceModel {
  public:
   virtual ~InterferenceModel() = default;
@@ -59,16 +50,6 @@ class InterferenceModel {
   /// exemplar), recursive least squares for the linear model. The
   /// analytic model has no trainable state and ignores it.
   virtual void observe(const TrainingPair& /*sample*/) {}
-  /// Group-refinement hook. Default: a 2-resident observation is an
-  /// exact pair sample and passes to observe(); 3+-resident samples
-  /// are ignored -- distill those with predict::PairDeconvolver /
-  /// training_pairs_from_groups (predict/deconvolve.hpp).
-  virtual void observe_group(const TrainingGroup& g);
-  /// Whether 3+-resident TrainingGroups reach this model's
-  /// observe_group. False (the default) lets hot paths skip building
-  /// the signature-copying sample entirely; a model with a native
-  /// group notion overrides both.
-  virtual bool wants_group_samples() const { return false; }
   virtual void save(std::ostream& os) const = 0;
   virtual void load(std::istream& is) = 0;
 };

@@ -1,8 +1,8 @@
 // JSON text: the one string escaper, double formatter and reader behind
-// every document the repo writes or reads -- plan manifests, metrics
-// snapshots, Chrome traces and report JSON. Writers keep their own
-// hand-written layouts and call quote()/number() for the leaves, so
-// each document's whitespace is exactly what its writer prints.
+// every document the repo writes or reads -- metrics snapshots, Chrome
+// traces and report JSON. Writers keep their own hand-written layouts
+// and call quote()/number() for the leaves, so each document's
+// whitespace is exactly what its writer prints.
 #pragma once
 
 #include <cstdint>

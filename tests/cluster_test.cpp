@@ -238,8 +238,9 @@ TEST(GroupTruthCluster, GroupTruthOracleAvoidsTheRegimeChange) {
 
 // 3+-resident outcomes reach the policy as full group observations and
 // refine the pairwise estimate by deconvolution -- no dedicated pair
-// runs. Feeding all 3-way groups synthesized from an additive truth
-// must reconstruct its pairwise entries.
+// runs, and the model itself never sees them. Feeding all 3-way groups
+// synthesized from an additive truth must reconstruct its pairwise
+// entries; a 2-resident outcome is exactly two pair observations.
 TEST(GroupTruthCluster, OnlineRefinedDeconvolvesGroupOutcomes) {
   const auto truth = synthetic_truth();
   const auto sigs = synthetic_sigs();
@@ -248,7 +249,10 @@ TEST(GroupTruthCluster, OnlineRefinedDeconvolvesGroupOutcomes) {
   harness::CorunMatrix flat = truth;
   for (auto& row : flat.normalized)
     for (double& cell : row) cell = 1.0;
-  OnlineRefinedPolicy online{"online", distilled_model(flat, sigs), sigs};
+  auto model = distilled_model(flat, sigs);
+  const predict::LeastSquaresModel& lstsq = *model;
+  const std::vector<double> weights_before = lstsq.weights();
+  OnlineRefinedPolicy online{"online", std::move(model), sigs};
 
   const std::size_t n = truth.size();
   harness::MatrixTruth additive{truth};
@@ -268,6 +272,8 @@ TEST(GroupTruthCluster, OnlineRefinedDeconvolvesGroupOutcomes) {
   EXPECT_EQ(online.observed_cells(), 0u)
       << "no pair was ever observed directly";
   EXPECT_EQ(online.deconvolved_cells(), n * n);
+  EXPECT_EQ(lstsq.weights(), weights_before)
+      << "3+-resident groups are deconvolution's job, never the model's";
 
   // The estimate refreshes lazily at the next placement.
   const JobSpec job{0, 0, 0.0, 1.0};
@@ -281,6 +287,18 @@ TEST(GroupTruthCluster, OnlineRefinedDeconvolvesGroupOutcomes) {
   EXPECT_THROW(online.observe_group({0, 1, 9}, {1.0, 1.0, 1.0}),
                std::out_of_range);
   EXPECT_THROW(online.observe_group({0, 1, 2}, {1.0}), std::invalid_argument);
+
+  OnlineRefinedPolicy via_group{"group", distilled_model(flat, sigs), sigs};
+  OnlineRefinedPolicy via_pairs{"pairs", distilled_model(flat, sigs), sigs};
+  via_group.observe_group({0, 1}, {truth.at(0, 1), truth.at(1, 0)});
+  via_pairs.observe_pair(0, 1, truth.at(0, 1));
+  via_pairs.observe_pair(1, 0, truth.at(1, 0));
+  (void)via_group.place(job, VectorClusterView{open});
+  (void)via_pairs.place(job, VectorClusterView{open});
+  EXPECT_EQ(via_group.observed_cells(), 2u);
+  EXPECT_EQ(via_group.deconvolved_cells(), 0u);
+  EXPECT_EQ(via_group.estimate().normalized, via_pairs.estimate().normalized)
+      << "a 2-resident group observation is exactly two pair samples";
 }
 
 TEST(Placement, OnlineEstimateConvergesToObservedTruth) {
@@ -550,7 +568,6 @@ TEST(Slo, ArrivingBeAggressorIsBilledAgainstResidentLcBudgets) {
   // victim and hog pinned to machine 0, the neutral to machine 1.
   struct PinToVictim final : PlacementPolicy {
     std::string name() const override { return "pin"; }
-    using PlacementPolicy::place;
     std::size_t place(const JobSpec& job, const ClusterView&) override {
       return job.type == 2 ? 1u : 0u;
     }

@@ -1,5 +1,5 @@
 // util/json: the one escaper, double formatter and strict reader every
-// manifest, snapshot, trace and report goes through. quote() escapes
+// snapshot, trace and report goes through. quote() escapes
 // every control byte, number() round-trips doubles exactly and matches
 // the 17-digit stream format the documents always used, and parse()
 // rejects anything outside RFC 8259 while keeping u64 counters exact.

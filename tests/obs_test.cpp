@@ -151,9 +151,10 @@ TEST(MetricsTest, HistogramLogBuckets) {
   EXPECT_EQ(h.bucket(11), 1u);
   EXPECT_EQ(h.count(), 6u);
   EXPECT_EQ(h.sum(), 1034u);
-  // p50 of 6 samples lands in bucket 2 -> upper bound 3.
-  EXPECT_EQ(h.quantile_upper(0.5), 3u);
-  EXPECT_EQ(h.quantile_upper(1.0), 2047u);
+  // p50 of 6 samples is rank 3: the second of bucket 2's two samples,
+  // halfway through [2, 4). p100 is the top of bucket 11, [1024, 2048).
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 2048.0);
 }
 
 TEST(MetricsTest, HistogramInterpolatedQuantile) {
@@ -171,9 +172,8 @@ TEST(MetricsTest, HistogramInterpolatedQuantile) {
   // land there, and the interpolated value within the bucket bounds.
   EXPECT_GE(h.quantile(0.5), static_cast<double>(1u << 20));
   EXPECT_LE(h.quantile(0.5), static_cast<double>(1u << 21));
-  // Never above the bucket-upper-bound answer.
-  EXPECT_LE(h.quantile(0.99),
-            static_cast<double>(h.quantile_upper(0.99)) + 1.0);
+  // Never above the exclusive upper bound of its bucket.
+  EXPECT_LE(h.quantile(0.99), static_cast<double>(1u << 21));
   // Monotone in q.
   EXPECT_LE(h.quantile(0.50), h.quantile(0.95));
   EXPECT_LE(h.quantile(0.95), h.quantile(0.99));
@@ -220,14 +220,21 @@ TEST(MetricsTest, SnapshotIsValidJsonAndCarriesValues) {
   reg.counter("obs_test.snap_counter").reset();
   reg.counter("obs_test.snap_counter").add(3);
   reg.gauge("obs_test.snap_gauge").set(1.5);
-  reg.histogram("obs_test.snap_hist").record(10);
+  Histogram& hist = reg.histogram("obs_test.snap_hist");
+  hist.reset();
+  for (const std::uint64_t v : {10u, 100u, 1000u}) hist.record(v);
   const json::Value doc = json::parse(reg.snapshot_json());
   ASSERT_EQ(doc.kind, json::Value::Kind::Object);
   EXPECT_DOUBLE_EQ(doc.at("counters").at("obs_test.snap_counter").num(), 3.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("obs_test.snap_gauge").num(), 1.5);
   const json::Value& h = doc.at("histograms").at("obs_test.snap_hist");
-  EXPECT_DOUBLE_EQ(h.at("count").num(), 1.0);
-  EXPECT_DOUBLE_EQ(h.at("sum").num(), 10.0);
+  EXPECT_DOUBLE_EQ(h.at("count").num(), 3.0);
+  EXPECT_DOUBLE_EQ(h.at("sum").num(), 1110.0);
+  // The snapshot percentiles are the interpolated Histogram::quantile,
+  // printed exactly.
+  EXPECT_EQ(h.at("p50").num(), hist.quantile(0.50));
+  EXPECT_EQ(h.at("p90").num(), hist.quantile(0.90));
+  EXPECT_EQ(h.at("p99").num(), hist.quantile(0.99));
 }
 
 TEST(MetricsTest, LabeledSeriesName) {

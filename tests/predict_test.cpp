@@ -7,6 +7,7 @@
 
 #include "harness/classify.hpp"
 #include "harness/group.hpp"
+#include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
 #include "predict/deconvolve.hpp"
 #include "predict/eval.hpp"
@@ -488,7 +489,7 @@ TEST(Eval, LeaveOneOutPredictsHeldOutRows) {
 }
 
 // ---------------------------------------------------------------------
-// Group-aware path: predict_group, observe_group, deconvolution.
+// Group-aware path: predict_group and deconvolution.
 
 /// A known additive pairwise truth over 4 synthetic types.
 harness::CorunMatrix additive_truth4() {
@@ -529,12 +530,12 @@ std::vector<harness::GroupObservation> additive_observations(
 
 TEST(Deconvolve, RecoversPairwiseEntriesFromGroupObservations) {
   const harness::CorunMatrix truth = additive_truth4();
-  const harness::CorunMatrix recovered =
-      deconvolve_pairwise(truth.workloads, additive_observations(truth));
-  ASSERT_EQ(recovered.size(), truth.size());
+  PairDeconvolver d{truth.size()};
+  for (const harness::GroupObservation& o : additive_observations(truth))
+    d.observe(o.type, o.others, o.slowdown);
   for (std::size_t fg = 0; fg < truth.size(); ++fg)
     for (std::size_t bg = 0; bg < truth.size(); ++bg)
-      EXPECT_NEAR(recovered.at(fg, bg), truth.at(fg, bg), 1e-2)
+      EXPECT_NEAR(d.entry(fg, bg), truth.at(fg, bg), 1e-2)
           << "pairwise entry (" << fg << "," << bg
           << ") not recovered from 3-resident observations";
 }
@@ -594,51 +595,6 @@ TEST(Model, PredictGroupDefaultsToAdditiveComposition) {
   EXPECT_DOUBLE_EQ(model.predict_group(sigs[0], {sigs[1], sigs[2]}),
                    std::max(1.0, 1.0 + (p1 - 1.0) + (p2 - 1.0)));
   EXPECT_DOUBLE_EQ(model.predict_group(sigs[0], {}), 1.0);
-}
-
-TEST(Model, ObserveGroupFoldsExactPairsAndIgnoresLargerGroups) {
-  const auto sigs = synthetic_suite();
-  LeastSquaresModel via_pair, via_group, untouched;
-  via_pair.observe({sigs[0], sigs[1], 1.7});
-  via_group.observe_group({sigs[0], {sigs[1]}, 1.7});
-  EXPECT_EQ(via_pair.weights(), via_group.weights())
-      << "a 2-resident group observation is exactly one pair sample";
-  untouched.observe_group({sigs[0], {sigs[1], sigs[2]}, 1.9});
-  EXPECT_TRUE(untouched.weights().empty())
-      << "3+-resident samples are deconvolution's job, not raw observe()";
-}
-
-TEST(Deconvolve, TrainingPairsFromGroupsFeedTrainableModels) {
-  const harness::CorunMatrix truth = additive_truth4();
-  // Signature-keyed groups: representatives per axis name.
-  std::vector<WorkloadSignature> sigs;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    auto s = synthetic_suite()[i];
-    s.workload = truth.workloads[i];
-    sigs.push_back(std::move(s));
-  }
-  std::vector<TrainingGroup> groups;
-  for (const auto& o : additive_observations(truth)) {
-    TrainingGroup g;
-    g.fg = sigs[o.type];
-    for (const std::size_t t : o.others) g.others.push_back(sigs[t]);
-    g.slowdown = o.slowdown;
-    groups.push_back(std::move(g));
-  }
-  const auto pairs = training_pairs_from_groups(groups);
-  ASSERT_EQ(pairs.size(), truth.size() * truth.size())
-      << "every co-residency has support in the full 3-way sweep";
-  for (const TrainingPair& p : pairs) {
-    std::size_t fg = truth.size(), bg = truth.size();
-    for (std::size_t i = 0; i < truth.size(); ++i) {
-      if (truth.workloads[i] == p.fg.workload) fg = i;
-      if (truth.workloads[i] == p.bg.workload) bg = i;
-    }
-    ASSERT_LT(fg, truth.size());
-    ASSERT_LT(bg, truth.size());
-    EXPECT_NEAR(p.slowdown, truth.at(fg, bg), 1e-2);
-  }
-  EXPECT_TRUE(training_pairs_from_groups({}).empty());
 }
 
 TEST(Eval, EvaluateGroupsScoresModelAndAdditiveBaseline) {
