@@ -7,7 +7,7 @@
 //   - BM_PrefetchDegree: streamer aggressiveness vs. Stream bandwidth.
 #include <benchmark/benchmark.h>
 
-#include "harness/runner.hpp"
+#include "harness/group.hpp"
 
 namespace {
 
@@ -39,8 +39,9 @@ void BM_QuantumSensitivity(benchmark::State& state) {
   opt.machine.quantum_cycles = static_cast<std::uint32_t>(state.range(0));
   sim::Cycle cycles = 0;
   for (auto _ : state) {
-    const auto r = harness::run_pair("G-PR", "Stream", opt);
-    cycles = r.fg.cycles;
+    const auto r =
+        harness::run_group(harness::GroupSpec::pair("G-PR", "Stream"), opt);
+    cycles = r.members[0].cycles;
     benchmark::DoNotOptimize(cycles);
   }
   state.counters["fg_cycles"] = static_cast<double>(cycles);
@@ -56,8 +57,9 @@ void BM_MlpWindow(benchmark::State& state) {
   opt.machine.mshr_per_core = static_cast<std::uint32_t>(state.range(0));
   sim::Cycle cycles = 0;
   for (auto _ : state) {
-    const auto r = harness::run_pair("G-PR", "Stream", opt);
-    cycles = r.fg.cycles;
+    const auto r =
+        harness::run_group(harness::GroupSpec::pair("G-PR", "Stream"), opt);
+    cycles = r.members[0].cycles;
     benchmark::DoNotOptimize(cycles);
   }
   state.counters["fg_cycles"] = static_cast<double>(cycles);
@@ -69,8 +71,9 @@ void BM_InclusiveLlc(benchmark::State& state) {
   opt.machine.l3_inclusive = state.range(0) != 0;
   sim::Cycle cycles = 0;
   for (auto _ : state) {
-    const auto r = harness::run_pair("G-CC", "Stream", opt);
-    cycles = r.fg.cycles;
+    const auto r =
+        harness::run_group(harness::GroupSpec::pair("G-CC", "Stream"), opt);
+    cycles = r.members[0].cycles;
     benchmark::DoNotOptimize(cycles);
   }
   state.counters["fg_cycles"] = static_cast<double>(cycles);

@@ -40,7 +40,11 @@
 #include <string>
 #include <vector>
 
-#include "core/session.hpp"
+#include "harness/classify.hpp"
+#include "harness/plan.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "wl/registry.hpp"
 
 namespace coperf::bench {
 
@@ -90,8 +94,6 @@ struct BenchArgs {
   harness::ExperimentPlan plan() const {
     return harness::ExperimentPlan{run_options()};
   }
-
-  Session session() const { return Session{machine(), size()}; }
 };
 
 /// Splits a --subset=A,B,C value into workload names.

@@ -103,7 +103,7 @@ int main(int argc, char** argv) try {
   // RunCache behaviour comes off the uniform metrics surface (the
   // counters the cache maintains in the obs registry), not bespoke
   // Stats plumbing -- the same numbers --metrics exposes.
-  obs::Registry& reg = Session::metrics();
+  obs::Registry& reg = obs::Registry::instance();
   std::cout << "run cache: " << reg.counter("runcache.misses").value()
             << " simulated, " << reg.counter("runcache.hits").value()
             << " memory hits, " << reg.counter("runcache.disk_hits").value()

@@ -124,8 +124,9 @@ int main(int argc, char** argv) try {
   // ExperimentPlan::execute (the warm build overwrites them with a
   // degenerate all-cache-hit sample, so read them here).
   const double cold_util =
-      Session::metrics().gauge("plan.utilization").value();
-  const double cold_lanes = Session::metrics().gauge("plan.lanes").value();
+      obs::Registry::instance().gauge("plan.utilization").value();
+  const double cold_lanes =
+      obs::Registry::instance().gauge("plan.lanes").value();
   std::cout << "matrix cold: " << subset.size() << "x" << subset.size()
             << " in " << harness::Table::fmt(cold_wall, 2) << " s ("
             << cold_stats.misses << " simulations)\n";
@@ -139,7 +140,7 @@ int main(int argc, char** argv) try {
   // The registry's runcache.* counters are process-wide (reset_stats
   // never touches them): take a delta across the warm phase instead.
   const std::uint64_t misses_before_warm =
-      Session::metrics().counter("runcache.misses").value();
+      obs::Registry::instance().counter("runcache.misses").value();
   const double t2 = now_seconds();
   const harness::CorunMatrix warm = build_matrix();
   const double warm_wall = now_seconds() - t2;
@@ -158,7 +159,7 @@ int main(int argc, char** argv) try {
 
   // Publish the pass/fail facts on the metrics surface, where CI
   // asserts them (--metrics=FILE) instead of grepping bench prose.
-  obs::Registry& reg = Session::metrics();
+  obs::Registry& reg = obs::Registry::instance();
   reg.gauge("sim_throughput.warm_misses")
       .set(static_cast<double>(reg.counter("runcache.misses").value() -
                                misses_before_warm));

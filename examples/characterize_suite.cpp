@@ -7,13 +7,14 @@
 //
 // Usage: characterize_suite [suite]
 //   suites: GeminiGraph PowerGraph CNTK PARSEC HPC "SPEC CPU2017"
+#include <exception>
 #include <iostream>
 
-#include "core/session.hpp"
+#include "harness/plan.hpp"
 #include "harness/report.hpp"
 #include "wl/registry.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::string suite = argc > 1 ? argv[1] : "GeminiGraph";
   const auto members = coperf::wl::Registry::instance().suite(suite);
   if (members.empty()) {
@@ -23,11 +24,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  coperf::Session session;
   std::cout << "characterizing suite " << suite << " ("
             << members.size() << " workloads)\n\n";
 
-  auto plan = session.plan();
+  coperf::harness::ExperimentPlan plan;  // scaled machine, Small inputs
   for (const auto* w : members) {
     plan.add_scalability({w->name, 8});  // includes the 1/4/8-thread solos
     plan.add_prefetch({w->name, 4});
@@ -53,4 +53,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(S(t): speedup at t threads; BW in GB/s; prefetch: "
                "t_on/t_off, lower = more prefetch-sensitive)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -10,12 +10,13 @@
 // which loops background-style until the others finish (the paper's
 // restart-until-done semantics, generalized). A plan collects the
 // group and the solo baselines, so nothing simulates twice.
+#include <exception>
 #include <iostream>
 
-#include "core/session.hpp"
+#include "harness/plan.hpp"
 #include "harness/report.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace coperf;
   std::vector<std::string> apps;
   for (int i = 1; i < argc; ++i) apps.push_back(argv[i]);
@@ -25,9 +26,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Session session;
-  const unsigned threads = static_cast<unsigned>(
-      session.machine().num_cores / apps.size());
+  const harness::RunOptions opt;  // scaled paper machine, Small inputs
+  const unsigned threads =
+      static_cast<unsigned>(opt.machine.num_cores / apps.size());
   if (threads == 0) {
     std::cerr << "more workloads than cores\n";
     return 1;
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
 
   // One plan: the group plus each member's solo baseline at the same
   // thread count (deduplicated against the run cache).
-  auto plan = session.plan();
+  harness::ExperimentPlan plan{opt};
   plan.add_group(spec);
   for (const auto& a : apps) plan.add_solo({a, threads});
   const auto results = plan.execute();
@@ -77,4 +78,7 @@ int main(int argc, char** argv) {
   std::cout << "\nJSON (report::to_json):\n"
             << harness::report::to_json(g) << "\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -5,13 +5,14 @@
 // model, then feeds it -- unchanged -- to the classification layer,
 // exactly as a measured matrix would be. example_schedule_cluster
 // takes the next step: online placement on a predicted matrix.
+#include <exception>
 #include <iostream>
 #include <sstream>
 
 #include "harness/report.hpp"
 #include "predict/eval.hpp"
 
-int main() {
+int main() try {
   using namespace coperf;
 
   const std::vector<std::string> workloads = {"Stream", "Bandit",   "G-PR",
@@ -51,4 +52,7 @@ int main() {
   std::cout << "\nfor interference-aware placement on predicted costs, run "
                "example_schedule_cluster\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -5,24 +5,29 @@
 // Usage: quickstart [workload] [threads]
 //   e.g. quickstart G-PR 4
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
-#include "core/session.hpp"
+#include "harness/plan.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  using namespace coperf;
   const std::string workload = argc > 1 ? argv[1] : "G-PR";
   const unsigned threads =
       argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
 
-  coperf::Session session;  // scaled paper machine, Small inputs
+  const harness::RunOptions opt;  // scaled paper machine, Small inputs
   std::cout << "coperf quickstart\n"
-            << "  machine : " << session.machine().num_cores << " cores @ "
-            << session.machine().freq_ghz << " GHz, LLC "
-            << session.machine().l3.size_bytes / (1024 * 1024) << " MiB, "
-            << session.machine().peak_bw_gbs << " GB/s peak DRAM\n"
+            << "  machine : " << opt.machine.num_cores << " cores @ "
+            << opt.machine.freq_ghz << " GHz, LLC "
+            << opt.machine.l3.size_bytes / (1024 * 1024) << " MiB, "
+            << opt.machine.peak_bw_gbs << " GB/s peak DRAM\n"
             << "  workload: " << workload << " (" << threads << " threads)\n\n";
 
-  const auto r = session.run_solo(workload, threads);
+  const harness::SoloSpec spec{workload, threads};
+  harness::ExperimentPlan plan{opt};
+  plan.add_solo(spec);
+  const harness::RunResult r = plan.execute().solo(spec);
 
   std::cout << "runtime        : " << r.cycles << " cycles ("
             << r.seconds * 1e3 << " ms simulated)\n"
@@ -49,4 +54,7 @@ int main(int argc, char** argv) {
               << region.metrics.llc_mpki << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -14,29 +14,35 @@
 //
 // Usage: schedule_cluster [job1 job2 ... jobN]
 //   default: G-CC fotonik3d swaptions IRSmk blackscholes CIFAR
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "core/session.hpp"
+#include "harness/plan.hpp"
 #include "harness/report.hpp"
 #include "predict/predicted_matrix.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace coperf;
   std::vector<std::string> jobs;
   for (int i = 1; i < argc; ++i) jobs.emplace_back(argv[i]);
   if (jobs.empty())
     jobs = {"G-CC", "fotonik3d", "swaptions", "IRSmk", "blackscholes", "CIFAR"};
 
-  Session session{sim::MachineConfig::scaled(), wl::SizeClass::Tiny};
+  harness::RunOptions opt;
+  opt.size = wl::SizeClass::Tiny;
   std::cout << "profiling " << jobs.size() << " workload types (solo) and "
             << "measuring the " << jobs.size() << "x" << jobs.size()
             << " ground-truth matrix...\n\n";
-  const auto sigs = predict::collect_signatures(jobs, session.options(),
-                                                /*reps=*/1);
-  const auto truth = session.corun_matrix(/*reps=*/1, jobs);
+  const auto sigs = predict::collect_signatures(jobs, opt, /*reps=*/1);
+  // The matrix plan serves its solo baselines from the run cache the
+  // signature solos just filled.
+  const harness::MatrixSpec spec{jobs, /*reps=*/1, {}};
+  harness::ExperimentPlan plan{opt};
+  plan.add_matrix(spec);
+  const auto truth = plan.execute().matrix(spec);
   harness::print_heatmap(std::cout, truth);
 
   // The analytic prediction, and a least-squares model distilled from
@@ -99,4 +105,7 @@ int main(int argc, char** argv) {
             << "/" << jobs.size() * jobs.size()
             << " matrix cells while placing the stream\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

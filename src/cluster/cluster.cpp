@@ -380,6 +380,11 @@ class Engine {
     waiting_.resize(max_priority + 1);
     res_.class_stats.resize(max_priority + 1);
     res_.outcomes.resize(trace.size());
+    // Every job logs Arrive, Place and Finish; the fourth line leaves
+    // room for faults, evictions and deferrals. Growing the log by
+    // doubling instead leaves freed blocks that the allocator keeps, so
+    // peak RSS would depend on how many simulations ran before.
+    res_.log.events.reserve(4 * trace.size());
   }
   Engine(const Engine&) = delete;  // view_ refers into this object
 

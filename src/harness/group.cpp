@@ -1,6 +1,5 @@
 #include "harness/group.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -145,37 +144,6 @@ GroupResult run_group(const GroupSpec& spec, const RunOptions& opt) {
   GroupResult g = simulate_group(spec, opt);
   if (cache.enabled()) cache.store(key, g);
   return g;
-}
-
-GroupResult run_group_median(const GroupSpec& spec, const RunOptions& opt,
-                             unsigned reps) {
-  if (reps == 0) throw std::invalid_argument{"reps must be >= 1"};
-  std::vector<GroupResult> runs;
-  runs.reserve(reps);
-  for (unsigned r = 0; r < reps; ++r) {
-    RunOptions o = opt;
-    o.seed = opt.seed + r;
-    runs.push_back(run_group(spec, o));
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const GroupResult& a, const GroupResult& b) {
-              return a.members[0].cycles < b.members[0].cycles;
-            });
-  return runs[runs.size() / 2];
-}
-
-CorunResult to_corun(const GroupResult& g) {
-  if (g.members.size() != 2)
-    throw std::invalid_argument{
-        "to_corun: only 2-member groups have a pair view"};
-  CorunResult c;
-  c.fg = g.members[0];
-  c.bg_workload = g.members[1].workload;
-  c.bg_runs_completed = g.runs_completed[1];
-  c.bg_stats = g.members[1].stats;
-  c.bg_avg_bw_gbs = g.members[1].avg_bw_gbs;
-  c.total_avg_bw_gbs = g.total_avg_bw_gbs;
-  return c;
 }
 
 }  // namespace coperf::harness

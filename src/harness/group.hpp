@@ -15,11 +15,13 @@
 //     indefinitely until the foregrounds finish, and its completed
 //     iteration count is reported ("background" semantics).
 //
-// run_pair() is the 2-member special case of run_group() and is
-// bit-identical to the pre-group implementation (guarded by the golden
-// snapshots in tests/sim_equivalence_test); 3+-member groups are the
-// scenarios the pair-era API could not express (>2-way interference,
-// observation deconvolution, heterogeneous slot packing).
+// GroupSpec::pair() is the 2-member special case, and run_group() on
+// it is bit-identical to the pre-group pair harness (guarded by the
+// golden snapshots in tests/sim_equivalence_test); 3+-member groups
+// are the scenarios the pair-era API could not express (>2-way
+// interference, observation deconvolution, heterogeneous slot
+// packing). Repeated runs and their median come from ExperimentPlan
+// (harness/plan.hpp).
 #pragma once
 
 #include <cstdint>
@@ -75,13 +77,5 @@ struct GroupResult {
 /// run-to-completion member, zero-thread members, or more total
 /// threads than the machine has cores.
 GroupResult run_group(const GroupSpec& spec, const RunOptions& opt = {});
-
-/// Median-of-N over seeds opt.seed+0..reps-1, ranked by member 0's
-/// cycles (the pair harness' fg-median convention, generalized).
-GroupResult run_group_median(const GroupSpec& spec, const RunOptions& opt = {},
-                             unsigned reps = 3);
-
-/// Views a 2-member GroupResult through the legacy pair lens.
-CorunResult to_corun(const GroupResult& g);
 
 }  // namespace coperf::harness

@@ -154,7 +154,7 @@ class MatrixTruth final : public InterferenceTruth {
 /// measures a cell: one trial per distinct member type, with that
 /// member running to completion ("foreground") on the first cores and
 /// every other resident looping ("background") on the next ones --
-/// run_pair generalized to N members. slowdown(a, {b, c}) is the
+/// GroupSpec::pair generalized to N members. slowdown(a, {b, c}) is the
 /// foreground's cycles over its solo cycles at the same thread count.
 /// Trials execute through ExperimentPlan (median-of-reps, RunCache
 /// dedup), so repeated queries, overlapping prefetches, and repeated

@@ -20,9 +20,10 @@
 //   CorunMatrix m = rs.matrix(fig5);
 //   RunResult solo = rs.solo({subset[0], 4, 3});
 //
-// scalability_sweep() and prefetch_sensitivity() are rebuilt on top of
-// plans, so every bench binary is "build plan -> execute -> emit
-// report".
+// A plan is the one way to run an experiment set and read its medians:
+// every bench binary and example is "build plan -> execute -> emit
+// report". run_group()/run_solo() (harness/group.hpp, runner.hpp) run
+// one trial.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +41,7 @@
 namespace coperf::harness {
 
 /// One workload solo at a fixed thread count, median-of-reps (seeds
-/// seed+0..reps-1, exactly like run_group_median).
+/// seed+0..reps-1, ranked by cycles; see ResultSet::group).
 struct SoloSpec {
   std::string workload;
   unsigned threads = 4;
@@ -89,7 +90,9 @@ class ResultSet {
   /// Raw access by RunCache key (see RunCache::group_key).
   const GroupResult& at(const std::string& key) const;
 
-  /// Median-of-reps group result for a spec added via add_group().
+  /// Median-of-reps group result for a spec added via add_group(): of
+  /// the runs at seeds seed+0..reps-1, the one ranked middle by member
+  /// 0's cycles (the paper's median-of-three, generalized).
   GroupResult group(const GroupSpec& spec, unsigned reps = 1) const;
   /// Median-of-reps solo result (also serves the matrix's baselines).
   RunResult solo(const SoloSpec& spec) const;

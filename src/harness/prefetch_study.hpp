@@ -2,10 +2,11 @@
 // application solo at a fixed thread count with all hardware
 // prefetchers on vs. off (the MSR 0x1A4 experiment) and report the
 // normalized "speedup" t_on / t_off (<= 1 means prefetchers help).
+// Run it with ExperimentPlan::add_prefetch and read it with
+// ResultSet::prefetch (harness/plan.hpp).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "harness/runner.hpp"
 
@@ -20,23 +21,5 @@ struct PrefetchSensitivity {
   double bw_on_gbs = 0.0;
   double bw_off_gbs = 0.0;
 };
-
-PrefetchSensitivity prefetch_sensitivity(std::string_view workload,
-                                         const RunOptions& opt = {});
-
-/// Per-prefetcher ablation: toggles each of the four prefetchers off
-/// individually (extension beyond the paper's all-on/all-off sweep).
-struct PrefetchAblation {
-  std::string workload;
-  double all_on = 1.0;  ///< reference
-  double no_l2_stream = 1.0;
-  double no_l2_adjacent = 1.0;
-  double no_l1_next = 1.0;
-  double no_l1_ip = 1.0;
-  double all_off = 1.0;
-};
-
-PrefetchAblation prefetch_ablation(std::string_view workload,
-                                   const RunOptions& opt = {});
 
 }  // namespace coperf::harness

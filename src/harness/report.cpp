@@ -88,8 +88,6 @@ void print_heatmap(std::ostream& os, const CorunMatrix& m) {
   }
 }
 
-std::string matrix_to_csv(const CorunMatrix& m) { return report::to_csv(m); }
-
 void print_scalability(std::ostream& os,
                        const std::vector<ScalabilityResult>& results) {
   if (results.empty()) return;
@@ -222,17 +220,6 @@ std::string to_json(const GroupResult& g) {
   return os.str();
 }
 
-std::string to_json(const CorunResult& c) {
-  std::ostringstream os;
-  os << "{\"fg\": ";
-  json_run(os, c.fg);
-  os << ", \"bg_workload\": " << json::quote(c.bg_workload)
-     << ", \"bg_runs_completed\": " << c.bg_runs_completed
-     << ", \"bg_avg_bw_gbs\": " << json::number(c.bg_avg_bw_gbs)
-     << ", \"total_avg_bw_gbs\": " << json::number(c.total_avg_bw_gbs) << "}";
-  return os.str();
-}
-
 std::string to_json(const CorunMatrix& m) {
   std::ostringstream os;
   os << "{\"workloads\": [";
@@ -341,31 +328,6 @@ std::string to_csv(const GroupResult& g) {
     line.pop_back();  // the trailing newline; runs_completed goes last
     os << i << ',' << line << ',' << g.runs_completed[i] << '\n';
   }
-  return os.str();
-}
-
-std::string to_csv(const CorunResult& c) {
-  // The background's measurement is its progress, not a completed run:
-  // instructions + iteration count + bandwidth share.
-  std::ostringstream os;
-  os << "role," << kRunCsvHeader << ",runs_completed\n";
-  os << "fg,";
-  {
-    std::ostringstream row;
-    csv_run_row(row, c.fg);
-    std::string line = row.str();
-    line.pop_back();
-    os << line << ",\n";
-  }
-  const perf::Metrics bg = perf::Metrics::from(c.bg_stats);
-  // The background never runs to completion, so its runtime fields are
-  // nan (undefined), consistent with cycle-limit-flagged members.
-  os << "bg," << csv_field(c.bg_workload) << ",,nan,nan,"
-     << c.bg_stats.instructions << ',' << json::number(c.bg_avg_bw_gbs)
-     << ",,," << json::number(bg.cpi) << ',' << json::number(bg.ipc) << ','
-     << json::number(bg.llc_mpki) << ',' << json::number(bg.l2_pcp) << ','
-     << json::number(bg.ll) << ",0,,,,"
-     << c.bg_runs_completed << '\n';
   return os.str();
 }
 

@@ -40,9 +40,6 @@ class Table {
 /// values = normalized runtime.
 void print_heatmap(std::ostream& os, const CorunMatrix& m);
 
-/// CSV dump of the matrix (fg,bg,normalized triples).
-std::string matrix_to_csv(const CorunMatrix& m);
-
 /// Fig. 2-style speedup series for a suite of workloads.
 void print_scalability(std::ostream& os,
                        const std::vector<ScalabilityResult>& results);
@@ -51,7 +48,6 @@ namespace report {
 
 std::string to_json(const RunResult& r);
 std::string to_json(const GroupResult& g);
-std::string to_json(const CorunResult& c);
 std::string to_json(const CorunMatrix& m);
 std::string to_json(const ScalabilityResult& s);
 std::string to_json(const std::vector<ScalabilityResult>& s);
@@ -60,7 +56,6 @@ std::string to_json(const std::vector<PrefetchSensitivity>& p);
 
 std::string to_csv(const RunResult& r);
 std::string to_csv(const GroupResult& g);
-std::string to_csv(const CorunResult& c);
 std::string to_csv(const CorunMatrix& m);
 std::string to_csv(const ScalabilityResult& s);
 std::string to_csv(const std::vector<ScalabilityResult>& s);

@@ -385,16 +385,4 @@ std::string RunCache::group_key(const GroupSpec& spec, const RunOptions& opt) {
   return os.str();
 }
 
-std::string RunCache::solo_key(std::string_view workload,
-                               const RunOptions& opt) {
-  return group_key(GroupSpec::solo(std::string{workload}, opt.threads), opt);
-}
-
-std::string RunCache::pair_key(std::string_view fg, std::string_view bg,
-                               const RunOptions& opt) {
-  return group_key(GroupSpec::pair(std::string{fg}, std::string{bg},
-                                   opt.threads, opt.bg_threads),
-                   opt);
-}
-
 }  // namespace coperf::harness

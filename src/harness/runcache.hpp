@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "harness/group.hpp"
 #include "harness/runner.hpp"
@@ -63,7 +62,7 @@ class RunCache {
   void set_disk_dir(std::string dir);
   const std::string& disk_dir() const { return disk_dir_; }
 
-  // --- used by run_group (and through it run_solo / run_pair) ---------
+  // --- used by run_group (and through it run_solo) --------------------
   bool lookup(const std::string& key, GroupResult* out);
   void store(const std::string& key, const GroupResult& r);
   /// Stats-neutral membership probe (memory or disk) -- lets a plan
@@ -73,12 +72,6 @@ class RunCache {
   /// Canonical key string. Two (spec, options) pairs produce the same
   /// key iff every simulation-relevant field matches.
   static std::string group_key(const GroupSpec& spec, const RunOptions& opt);
-  /// Convenience keys for the 1- and 2-member special cases (thread
-  /// counts come from opt.threads / opt.bg_threads like the runners).
-  static std::string solo_key(std::string_view workload,
-                              const RunOptions& opt);
-  static std::string pair_key(std::string_view fg, std::string_view bg,
-                              const RunOptions& opt);
   /// Fingerprint of every MachineConfig field that affects simulation.
   static std::string machine_fingerprint(const sim::MachineConfig& m);
 

@@ -9,11 +9,4 @@ RunResult run_solo(std::string_view workload, const RunOptions& opt) {
       .members[0];
 }
 
-CorunResult run_pair(std::string_view fg, std::string_view bg,
-                     const RunOptions& opt) {
-  return to_corun(run_group(GroupSpec::pair(std::string{fg}, std::string{bg},
-                                            opt.threads, opt.bg_threads),
-                            opt));
-}
-
 }  // namespace coperf::harness

@@ -55,24 +55,9 @@ struct RunResult {
   sim::LatencyStats latency;
 };
 
-/// Result of one foreground/background pairing.
-struct CorunResult {
-  RunResult fg;
-  std::string bg_workload;
-  std::uint64_t bg_runs_completed = 0;
-  sim::CoreStats bg_stats;
-  double bg_avg_bw_gbs = 0.0;
-  double total_avg_bw_gbs = 0.0;
-};
-
-/// Runs `workload` alone on cores [0, threads).
+/// Runs `workload` alone on cores [0, threads): the 1-member
+/// run_group (harness/group.hpp). A co-run pair is
+/// run_group(GroupSpec::pair(fg, bg), opt).
 RunResult run_solo(std::string_view workload, const RunOptions& opt = {});
-
-/// Runs `fg` on cores [0, threads) against `bg` looping on cores
-/// [threads, threads + bg_threads). Measures the foreground completely
-/// and the background's progress (Section V methodology). Implemented
-/// as the 2-member special case of run_group (harness/group.hpp).
-CorunResult run_pair(std::string_view fg, std::string_view bg,
-                     const RunOptions& opt = {});
 
 }  // namespace coperf::harness

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "harness/plan.hpp"
-
 namespace coperf::harness {
 
 const char* to_string(ScalClass c) {
@@ -23,16 +21,6 @@ ScalClass classify_scalability(double s_max, const ScalThresholds& t) {
   if (s_max < t.low_below) return ScalClass::Low;
   if (s_max < t.high_at_least) return ScalClass::Medium;
   return ScalClass::High;
-}
-
-ScalabilityResult scalability_sweep(std::string_view workload,
-                                    const RunOptions& opt,
-                                    unsigned max_threads,
-                                    const ScalThresholds& thresholds) {
-  const SweepSpec spec{std::string{workload}, max_threads};
-  ExperimentPlan plan{opt};
-  plan.add_scalability(spec);
-  return plan.execute().scalability(spec, thresholds);
 }
 
 }  // namespace coperf::harness

@@ -1,4 +1,7 @@
 // Thread-scalability sweep (paper Section IV-A, Fig. 2, Table II).
+// Run it with ExperimentPlan::add_scalability and read it with
+// ResultSet::scalability (harness/plan.hpp). For SPEC-rate workloads
+// speedup is throughput-based: S(T) = T * t(1copy) / t(Tcopies).
 #pragma once
 
 #include <string>
@@ -32,13 +35,5 @@ struct ScalThresholds {
 };
 
 ScalClass classify_scalability(double s_max, const ScalThresholds& t = {});
-
-/// Sweeps `workload` from 1 to `max_threads` threads, solo.
-/// For SPEC-rate workloads speedup is throughput-based:
-///   S(T) = T * t(1copy) / t(Tcopies).
-ScalabilityResult scalability_sweep(std::string_view workload,
-                                    const RunOptions& opt = {},
-                                    unsigned max_threads = 8,
-                                    const ScalThresholds& t = {});
 
 }  // namespace coperf::harness

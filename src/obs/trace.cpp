@@ -171,10 +171,6 @@ Trace::Span::Span(std::string name, std::string args_json)
   t0_ = Trace::instance().now_us();
 }
 
-void Trace::Span::set_args(std::string args_json) {
-  if (live_) args_ = std::move(args_json);
-}
-
 Trace::Span::~Span() {
   if (!live_) return;
   Trace& tr = Trace::instance();

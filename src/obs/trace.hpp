@@ -96,8 +96,6 @@ class Trace {
    public:
     explicit Span(std::string name, std::string args_json = {});
     ~Span();
-    /// Replaces the args attached when the span closes.
-    void set_args(std::string args_json);
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
 

@@ -23,11 +23,4 @@ std::vector<RegionProfile> profile_app(sim::Machine& m, std::size_t app_index,
   return out;
 }
 
-RegionProfile region_of(sim::Machine& m, std::size_t app_index,
-                        const std::string& region_name) {
-  for (auto& p : profile_app(m, app_index))
-    if (p.region == region_name) return p;
-  return RegionProfile{};
-}
-
 }  // namespace coperf::perf

@@ -16,8 +16,4 @@ namespace coperf::perf {
 std::vector<RegionProfile> profile_app(sim::Machine& m, std::size_t app_index,
                                        std::uint64_t min_cycles = 0);
 
-/// Profile of one specific region by name ("" if absent -> empty name).
-RegionProfile region_of(sim::Machine& m, std::size_t app_index,
-                        const std::string& region_name);
-
 }  // namespace coperf::perf

@@ -128,7 +128,7 @@ EvalResult evaluate(const harness::CorunMatrix& measured,
 EvalResult leave_one_out(
     const harness::CorunMatrix& measured,
     const std::vector<WorkloadSignature>& sigs,
-    const std::function<std::unique_ptr<TrainableModel>()>& make_model,
+    const std::function<std::unique_ptr<TrainableModel>()>& new_model,
     harness::CorunMatrix* predicted_out) {
   if (measured.size() != sigs.size() || sigs.empty())
     throw std::invalid_argument{"leave_one_out: matrix/signature mismatch"};
@@ -149,7 +149,7 @@ EvalResult leave_one_out(
       for (std::size_t bg = 0; bg < n; ++bg)
         if (fg != held && bg != held)
           train.push_back({sigs[fg], sigs[bg], measured.at(fg, bg)});
-    auto model = make_model();
+    auto model = new_model();
     model->train(train);
     // Predict the held-out workload's row and column; off-diagonal
     // cells receive one vote from each side's fold and are averaged.

@@ -53,7 +53,7 @@ EvalResult evaluate(const harness::CorunMatrix& measured,
 EvalResult leave_one_out(
     const harness::CorunMatrix& measured,
     const std::vector<WorkloadSignature>& sigs,
-    const std::function<std::unique_ptr<TrainableModel>()>& make_model,
+    const std::function<std::unique_ptr<TrainableModel>()>& new_model,
     harness::CorunMatrix* predicted_out = nullptr);
 
 /// Accuracy against *measured group truth* -- the re-baseline. Each

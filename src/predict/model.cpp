@@ -2,24 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace coperf::predict {
-
-namespace {
-
-void expect_tag(std::istream& is, const std::string& want) {
-  std::string tag;
-  std::getline(is, tag);
-  if (tag != want)
-    throw std::runtime_error{"model load: expected '" + want + "', got '" +
-                             tag + "'"};
-}
-
-}  // namespace
 
 std::vector<double> pair_features(const WorkloadSignature& fg,
                                   const WorkloadSignature& bg) {
@@ -98,20 +83,6 @@ double BandwidthContentionModel::predict(const WorkloadSignature& fg,
   return 1.0 + chan + queue + cap;
 }
 
-void BandwidthContentionModel::save(std::ostream& os) const {
-  os.precision(17);
-  os << "coperf-model bandwidth v1\n"
-     << params_.saturation << ' ' << params_.asymmetry_coeff << ' '
-     << params_.queue_coeff << ' ' << params_.capacity_coeff << '\n';
-}
-
-void BandwidthContentionModel::load(std::istream& is) {
-  expect_tag(is, "coperf-model bandwidth v1");
-  is >> params_.saturation >> params_.asymmetry_coeff >> params_.queue_coeff >>
-      params_.capacity_coeff;
-  if (!is) throw std::runtime_error{"bandwidth model: malformed parameters"};
-}
-
 // ---------------------------------------------------------------------
 // KnnModel
 // ---------------------------------------------------------------------
@@ -145,7 +116,7 @@ void KnnModel::train(const std::vector<TrainingPair>& pairs) {
 double KnnModel::predict(const WorkloadSignature& fg,
                          const WorkloadSignature& bg) const {
   if (rows_.empty())
-    throw std::logic_error{"knn: predict() before train()/load()"};
+    throw std::logic_error{"knn: predict() before train()"};
   std::vector<double> q = pair_features(fg, bg);
   for (std::size_t f = 0; f < q.size(); ++f) q[f] = (q[f] - mean_[f]) / scale_[f];
   std::vector<std::pair<double, double>> by_dist;  // (distance^2, target)
@@ -182,40 +153,6 @@ void KnnModel::observe(const TrainingPair& sample) {
   for (std::size_t f = 0; f < dim; ++f) row[f] = (row[f] - mean_[f]) / scale_[f];
   rows_.push_back(std::move(row));
   targets_.push_back(sample.slowdown);
-}
-
-void KnnModel::save(std::ostream& os) const {
-  os.precision(17);
-  os << "coperf-model knn v1\n"
-     << k_ << ' ' << mean_.size() << ' ' << rows_.size() << '\n';
-  for (double m : mean_) os << m << ' ';
-  os << '\n';
-  for (double s : scale_) os << s << ' ';
-  os << '\n';
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    for (double f : rows_[i]) os << f << ' ';
-    os << targets_[i] << '\n';
-  }
-}
-
-void KnnModel::load(std::istream& is) {
-  expect_tag(is, "coperf-model knn v1");
-  std::size_t dim = 0, n = 0;
-  is >> k_ >> dim >> n;
-  if (!is || dim != pair_feature_count() || n == 0)
-    throw std::runtime_error{
-        "knn model: feature dimension/row count does not match this build"};
-  mean_.assign(dim, 0.0);
-  scale_.assign(dim, 1.0);
-  for (double& m : mean_) is >> m;
-  for (double& s : scale_) is >> s;
-  rows_.assign(n, std::vector<double>(dim, 0.0));
-  targets_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (double& f : rows_[i]) is >> f;
-    is >> targets_[i];
-  }
-  if (!is) throw std::runtime_error{"knn model: malformed body"};
 }
 
 // ---------------------------------------------------------------------
@@ -291,8 +228,8 @@ void LeastSquaresModel::ensure_rls_state() {
   const std::size_t dim = pair_feature_count() + 1;
   if (weights_.size() != dim) weights_.assign(dim, 0.0);
   if (cov_.size() != dim) {
-    // Diffuse prior: P = I/ridge -- a never-trained (or v1-loaded) model
-    // starts RLS as if ridge-regularized with no data.
+    // Diffuse prior: P = I/ridge -- a never-trained model starts RLS
+    // as if ridge-regularized with no data.
     const double lambda = ridge_ > 1e-9 ? ridge_ : 1e-9;
     cov_.assign(dim, std::vector<double>(dim, 0.0));
     for (std::size_t i = 0; i < dim; ++i) cov_[i][i] = 1.0 / lambda;
@@ -318,82 +255,11 @@ void LeastSquaresModel::observe(const TrainingPair& sample) {
 double LeastSquaresModel::predict(const WorkloadSignature& fg,
                                   const WorkloadSignature& bg) const {
   if (weights_.empty())
-    throw std::logic_error{"lstsq: predict() before train()/load()"};
+    throw std::logic_error{"lstsq: predict() before train()"};
   const std::vector<double> x = pair_features(fg, bg);
   double y = weights_[0];
   for (std::size_t f = 0; f < x.size(); ++f) y += weights_[f + 1] * x[f];
   return y;
-}
-
-void LeastSquaresModel::save(std::ostream& os) const {
-  os.precision(17);
-  // v2 carries the RLS covariance so online refinement resumes exactly
-  // where it stopped; has_cov = 0 for a model that never trained.
-  os << "coperf-model lstsq v2\n"
-     << ridge_ << ' ' << weights_.size() << ' ' << (cov_.empty() ? 0 : 1)
-     << '\n';
-  for (double w : weights_) os << w << ' ';
-  os << '\n';
-  for (const auto& row : cov_) {
-    for (double p : row) os << p << ' ';
-    os << '\n';
-  }
-}
-
-void LeastSquaresModel::load(std::istream& is) {
-  std::string tag;
-  std::getline(is, tag);
-  int version = 0;
-  if (tag == "coperf-model lstsq v1") version = 1;
-  else if (tag == "coperf-model lstsq v2") version = 2;
-  else
-    throw std::runtime_error{
-        "model load: expected 'coperf-model lstsq v1|v2', got '" + tag + "'"};
-  std::size_t dim = 0;
-  int has_cov = 0;
-  is >> ridge_ >> dim;
-  if (version == 2) is >> has_cov;
-  if (!is || dim != pair_feature_count() + 1)
-    throw std::runtime_error{
-        "lstsq model: weight dimension does not match this build"};
-  weights_.assign(dim, 0.0);
-  for (double& w : weights_) is >> w;
-  cov_.clear();
-  if (has_cov) {
-    // v1 files carry no covariance; observe() falls back to the diffuse
-    // prior via ensure_rls_state().
-    cov_.assign(dim, std::vector<double>(dim, 0.0));
-    for (auto& row : cov_)
-      for (double& p : row) is >> p;
-  }
-  if (!is) throw std::runtime_error{"lstsq model: malformed body"};
-}
-
-// ---------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------
-
-std::unique_ptr<InterferenceModel> make_model(std::string_view name) {
-  if (name == "bandwidth") return std::make_unique<BandwidthContentionModel>();
-  if (name == "knn") return std::make_unique<KnnModel>();
-  if (name == "lstsq") return std::make_unique<LeastSquaresModel>();
-  throw std::invalid_argument{"make_model: unknown model '" +
-                              std::string{name} + "'"};
-}
-
-std::unique_ptr<InterferenceModel> load_model(std::istream& is) {
-  std::stringstream buffered;
-  buffered << is.rdbuf();
-  std::string tag, word, name;
-  std::getline(buffered, tag);
-  std::istringstream ts{tag};
-  ts >> word >> name;
-  if (word != "coperf-model")
-    throw std::runtime_error{"load_model: not a coperf model file"};
-  auto model = make_model(name);
-  buffered.seekg(0);
-  model->load(buffered);
-  return model;
 }
 
 }  // namespace coperf::predict

@@ -11,12 +11,9 @@
 //    LLC-capacity terms driven by the signatures' sensitivity/intensity
 //    scores.
 //  * KnnModel / LeastSquaresModel -- data-driven, trained on measured
-//    (fg, bg, slowdown) triples, with save/load to a simple text format
-//    so a model fitted on one machine's sweep can be reused.
+//    (fg, bg, slowdown) triples and refined online by observe().
 #pragma once
 
-#include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,8 +47,6 @@ class InterferenceModel {
   /// exemplar), recursive least squares for the linear model. The
   /// analytic model has no trainable state and ignores it.
   virtual void observe(const TrainingPair& /*sample*/) {}
-  virtual void save(std::ostream& os) const = 0;
-  virtual void load(std::istream& is) = 0;
 };
 
 class TrainableModel : public InterferenceModel {
@@ -83,7 +78,6 @@ class BandwidthContentionModel final : public InterferenceModel {
     /// LLC-capacity theft: victim's LLC-resident reuse x offender's
     /// sweep pressure.
     double capacity_coeff = 1.6;
-    bool operator==(const Params&) const = default;
   };
 
   BandwidthContentionModel() = default;
@@ -92,10 +86,6 @@ class BandwidthContentionModel final : public InterferenceModel {
   std::string name() const override { return "bandwidth"; }
   double predict(const WorkloadSignature& fg,
                  const WorkloadSignature& bg) const override;
-  void save(std::ostream& os) const override;
-  void load(std::istream& is) override;
-
-  const Params& params() const { return params_; }
 
  private:
   Params params_;
@@ -117,8 +107,6 @@ class KnnModel final : public TrainableModel {
   /// existing neighbours keep their distances; on a never-trained model
   /// the identity normalization is used.
   void observe(const TrainingPair& sample) override;
-  void save(std::ostream& os) const override;
-  void load(std::istream& is) override;
 
   std::size_t training_size() const { return targets_.size(); }
 
@@ -144,8 +132,6 @@ class LeastSquaresModel final : public TrainableModel {
   /// and the inverse normal matrix per observation, O(dim^2). Works on
   /// a never-trained model too (zero weights, diffuse prior 1/ridge).
   void observe(const TrainingPair& sample) override;
-  void save(std::ostream& os) const override;
-  void load(std::istream& is) override;
 
   const std::vector<double>& weights() const { return weights_; }
 
@@ -154,15 +140,9 @@ class LeastSquaresModel final : public TrainableModel {
 
   double ridge_ = 1e-3;
   std::vector<double> weights_;  ///< one per pair feature, plus bias at [0]
-  /// RLS state: P = (X^T X + ridge I)^{-1}. Seeded by train(), carried
-  /// through save/load (format v2) so online refinement can resume.
+  /// RLS state: P = (X^T X + ridge I)^{-1}, seeded by train() and
+  /// refined by observe().
   std::vector<std::vector<double>> cov_;
 };
-
-/// Factory by model name ("bandwidth", "knn", "lstsq").
-std::unique_ptr<InterferenceModel> make_model(std::string_view name);
-
-/// Reads the tag line a model's save() wrote and reconstructs it.
-std::unique_ptr<InterferenceModel> load_model(std::istream& is);
 
 }  // namespace coperf::predict

@@ -29,12 +29,6 @@ void Core::attach(OpSource* src, AppId app, Cycle at) {
   frac_cycles_ = 0.0;
 }
 
-void Core::detach() {
-  flush_region();
-  src_ = nullptr;
-  state_ = CoreState::Idle;
-}
-
 CoreStats Core::snapshot() const {
   CoreStats s = stats_;
   s.cycles = local_ - start_;

@@ -53,7 +53,6 @@ class Core {
 
   /// Binds a thread (trace source) to this core, starting at `at`.
   void attach(OpSource* src, AppId app, Cycle at);
-  void detach();
 
   /// Advances local time until >= `until` or the core blocks/finishes.
   void run_until(Cycle until);

@@ -26,9 +26,4 @@ MemorySystem::MemorySystem(const MachineConfig& cfg)
       static_cast<double>(kLineBytes) / (cfg.per_core_bw_gbs / cfg.freq_ghz);
 }
 
-void MemorySystem::set_prefetch_mask(const PrefetchMask& m) {
-  cfg_.prefetch = m;
-  for (auto& b : banks_) b.set_mask(m);
-}
-
 }  // namespace coperf::sim

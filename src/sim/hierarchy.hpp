@@ -107,8 +107,6 @@ class MemorySystem {
   const MemoryChannel& channel() const { return channel_; }
   PrefetcherBank& prefetcher(unsigned core) { return banks_[core]; }
 
-  void set_prefetch_mask(const PrefetchMask& m);
-
   const MachineConfig& config() const { return cfg_; }
 
   /// Arena bytes backing the cache SoA state (diagnostics).

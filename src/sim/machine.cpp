@@ -175,11 +175,6 @@ RunOutcome Machine::run() {
   return out;
 }
 
-void Machine::run_for(Cycle cycles) {
-  const Cycle target = global_ + cycles;
-  while (global_ < target) step_quantum();
-}
-
 CoreStats Machine::app_stats(std::size_t i) const {
   CoreStats total;
   for (unsigned c : apps_[i].cores) total += cores_[c].snapshot();

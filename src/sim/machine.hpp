@@ -62,9 +62,6 @@ class Machine final : public SyncEnv {
   /// Runs until every foreground application finishes.
   RunOutcome run();
 
-  /// Runs for a fixed duration (diagnostics; background-only setups).
-  void run_for(Cycle cycles);
-
   // SyncEnv
   std::optional<Cycle> barrier_arrive(unsigned core, Cycle now) override;
 

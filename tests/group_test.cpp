@@ -1,15 +1,18 @@
 // Fast-tier suite for the N-way group harness (harness/group.hpp):
-// run_group({fg, bg}) must reproduce run_pair bit-identically (the
-// long-tier sim_equivalence_test pins the same path against golden
-// snapshots from the pre-group tree), 3-way groups must run end to
-// end on Tiny inputs, and invalid groups must be rejected.
+// run_group({fg, bg}) must replay bit-identically and match a pair
+// assembled directly on a Machine (the long-tier sim_equivalence_test
+// pins the same path against golden snapshots from the pre-group
+// tree), 3-way groups must run end to end on Tiny inputs, and invalid
+// groups must be rejected.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "harness/group.hpp"
+#include "harness/plan.hpp"
 #include "harness/runcache.hpp"
 #include "harness/runner.hpp"
+#include "median_reference.hpp"
 #include "perf/pcm.hpp"
 #include "sim/machine.hpp"
 #include "wl/registry.hpp"
@@ -45,7 +48,23 @@ void expect_stats_eq(const sim::CoreStats& a, const sim::CoreStats& b) {
   EXPECT_EQ(a.prefetches_issued, b.prefetches_issued);
 }
 
-TEST(Group, TwoMemberGroupIsBitIdenticalToRunPair) {
+void expect_run_eq(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.workload, b.workload);
+  EXPECT_EQ(a.threads, b.threads);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.avg_bw_gbs, b.avg_bw_gbs);
+  EXPECT_EQ(a.footprint_bytes, b.footprint_bytes);
+  EXPECT_EQ(a.hit_cycle_limit, b.hit_cycle_limit);
+  expect_stats_eq(a.stats, b.stats);
+  ASSERT_EQ(a.regions.size(), b.regions.size());
+  for (std::size_t i = 0; i < a.regions.size(); ++i) {
+    EXPECT_EQ(a.regions[i].region, b.regions[i].region);
+    expect_stats_eq(a.regions[i].stats, b.regions[i].stats);
+  }
+}
+
+TEST(Group, TwoMemberGroupReplaysBitIdentically) {
   const RunOptions opt = tiny_opts();
   const GroupSpec spec = GroupSpec::pair("Bandit", "Stream", opt.threads,
                                          opt.bg_threads);
@@ -54,29 +73,17 @@ TEST(Group, TwoMemberGroupIsBitIdenticalToRunPair) {
   cache.set_disk_dir("");  // both runs must really simulate
   cache.clear();
   const GroupResult g = run_group(spec, opt);
-  cache.clear();  // the pair must not just read the cache
-  const CorunResult p = run_pair("Bandit", "Stream", opt);
+  cache.clear();  // the replay must not just read the cache
+  const GroupResult p = run_group(spec, opt);
   cache.set_disk_dir(saved_disk);
 
   ASSERT_EQ(g.members.size(), 2u);
-  EXPECT_EQ(g.members[0].workload, p.fg.workload);
-  EXPECT_EQ(g.members[0].threads, p.fg.threads);
-  EXPECT_EQ(g.members[0].cycles, p.fg.cycles);
-  EXPECT_EQ(g.members[0].seconds, p.fg.seconds);
-  EXPECT_EQ(g.members[0].avg_bw_gbs, p.fg.avg_bw_gbs);
-  EXPECT_EQ(g.members[0].footprint_bytes, p.fg.footprint_bytes);
-  EXPECT_EQ(g.members[0].hit_cycle_limit, p.fg.hit_cycle_limit);
-  expect_stats_eq(g.members[0].stats, p.fg.stats);
-  ASSERT_EQ(g.members[0].regions.size(), p.fg.regions.size());
-  for (std::size_t i = 0; i < g.members[0].regions.size(); ++i) {
-    EXPECT_EQ(g.members[0].regions[i].region, p.fg.regions[i].region);
-    expect_stats_eq(g.members[0].regions[i].stats, p.fg.regions[i].stats);
-  }
-  EXPECT_EQ(g.members[1].workload, p.bg_workload);
-  EXPECT_EQ(g.runs_completed[1], p.bg_runs_completed);
-  expect_stats_eq(g.members[1].stats, p.bg_stats);
-  EXPECT_EQ(g.members[1].avg_bw_gbs, p.bg_avg_bw_gbs);
+  ASSERT_EQ(p.members.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) expect_run_eq(g.members[i], p.members[i]);
+  EXPECT_EQ(g.runs_completed, p.runs_completed);
   EXPECT_EQ(g.total_avg_bw_gbs, p.total_avg_bw_gbs);
+  EXPECT_EQ(g.finish_cycle, p.finish_cycle);
+  EXPECT_EQ(g.hit_cycle_limit, p.hit_cycle_limit);
 }
 
 /// Independent ground truth: the same pair assembled directly on a
@@ -193,16 +200,16 @@ TEST(Group, RejectsInvalidSpecs) {
                             MemberSpec{"Stream", 3, {}, false},
                             MemberSpec{"swaptions", 3, {}, false}};
   EXPECT_THROW(run_group(oversubscribed, opt), std::invalid_argument);
-
-  GroupResult three;
-  three.members.resize(3);
-  EXPECT_THROW(to_corun(three), std::invalid_argument);
 }
 
 TEST(Group, MedianRanksByFirstMember) {
   const RunOptions opt = tiny_opts();
   const GroupSpec spec = GroupSpec::solo("Bandit", 2);
-  const GroupResult med = run_group_median(spec, opt, 3);
+  ExperimentPlan plan{opt};
+  plan.add_group(spec, 3);
+  const GroupResult med = plan.execute().group(spec, 3);
+  EXPECT_EQ(med.members[0].cycles,
+            median_of_runs(spec, opt, 3).members[0].cycles);
   // Median-of-3 must be one of the three seeds' results.
   bool found = false;
   for (unsigned r = 0; r < 3; ++r) {
@@ -211,7 +218,7 @@ TEST(Group, MedianRanksByFirstMember) {
     found |= run_group(spec, o).members[0].cycles == med.members[0].cycles;
   }
   EXPECT_TRUE(found);
-  EXPECT_THROW(run_group_median(spec, opt, 0), std::invalid_argument);
+  EXPECT_THROW(plan.add_group(spec, 0), std::invalid_argument);
 }
 
 TEST(Group, CacheKeyCoversMembersAndSemantics) {

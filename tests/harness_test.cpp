@@ -1,4 +1,4 @@
-// Tests for the experiment harness: solo/pair runners, classification,
+// Tests for the experiment harness: solo/pair runs, classification,
 // scalability math, the co-run matrix and its additive composition,
 // reporters.
 #include <gtest/gtest.h>
@@ -67,28 +67,31 @@ TEST(Runner, SoloRunProducesSaneResult) {
 }
 
 TEST(Runner, PairRunMeasuresBothSides) {
-  const CorunResult r = run_pair("Bandit", "Stream", tiny_opts());
-  EXPECT_EQ(r.fg.workload, "Bandit");
-  EXPECT_EQ(r.bg_workload, "Stream");
-  EXPECT_GT(r.fg.cycles, 0u);
-  EXPECT_GT(r.bg_stats.instructions, 0u);
+  const GroupResult r =
+      run_group(GroupSpec::pair("Bandit", "Stream"), tiny_opts());
+  EXPECT_EQ(r.members[0].workload, "Bandit");
+  EXPECT_EQ(r.members[1].workload, "Stream");
+  EXPECT_GT(r.members[0].cycles, 0u);
+  EXPECT_GT(r.members[1].stats.instructions, 0u);
   EXPECT_GT(r.total_avg_bw_gbs, 0.0);
   // Total bandwidth should be at least each side's own share.
-  EXPECT_GE(r.total_avg_bw_gbs + 0.5, r.fg.avg_bw_gbs);
-  EXPECT_GE(r.total_avg_bw_gbs + 0.5, r.bg_avg_bw_gbs);
+  EXPECT_GE(r.total_avg_bw_gbs + 0.5, r.members[0].avg_bw_gbs);
+  EXPECT_GE(r.total_avg_bw_gbs + 0.5, r.members[1].avg_bw_gbs);
 }
 
 TEST(Runner, CorunSlowsBandwidthVictim) {
   const RunResult solo = run_solo("Bandit", tiny_opts());
-  const CorunResult pair = run_pair("Bandit", "Stream", tiny_opts());
-  EXPECT_GT(pair.fg.cycles, solo.cycles)
+  const GroupResult pair =
+      run_group(GroupSpec::pair("Bandit", "Stream"), tiny_opts());
+  EXPECT_GT(pair.members[0].cycles, solo.cycles)
       << "a bandwidth victim must slow down next to STREAM";
 }
 
 TEST(Runner, FriendlyBackgroundBarelyHurts) {
   const RunResult solo = run_solo("Bandit", tiny_opts());
-  const CorunResult pair = run_pair("Bandit", "swaptions", tiny_opts());
-  const double slowdown = static_cast<double>(pair.fg.cycles) /
+  const GroupResult pair =
+      run_group(GroupSpec::pair("Bandit", "swaptions"), tiny_opts());
+  const double slowdown = static_cast<double>(pair.members[0].cycles) /
                           static_cast<double>(solo.cycles);
   EXPECT_LT(slowdown, 1.2) << "swaptions must be a harmless neighbour";
 }
@@ -96,16 +99,23 @@ TEST(Runner, FriendlyBackgroundBarelyHurts) {
 TEST(Runner, BgThreadPlacementRespected) {
   RunOptions o = tiny_opts(4);
   o.bg_threads = 4;
-  const CorunResult r = run_pair("Stream", "Bandit", o);
-  EXPECT_GT(r.bg_runs_completed + r.bg_stats.instructions, 0u);
+  const GroupResult r = run_group(
+      GroupSpec::pair("Stream", "Bandit", o.threads, o.bg_threads), o);
+  EXPECT_GT(r.runs_completed[1] + r.members[1].stats.instructions, 0u);
   // Over-subscription must be rejected.
   o.threads = 6;
-  EXPECT_THROW(run_pair("Stream", "Bandit", o), std::invalid_argument);
+  EXPECT_THROW(
+      run_group(GroupSpec::pair("Stream", "Bandit", o.threads, o.bg_threads),
+                o),
+      std::invalid_argument);
 }
 
 TEST(PrefetchStudy, StreamIsSensitiveBanditIsNot) {
-  const auto stream = prefetch_sensitivity("Stream", tiny_opts());
-  const auto bandit = prefetch_sensitivity("Bandit", tiny_opts());
+  ExperimentPlan plan{tiny_opts()};
+  plan.add_prefetch({"Stream"}).add_prefetch({"Bandit"});
+  const ResultSet rs = plan.execute();
+  const auto stream = rs.prefetch({"Stream"});
+  const auto bandit = rs.prefetch({"Bandit"});
   EXPECT_LT(stream.speedup_ratio, 0.95)
       << "STREAM must slow down without prefetchers";
   EXPECT_GT(bandit.speedup_ratio, 0.95)
@@ -118,11 +128,24 @@ TEST(PrefetchStudy, AblationTogglesIndividually) {
   // over-fetching effects dominate the streamer's benefit.
   RunOptions o = tiny_opts(2);
   o.size = wl::SizeClass::Small;
-  const auto a = prefetch_ablation("Stream", o);
+  // Each ratio is t(all on) / t(mask), one solo run per mask.
+  const auto cycles_with = [&](sim::PrefetchMask mask) {
+    RunOptions m = o;
+    m.machine.prefetch = mask;
+    return static_cast<double>(run_solo("Stream", m).cycles);
+  };
+  const double on = cycles_with(sim::PrefetchMask::all_on());
+  sim::PrefetchMask no_stream = sim::PrefetchMask::all_on();
+  no_stream.l2_stream = false;
+  sim::PrefetchMask no_adjacent = sim::PrefetchMask::all_on();
+  no_adjacent.l2_adjacent = false;
+  const double no_l2_stream = on / cycles_with(no_stream);
+  const double no_l2_adjacent = on / cycles_with(no_adjacent);
+  const double all_off = on / cycles_with(sim::PrefetchMask::all_off());
   // Disabling the streamer must matter more than the adjacent-line
   // prefetcher for a pure sequential kernel.
-  EXPECT_LT(a.no_l2_stream, a.no_l2_adjacent + 0.05);
-  EXPECT_LE(a.all_off, a.no_l2_stream + 0.05);
+  EXPECT_LT(no_l2_stream, no_l2_adjacent + 0.05);
+  EXPECT_LE(all_off, no_l2_stream + 0.05);
 }
 
 TEST(Matrix, SubsetSweepAndClasses) {
@@ -227,7 +250,7 @@ TEST(Report, HeatmapAndCsvCoverAllCells) {
   std::ostringstream os;
   print_heatmap(os, m);
   EXPECT_NE(os.str().find("1.50"), std::string::npos);
-  const std::string csv = matrix_to_csv(m);
+  const std::string csv = report::to_csv(m);
   EXPECT_NE(csv.find("A,B,1.5000"), std::string::npos);
   EXPECT_NE(csv.find("B,A,2.0000"), std::string::npos);
 }

@@ -8,6 +8,7 @@
 #include "harness/plan.hpp"
 #include "harness/report.hpp"
 #include "harness/runcache.hpp"
+#include "median_reference.hpp"
 
 namespace coperf::harness {
 namespace {
@@ -82,9 +83,10 @@ TEST(Plan, MatrixMatchesDirectRunnerCalls) {
     const sim::Cycle solo = run_solo(subset[fg], opt).cycles;
     EXPECT_EQ(m.solo_cycles[fg], solo);
     for (std::size_t bg = 0; bg < 2; ++bg) {
-      const CorunResult pair = run_pair(subset[fg], subset[bg], opt);
+      const GroupResult pair =
+          run_group(GroupSpec::pair(subset[fg], subset[bg]), opt);
       EXPECT_DOUBLE_EQ(m.at(fg, bg),
-                       static_cast<double>(pair.fg.cycles) /
+                       static_cast<double>(pair.members[0].cycles) /
                            static_cast<double>(solo));
     }
   }
@@ -106,13 +108,13 @@ TEST(Plan, PrecomputedSoloCyclesSkipBaselineTrials) {
   EXPECT_THROW(p2.add_matrix(bad), std::invalid_argument);
 }
 
-TEST(Plan, SoloMedianMatchesRunSoloMedian) {
+TEST(Plan, SoloMedianMatchesMedianOfRuns) {
   const RunOptions opt = tiny_opts(2);
   ExperimentPlan plan{opt};
   plan.add_solo({"Bandit", 2, 3});
   const ResultSet rs = plan.execute();
   EXPECT_EQ(rs.solo({"Bandit", 2, 3}).cycles,
-            run_group_median(GroupSpec::solo("Bandit", 2), opt, 3)
+            median_of_runs(GroupSpec::solo("Bandit", 2), opt, 3)
                 .members[0]
                 .cycles);
 }
@@ -129,9 +131,11 @@ TEST(Plan, ScalabilityAndPrefetchAssembleFromTrials) {
   const ScalabilityResult s = rs.scalability(sweep);
   ASSERT_EQ(s.threads.size(), 2u);
   EXPECT_DOUBLE_EQ(s.speedup[0], 1.0);
-  RunOptions one = opt;
-  one.threads = 1;
-  EXPECT_EQ(s.cycles[0], run_solo("Bandit", one).cycles);
+  for (unsigned t = 1; t <= 2; ++t) {
+    RunOptions o = opt;
+    o.threads = t;
+    EXPECT_EQ(s.cycles[t - 1], run_solo("Bandit", o).cycles) << t;
+  }
 
   const PrefetchSensitivity p = rs.prefetch(pf);
   EXPECT_EQ(p.workload, "Stream");
@@ -140,12 +144,12 @@ TEST(Plan, ScalabilityAndPrefetchAssembleFromTrials) {
   EXPECT_LT(p.speedup_ratio, 1.0)
       << "STREAM must benefit from prefetchers on Tiny too";
 
-  // The two helpers are themselves plan-backed; results must agree.
-  const ScalabilityResult direct = scalability_sweep("Bandit", opt, 2);
-  EXPECT_EQ(direct.cycles, s.cycles);
-  const PrefetchSensitivity pdirect = prefetch_sensitivity("Stream", opt);
-  EXPECT_EQ(pdirect.cycles_on, p.cycles_on);
-  EXPECT_EQ(pdirect.cycles_off, p.cycles_off);
+  RunOptions on = opt;
+  on.machine.prefetch = sim::PrefetchMask::all_on();
+  RunOptions off = opt;
+  off.machine.prefetch = sim::PrefetchMask::all_off();
+  EXPECT_EQ(p.cycles_on, run_solo("Stream", on).cycles);
+  EXPECT_EQ(p.cycles_off, run_solo("Stream", off).cycles);
 }
 
 TEST(Plan, GroupSpecsAreAddressableAndMedianed) {
@@ -160,7 +164,8 @@ TEST(Plan, GroupSpecsAreAddressableAndMedianed) {
   const ResultSet rs = plan.execute();
   const GroupResult g = rs.group(trio, 3);
   ASSERT_EQ(g.members.size(), 3u);
-  EXPECT_EQ(g.members[0].cycles, run_group_median(trio, opt, 3).members[0].cycles);
+  EXPECT_EQ(g.members[0].cycles,
+            median_of_runs(trio, opt, 3).members[0].cycles);
 }
 
 TEST(Plan, ProgressCallbackSeesEveryTrial) {
@@ -235,7 +240,7 @@ TEST(Report, MatrixJsonAndCsvAgreeWithAccessors) {
   EXPECT_NE(j.find("\"classes\""), std::string::npos);
   const std::string c = report::to_csv(m);
   EXPECT_NE(c.find("A,B,1.5000"), std::string::npos);
-  EXPECT_EQ(c, matrix_to_csv(m));
+  EXPECT_EQ(c.rfind("foreground,background,normalized_runtime\n", 0), 0u);
 }
 
 // Satellite regression: CSV fields holding commas are RFC-4180-quoted

@@ -1,6 +1,7 @@
 // Tests for the interference-prediction subsystem: signature
-// extraction, model save/load, predicted-matrix invariants, and the
-// analytic model reproducing measured pair classes end to end.
+// extraction and save/load, model training and online updates,
+// predicted-matrix invariants, and the analytic model reproducing
+// measured pair classes end to end.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "harness/group.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
+#include "median_reference.hpp"
 #include "predict/deconvolve.hpp"
 #include "predict/eval.hpp"
 #include "predict/model.hpp"
@@ -145,7 +147,7 @@ TEST(Signature, LoadRejectsNegativeCountsAndExtraFields) {
 }
 
 // collect_signatures runs one plan; every field must equal a signature
-// built from the reference median runner, in input order, with the
+// built from the reference median of runs, in input order, with the
 // repeated name served twice.
 TEST(Signature, CollectMatchesGroupMedianReference) {
   const auto opt = tiny_opts();
@@ -154,58 +156,11 @@ TEST(Signature, CollectMatchesGroupMedianReference) {
   ASSERT_EQ(sigs.size(), workloads.size());
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const harness::RunResult ref =
-        harness::run_group_median(
+        harness::median_of_runs(
             harness::GroupSpec::solo(workloads[i], opt.threads), opt, 3)
             .members[0];
     EXPECT_EQ(sigs[i], WorkloadSignature::from(ref, opt.machine))
         << workloads[i];
-  }
-}
-
-TEST(Model, BandwidthSaveLoadRoundTrip) {
-  BandwidthContentionModel::Params p;
-  p.saturation = 0.9;
-  p.asymmetry_coeff = 1.25;
-  p.queue_coeff = 0.5;
-  p.capacity_coeff = 2.0;
-  const BandwidthContentionModel m{p};
-  std::stringstream ss;
-  m.save(ss);
-  BandwidthContentionModel loaded;
-  loaded.load(ss);
-  EXPECT_EQ(loaded.params(), p);
-}
-
-TEST(Model, TrainedModelsSurviveSaveLoad) {
-  const auto sigs = synthetic_suite();
-  harness::CorunMatrix fake;
-  for (const auto& s : sigs) {
-    fake.workloads.push_back(s.workload);
-    fake.solo_cycles.push_back(s.solo_cycles);
-  }
-  const BandwidthContentionModel teacher;
-  fake.normalized.assign(sigs.size(), std::vector<double>(sigs.size(), 1.0));
-  for (std::size_t i = 0; i < sigs.size(); ++i)
-    for (std::size_t j = 0; j < sigs.size(); ++j)
-      fake.normalized[i][j] = teacher.predict(sigs[i], sigs[j]);
-  const auto pairs = training_pairs(fake, sigs);
-
-  KnnModel knn{3};
-  knn.train(pairs);
-  LeastSquaresModel lstsq;
-  lstsq.train(pairs);
-
-  for (InterferenceModel* m : {static_cast<InterferenceModel*>(&knn),
-                               static_cast<InterferenceModel*>(&lstsq)}) {
-    std::stringstream ss;
-    m->save(ss);
-    const auto loaded = load_model(ss);
-    EXPECT_EQ(loaded->name(), m->name());
-    for (std::size_t i = 0; i < sigs.size(); ++i)
-      for (std::size_t j = 0; j < sigs.size(); ++j)
-        EXPECT_DOUBLE_EQ(loaded->predict(sigs[i], sigs[j]),
-                         m->predict(sigs[i], sigs[j]))
-            << m->name() << " changed after save/load";
   }
 }
 
@@ -222,23 +177,6 @@ TEST(Model, AnalyticPredictionIsMonotoneInBackgroundDemand) {
     EXPECT_GE(s, prev - 1e-12) << "slowdown dropped at bg bw_fraction " << bb;
     prev = s;
   }
-}
-
-TEST(Model, LoadRejectsForeignFeatureDimension) {
-  // A file whose stored dimension disagrees with this build's
-  // pair_features() must be rejected at load, not crash at predict.
-  std::stringstream knn{"coperf-model knn v1\n3 5 1\n0 0 0 0 0\n1 1 1 1 1\n"
-                        "0 0 0 0 0 1.5\n"};
-  EXPECT_THROW(KnnModel{}.load(knn), std::runtime_error);
-  std::stringstream lstsq{"coperf-model lstsq v1\n0.001 4\n1 0 0 0\n"};
-  EXPECT_THROW(LeastSquaresModel{}.load(lstsq), std::runtime_error);
-}
-
-TEST(Model, FactoryKnowsAllModels) {
-  EXPECT_EQ(make_model("bandwidth")->name(), "bandwidth");
-  EXPECT_EQ(make_model("knn")->name(), "knn");
-  EXPECT_EQ(make_model("lstsq")->name(), "lstsq");
-  EXPECT_THROW(make_model("oracle"), std::invalid_argument);
 }
 
 TEST(Model, UntrainedPredictThrows) {
@@ -327,96 +265,6 @@ TEST(Model, RlsObserveWorksOnColdModel) {
   LeastSquaresModel m;
   for (int i = 0; i < 50; ++i) m.observe({sigs[1], sigs[3], 1.8});
   EXPECT_NEAR(m.predict(sigs[1], sigs[3]), 1.8, 0.05);
-}
-
-TEST(Model, OnlineUpdatedStateSurvivesSaveLoad) {
-  const auto sigs = synthetic_suite();
-  const BandwidthContentionModel teacher;
-  std::vector<TrainingPair> pairs;
-  for (const auto& fg : sigs)
-    for (const auto& bg : sigs)
-      pairs.push_back({fg, bg, teacher.predict(fg, bg)});
-
-  KnnModel knn{3};
-  knn.train(pairs);
-  LeastSquaresModel lstsq;
-  lstsq.train(pairs);
-  for (InterferenceModel* m : {static_cast<InterferenceModel*>(&knn),
-                               static_cast<InterferenceModel*>(&lstsq)}) {
-    m->observe({sigs[0], sigs[5], 2.2});
-    std::stringstream ss;
-    m->save(ss);
-    const auto loaded = load_model(ss);
-    // Round trip preserves the refined predictions...
-    for (const auto& fg : sigs)
-      for (const auto& bg : sigs)
-        EXPECT_DOUBLE_EQ(loaded->predict(fg, bg), m->predict(fg, bg))
-            << m->name() << " changed after online-update save/load";
-    // ...and the update *state*: continuing to observe on the original
-    // and the reloaded copy must stay in lockstep (for lstsq this is
-    // the RLS covariance doing its job, not just the weights).
-    const TrainingPair next{sigs[1], sigs[2], 1.6};
-    m->observe(next);
-    loaded->observe(next);
-    EXPECT_DOUBLE_EQ(loaded->predict(sigs[1], sigs[2]),
-                     m->predict(sigs[1], sigs[2]))
-        << m->name() << " update state diverged after save/load";
-  }
-}
-
-TEST(Model, LstsqLoadsLegacyV1Files) {
-  // A v1 file carries weights only. It must load, predict exactly, and
-  // accept observe() afterwards (covariance restarts from the prior).
-  const std::size_t dim = pair_feature_count() + 1;
-  std::ostringstream file;
-  file << "coperf-model lstsq v1\n" << 0.001 << ' ' << dim << '\n';
-  file << 1.0 << ' ';
-  for (std::size_t i = 1; i < dim; ++i) file << 0.25 << ' ';
-  file << '\n';
-  std::istringstream in{file.str()};
-  LeastSquaresModel m;
-  m.load(in);
-  const auto sigs = synthetic_suite();
-  const auto x = pair_features(sigs[0], sigs[1]);
-  double want = 1.0;
-  for (double f : x) want += 0.25 * f;
-  EXPECT_NEAR(m.predict(sigs[0], sigs[1]), want, 1e-12);
-  m.observe({sigs[0], sigs[1], 1.4});  // must not throw
-}
-
-TEST(Model, LoadRejectsMalformedBodies) {
-  // Truncated kNN body: header promises 2 rows, file has 1.
-  {
-    KnnModel seed{2};
-    seed.observe({synthetic_suite()[0], synthetic_suite()[1], 1.5});
-    seed.observe({synthetic_suite()[2], synthetic_suite()[3], 1.2});
-    std::stringstream ss;
-    seed.save(ss);
-    std::string text = ss.str();
-    text.erase(text.rfind('\n', text.size() - 2) + 1);  // drop last row
-    std::istringstream in{text};
-    EXPECT_THROW(KnnModel{}.load(in), std::runtime_error);
-  }
-  // lstsq v2 that promises a covariance but does not deliver one.
-  {
-    const std::size_t dim = pair_feature_count() + 1;
-    std::ostringstream file;
-    file << "coperf-model lstsq v2\n" << 0.001 << ' ' << dim << " 1\n";
-    for (std::size_t i = 0; i < dim; ++i) file << 1.0 << ' ';
-    file << '\n';
-    std::istringstream in{file.str()};
-    EXPECT_THROW(LeastSquaresModel{}.load(in), std::runtime_error);
-  }
-  // Wrong family tag routed to the wrong loader.
-  {
-    std::istringstream in{"coperf-model knn v1\n3 11 1\n"};
-    EXPECT_THROW(LeastSquaresModel{}.load(in), std::runtime_error);
-  }
-  // Garbage where numbers should be.
-  {
-    std::istringstream in{"coperf-model bandwidth v1\nnot numbers at all\n"};
-    EXPECT_THROW(BandwidthContentionModel{}.load(in), std::runtime_error);
-  }
 }
 
 TEST(PredictedMatrix, ShapeAndNormalizationInvariants) {
@@ -640,11 +488,13 @@ TEST(Integration, AnalyticModelReproducesMeasuredPairClass) {
   const harness::CorunMatrix predicted = predicted_matrix(sigs, model);
 
   const auto measured_class = [&](std::size_t i, std::size_t j) {
-    const auto ij = harness::run_pair(workloads[i], workloads[j], opt);
-    const auto ji = harness::run_pair(workloads[j], workloads[i], opt);
-    const double si = static_cast<double>(ij.fg.cycles) /
+    const auto ij = harness::run_group(
+        harness::GroupSpec::pair(workloads[i], workloads[j]), opt);
+    const auto ji = harness::run_group(
+        harness::GroupSpec::pair(workloads[j], workloads[i]), opt);
+    const double si = static_cast<double>(ij.members[0].cycles) /
                       static_cast<double>(sigs[i].solo_cycles);
-    const double sj = static_cast<double>(ji.fg.cycles) /
+    const double sj = static_cast<double>(ji.members[0].cycles) /
                       static_cast<double>(sigs[j].solo_cycles);
     return harness::classify_pair(si, sj);
   };

@@ -81,8 +81,8 @@ Snapshot snap_solo(const std::string& workload) {
   return out;
 }
 
-/// Co-run pair on a directly assembled Machine (mirrors run_pair's
-/// setup) so the shared-cache counters are snapshotted too.
+/// Co-run pair on a directly assembled Machine (mirrors run_group's
+/// pair setup) so the shared-cache counters are snapshotted too.
 Snapshot snap_pair(const std::string& fg, const std::string& bg) {
   const harness::RunOptions opt = tiny_options();
   const auto& reg = wl::Registry::instance();
@@ -272,29 +272,36 @@ harness::RunOptions cache_test_options() {
 }
 
 TEST(RunCacheKey, KeyCoversEverySimulationInput) {
+  using harness::GroupSpec;
+  using harness::RunCache;
   const harness::RunOptions base = cache_test_options();
-  const std::string k = harness::RunCache::solo_key("Stream", base);
-  EXPECT_EQ(k, harness::RunCache::solo_key("Stream", base))
+  const GroupSpec stream = GroupSpec::solo("Stream", base.threads);
+  const std::string k = RunCache::group_key(stream, base);
+  EXPECT_EQ(k, RunCache::group_key(stream, base))
       << "same options must produce the same key";
 
   harness::RunOptions seed = base;
   seed.seed = 78;
-  EXPECT_NE(k, harness::RunCache::solo_key("Stream", seed))
-      << "seed change must miss";
+  EXPECT_NE(k, RunCache::group_key(stream, seed)) << "seed change must miss";
 
   harness::RunOptions mach = base;
   mach.machine.l3.size_bytes /= 2;
-  EXPECT_NE(k, harness::RunCache::solo_key("Stream", mach))
+  EXPECT_NE(k, RunCache::group_key(stream, mach))
       << "machine-config change must miss";
 
   harness::RunOptions pf = base;
   pf.machine.prefetch.l2_stream = false;
-  EXPECT_NE(k, harness::RunCache::solo_key("Stream", pf))
+  EXPECT_NE(k, RunCache::group_key(stream, pf))
       << "prefetch-mask change must miss";
 
-  EXPECT_NE(k, harness::RunCache::solo_key("Bandit", base));
-  EXPECT_NE(harness::RunCache::pair_key("Stream", "Bandit", base),
-            harness::RunCache::pair_key("Bandit", "Stream", base))
+  EXPECT_NE(k, RunCache::group_key(GroupSpec::solo("Bandit", base.threads),
+                                   base));
+  EXPECT_NE(RunCache::group_key(GroupSpec::pair("Stream", "Bandit",
+                                                base.threads, base.bg_threads),
+                                base),
+            RunCache::group_key(GroupSpec::pair("Bandit", "Stream",
+                                                base.threads, base.bg_threads),
+                                base))
       << "fg/bg are not symmetric";
 }
 

@@ -2,8 +2,7 @@
 // and applications -- asserted at Tiny scale so they gate every build.
 #include <gtest/gtest.h>
 
-#include "harness/prefetch_study.hpp"
-#include "harness/runner.hpp"
+#include "harness/plan.hpp"
 #include "wl/registry.hpp"
 
 namespace coperf::wl {
@@ -16,6 +15,18 @@ harness::RunOptions tiny_opts(unsigned threads = 4) {
   o.threads = threads;
   o.sample_window = 50'000;
   return o;
+}
+
+/// Foreground result of `fg` co-running with `bg` looping beside it.
+harness::GroupResult pair(const std::string& fg, const std::string& bg) {
+  return harness::run_group(harness::GroupSpec::pair(fg, bg), tiny_opts());
+}
+
+/// Prefetchers all-on vs all-off at 4 threads (Fig. 4).
+harness::PrefetchSensitivity prefetch_study(const std::string& w) {
+  harness::ExperimentPlan plan{tiny_opts()};
+  plan.add_prefetch({w});
+  return plan.execute().prefetch({w});
 }
 
 // ---------------------------------------------------------------------
@@ -41,8 +52,8 @@ TEST(SuiteBehavior, PowerGraphBurnsMoreInstructionsPerEdge) {
 TEST(SuiteBehavior, GraphAppsAreNotOffenders) {
   // Fig. 5: graph columns stay near 1.0 even for sensitive foregrounds.
   const auto solo = harness::run_solo("streamcluster", tiny_opts());
-  const auto pair = harness::run_pair("streamcluster", "G-PR", tiny_opts());
-  const double slowdown = static_cast<double>(pair.fg.cycles) /
+  const auto fg = pair("streamcluster", "G-PR").members[0];
+  const double slowdown = static_cast<double>(fg.cycles) /
                           static_cast<double>(solo.cycles);
   EXPECT_LT(slowdown, 1.45) << "graph bg must not crush even a BW-bound fg";
 }
@@ -100,7 +111,7 @@ TEST(SuiteBehavior, BlackscholesPricesMatchClosedForm) {
 }
 
 TEST(SuiteBehavior, StreamclusterIsPrefetchSensitive) {
-  const auto s = harness::prefetch_sensitivity("streamcluster", tiny_opts());
+  const auto s = prefetch_study("streamcluster");
   EXPECT_LT(s.speedup_ratio, 0.92)
       << "regular point streaming must rely on the streamer";
 }
@@ -139,7 +150,7 @@ TEST(SuiteBehavior, RateCopiesOwnPrivateData) {
 }
 
 TEST(SuiteBehavior, FotonikIsThePrefetchFriendlyOffender) {
-  const auto s = harness::prefetch_sensitivity("fotonik3d", tiny_opts());
+  const auto s = prefetch_study("fotonik3d");
   EXPECT_LT(s.speedup_ratio, 0.9);
   const auto r = harness::run_solo("fotonik3d", tiny_opts());
   EXPECT_GT(r.avg_bw_gbs, 8.0);
@@ -157,11 +168,9 @@ TEST(SuiteBehavior, BanditVsStreamSeverityOrdering) {
   // The paper's central Fig. 6 contrast at Tiny scale, for a non-graph
   // victim too.
   const auto solo = harness::run_solo("streamcluster", tiny_opts());
-  const auto vs_bandit =
-      harness::run_pair("streamcluster", "Bandit", tiny_opts());
-  const auto vs_stream =
-      harness::run_pair("streamcluster", "Stream", tiny_opts());
-  EXPECT_GE(vs_stream.fg.cycles, vs_bandit.fg.cycles)
+  const auto vs_bandit = pair("streamcluster", "Bandit").members[0];
+  const auto vs_stream = pair("streamcluster", "Stream").members[0];
+  EXPECT_GE(vs_stream.cycles, vs_bandit.cycles)
       << "LLC-sweeping Stream must hurt at least as much as Bandit";
   (void)solo;
 }
@@ -169,10 +178,9 @@ TEST(SuiteBehavior, BanditVsStreamSeverityOrdering) {
 TEST(SuiteBehavior, BackgroundRestartKeepsBgBusy) {
   // A short bg against a long fg must restart many times (Section V:
   // "executed in background infinitely").
-  harness::RunOptions o = tiny_opts();
-  const auto r = harness::run_pair("G-PR", "Bandit", o);
-  EXPECT_GE(r.bg_runs_completed, 1u);
-  EXPECT_GT(r.bg_stats.instructions, 0u);
+  const auto r = pair("G-PR", "Bandit");
+  EXPECT_GE(r.runs_completed[1], 1u);
+  EXPECT_GT(r.members[1].stats.instructions, 0u);
 }
 
 }  // namespace
