@@ -5,26 +5,26 @@
 //   --native      unscaled paper machine + Native inputs (slow)
 //   --reps=N      repetitions (median), default 3 like the paper
 //   --threads=N   foreground thread count (default 4, like the paper)
-//   --csv         append machine-readable CSV after the table
-//   --json        append machine-readable JSON after the table
-//                 (backed by harness::report::to_json)
-//   --subset=A,B  restrict matrix-style benches to named workloads
 //   --size=S      explicit input size (tiny|small|native), overrides
 //                 the --quick/--native default
-//   --slo=X       p99-slowdown budget for latency-critical jobs (> 1;
-//                 benches with no SLO notion ignore it)
-//   --victim=W    serving workload used as the latency-critical victim
-//                 in SLO benches (default bench-specific)
 //   --trace=FILE  record a Chrome trace of the run (Perfetto-loadable);
 //                 written at exit
 //   --metrics[=FILE]  print the obs metrics snapshot at exit (stdout,
 //                 or FILE when given)
 //
-// Malformed flag values (--reps=abc, --threads=) are rejected with a
-// clear diagnostic and exit code 2 instead of an uncaught exception,
-// and --trace=/--metrics= paths that cannot be opened for writing fail
-// the same way up front instead of silently dropping the output at
-// exit.
+// A bench accepts these only when it reads them (the OptionalFlag set
+// it passes to parse_args), and rejects them otherwise:
+//   --csv         append machine-readable CSV after the table
+//   --json        append machine-readable JSON after the table
+//   --subset=A,B  restrict the bench to named workloads
+// Bench-specific flags (e.g. bench_serving_tail's --slo=X and
+// --victim=W) go through parse_args' `extra` hook.
+//
+// Malformed flag values (--reps=abc, --threads=) and flags the bench
+// does not read are rejected with a clear diagnostic and exit code 2
+// instead of an uncaught exception or silently ignored output, and
+// --trace=/--metrics= paths that cannot be opened for writing fail the
+// same way up front instead of silently dropping the output at exit.
 #pragma once
 
 #include <unistd.h>
@@ -64,13 +64,6 @@ struct BenchArgs {
   /// --metrics[=FILE]: dump the metrics snapshot at exit.
   bool metrics = false;
   std::string metrics_path;  ///< empty = stdout
-  /// --slo=X: p99-slowdown budget for latency-critical jobs (0 =
-  /// bench default; must be > 1 when given -- a budget of 1.0 or less
-  /// is unsatisfiable under any interference).
-  double slo = 0.0;
-  /// --victim=W: serving workload to use as the latency-critical
-  /// victim (empty = bench default).
-  std::string victim;
 
   sim::MachineConfig machine() const {
     return native ? sim::MachineConfig::paper() : sim::MachineConfig::scaled();
@@ -133,6 +126,13 @@ inline unsigned parse_unsigned(const std::string& flag,
   }
   return static_cast<unsigned>(std::stoul(value));
 }
+
+/// Flags a bench reads only if it says so; parse_args rejects the rest.
+enum OptionalFlag : unsigned {
+  kCsv = 1u << 0,
+  kJson = 1u << 1,
+  kSubset = 1u << 2,
+};
 
 /// Strict positive decimal parse for --slo=: digits with at most one
 /// '.', value must exceed `min`. Malformed or out-of-range values exit
@@ -228,14 +228,18 @@ inline void arm_obs_flush() {
 }
 }  // namespace detail
 
-/// `subset_supported`: benches that cannot restrict their workload list
-/// must leave this false so --subset is rejected instead of silently
-/// ignored. `extra` consumes bench-specific flags (documented via
-/// `extra_help`, appended to --help).
-inline BenchArgs parse_args(int argc, char** argv,
-                            bool subset_supported = false,
+/// `optional`: the OptionalFlag bits this bench reads; any other
+/// optional flag is rejected instead of silently ignored. `extra`
+/// consumes bench-specific flags (documented via `extra_help`, appended
+/// to --help).
+inline BenchArgs parse_args(int argc, char** argv, unsigned optional = 0,
                             const ExtraFlag& extra = {},
                             const std::string& extra_help = {}) {
+  const auto require = [optional](OptionalFlag flag, const char* name) {
+    if ((optional & flag) != 0) return;
+    std::cerr << "this bench does not support " << name << "\n";
+    std::exit(2);
+  };
   BenchArgs a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -246,18 +250,17 @@ inline BenchArgs parse_args(int argc, char** argv,
     } else if (arg == "--native") {
       a.native = true;
     } else if (arg == "--csv") {
+      require(kCsv, "--csv");
       a.csv = true;
     } else if (arg == "--json") {
+      require(kJson, "--json");
       a.json = true;
     } else if (arg.rfind("--reps=", 0) == 0) {
       a.reps = parse_unsigned("--reps", arg.substr(7));
     } else if (arg.rfind("--threads=", 0) == 0) {
       a.threads = parse_unsigned("--threads", arg.substr(10));
     } else if (arg.rfind("--subset=", 0) == 0) {
-      if (!subset_supported) {
-        std::cerr << "this bench does not support --subset\n";
-        std::exit(2);
-      }
+      require(kSubset, "--subset");
       a.subset = split_subset(arg.substr(9));
       if (a.subset.empty()) {
         // An empty value (e.g. an unset shell variable) must not
@@ -267,14 +270,6 @@ inline BenchArgs parse_args(int argc, char** argv,
       }
     } else if (arg.rfind("--size=", 0) == 0) {
       a.size_override = parse_size(arg.substr(7));
-    } else if (arg.rfind("--slo=", 0) == 0) {
-      a.slo = parse_decimal_above("--slo", arg.substr(6), 1.0);
-    } else if (arg.rfind("--victim=", 0) == 0) {
-      a.victim = arg.substr(9);
-      if (a.victim.empty()) {
-        std::cerr << "--victim= needs a workload name\n";
-        std::exit(2);
-      }
     } else if (arg.rfind("--trace=", 0) == 0) {
       a.trace_path = arg.substr(8);
       if (a.trace_path.empty()) {
@@ -293,10 +288,11 @@ inline BenchArgs parse_args(int argc, char** argv,
       detail::metrics_sink() = a.metrics_path;
       detail::arm_obs_flush();
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "flags: --quick --native --csv --json --reps=N --threads=N"
-                   " --size=tiny|small|native --slo=X --victim=W"
-                   " --trace=FILE --metrics[=FILE]"
-                << (subset_supported ? " --subset=A,B,..." : "")
+      std::cout << "flags: --quick --native --reps=N --threads=N"
+                   " --size=tiny|small|native --trace=FILE --metrics[=FILE]"
+                << ((optional & kCsv) != 0 ? " --csv" : "")
+                << ((optional & kJson) != 0 ? " --json" : "")
+                << ((optional & kSubset) != 0 ? " --subset=A,B,..." : "")
                 << (extra_help.empty() ? "" : " " + extra_help) << "\n";
       std::exit(0);
     } else {

@@ -58,7 +58,7 @@ int main(int argc, char** argv) try {
     return false;
   };
   const auto args = bench::parse_args(
-      argc, argv, /*subset_supported=*/true, extra,
+      argc, argv, bench::kSubset | bench::kCsv | bench::kJson, extra,
       "--machines=N --slots=N --max-truth-arity=N");
   bench::print_config(args, "cluster placement regret at measured group "
                             "truth -- {random, static, online} vs oracle");

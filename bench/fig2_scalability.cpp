@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  const auto args = bench::parse_args(argc, argv);
+  const auto args = bench::parse_args(argc, argv, bench::kCsv | bench::kJson);
   bench::print_config(args, "Fig. 2 -- thread scalability, 1..8 threads");
 
   const char* suites[] = {"PowerGraph", "GeminiGraph", "CNTK",

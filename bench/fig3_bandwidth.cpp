@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  const auto args = bench::parse_args(argc, argv);
+  const auto args = bench::parse_args(argc, argv, bench::kCsv | bench::kJson);
   bench::print_config(args, "Fig. 3 -- per-app DRAM bandwidth (GB/s)");
 
   constexpr unsigned kThreadCounts[] = {1, 4, 8};

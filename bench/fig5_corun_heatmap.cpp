@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  const auto args = bench::parse_args(argc, argv, /*subset_supported=*/true);
+  const auto args = bench::parse_args(
+      argc, argv, bench::kSubset | bench::kCsv | bench::kJson);
   bench::print_config(args,
                       "Fig. 5 -- 25x25 co-run normalized-runtime heat map");
 

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  const auto args = bench::parse_args(argc, argv, /*subset_supported=*/true);
+  const auto args = bench::parse_args(argc, argv, bench::kSubset | bench::kCsv);
   bench::print_config(args, "Fig. 6 -- co-run with Bandit / Stream");
 
   auto workloads = wl::Registry::instance().applications();

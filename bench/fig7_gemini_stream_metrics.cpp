@@ -17,7 +17,7 @@ coperf::perf::RegionProfile hot_region(
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  const auto args = bench::parse_args(argc, argv);
+  const auto args = bench::parse_args(argc, argv, bench::kCsv);
   bench::print_config(args,
                       "Fig. 7 -- Gemini hot-region metrics, solo vs Stream");
 
@@ -48,21 +48,21 @@ int main(int argc, char** argv) try {
     const auto pair = rs.group(vs_stream(app), reps);
     const auto rsolo = hot_region(solo.regions);
     const auto rp = hot_region(pair.members[0].regions);
-    table.add_row({app, rsolo.region, Table::fmt(rsolo.metrics.cpi),
-                   Table::fmt(rp.metrics.cpi),
-                   Table::fmt(rsolo.metrics.l2_pcp * 100, 0) + "%",
-                   Table::fmt(rp.metrics.l2_pcp * 100, 0) + "%",
-                   Table::fmt(rsolo.metrics.llc_mpki),
-                   Table::fmt(rp.metrics.llc_mpki),
-                   Table::fmt(rsolo.metrics.ll), Table::fmt(rp.metrics.ll)});
-    csv += std::string{app} + "," + Table::fmt(rsolo.metrics.cpi, 3) + "," +
-           Table::fmt(rp.metrics.cpi, 3) + "," +
-           Table::fmt(rsolo.metrics.l2_pcp, 3) + "," +
-           Table::fmt(rp.metrics.l2_pcp, 3) + "," +
-           Table::fmt(rsolo.metrics.llc_mpki, 3) + "," +
-           Table::fmt(rp.metrics.llc_mpki, 3) + "," +
-           Table::fmt(rsolo.metrics.ll, 3) + "," + Table::fmt(rp.metrics.ll, 3) +
-           "\n";
+    table.add_row({app, rsolo.region, Table::fmt(rsolo.stats.cpi()),
+                   Table::fmt(rp.stats.cpi()),
+                   Table::fmt(rsolo.stats.l2_pcp() * 100, 0) + "%",
+                   Table::fmt(rp.stats.l2_pcp() * 100, 0) + "%",
+                   Table::fmt(rsolo.stats.llc_mpki()),
+                   Table::fmt(rp.stats.llc_mpki()),
+                   Table::fmt(rsolo.stats.ll()), Table::fmt(rp.stats.ll())});
+    csv += std::string{app} + "," + Table::fmt(rsolo.stats.cpi(), 3) + "," +
+           Table::fmt(rp.stats.cpi(), 3) + "," +
+           Table::fmt(rsolo.stats.l2_pcp(), 3) + "," +
+           Table::fmt(rp.stats.l2_pcp(), 3) + "," +
+           Table::fmt(rsolo.stats.llc_mpki(), 3) + "," +
+           Table::fmt(rp.stats.llc_mpki(), 3) + "," +
+           Table::fmt(rsolo.stats.ll(), 3) + "," +
+           Table::fmt(rp.stats.ll(), 3) + "\n";
   }
   table.print(std::cout);
   std::cout << "\n(paper: under Stream, LLC MPKI ~x2.6, CPI >x2, L2_PCP up "

@@ -45,10 +45,10 @@ int main(int argc, char** argv) try {
       std::vector<std::string> row{app};
       auto metric_of = [&](const perf::RegionProfile& r) {
         const std::string m{metric};
-        if (m == "CPI") return Table::fmt(r.metrics.cpi);
-        if (m == "L2_PCP") return Table::fmt(r.metrics.l2_pcp * 100, 0) + "%";
-        if (m == "LLC MPKI") return Table::fmt(r.metrics.llc_mpki);
-        return Table::fmt(r.metrics.ll);
+        if (m == "CPI") return Table::fmt(r.stats.cpi());
+        if (m == "L2_PCP") return Table::fmt(r.stats.l2_pcp() * 100, 0) + "%";
+        if (m == "LLC MPKI") return Table::fmt(r.stats.llc_mpki());
+        return Table::fmt(r.stats.ll());
       };
       row.push_back(metric_of(hot_region(solo.regions)));
       for (const char* off : offenders) {

@@ -124,7 +124,7 @@ int main(int argc, char** argv) try {
     return false;
   };
   const auto args = bench::parse_args(
-      argc, argv, /*subset_supported=*/false, extra,
+      argc, argv, bench::kCsv | bench::kJson, extra,
       "--machines=N --jobs=N --slots=N --regret-sample=N "
       "--arrivals=poisson|diurnal|bursty --work=uniform|pareto --faults");
   bench::print_config(args, "fleet-scale cluster engine throughput "

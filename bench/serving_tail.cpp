@@ -38,7 +38,23 @@
 int main(int argc, char** argv) try {
   using namespace coperf;
   unsigned machines = 4, slots = 3, max_truth_arity = 3;
+  // p99-slowdown budget for the latency-critical jobs: must exceed 1,
+  // since a budget of 1.0 or less is unsatisfiable under interference.
+  double slo = 1.5;
+  std::string victim;  // empty = kvserve and lsmserve
   const auto extra = [&](const std::string& arg) {
+    if (arg.rfind("--slo=", 0) == 0) {
+      slo = bench::parse_decimal_above("--slo", arg.substr(6), 1.0);
+      return true;
+    }
+    if (arg.rfind("--victim=", 0) == 0) {
+      victim = arg.substr(9);
+      if (victim.empty()) {
+        std::cerr << "--victim= needs a workload name\n";
+        std::exit(2);
+      }
+      return true;
+    }
     if (arg.rfind("--machines=", 0) == 0) {
       machines = bench::parse_unsigned("--machines", arg.substr(11));
       return true;
@@ -55,8 +71,8 @@ int main(int argc, char** argv) try {
     return false;
   };
   const auto args = bench::parse_args(
-      argc, argv, /*subset_supported=*/true, extra,
-      "--machines=N --slots=N --max-truth-arity=N");
+      argc, argv, bench::kSubset | bench::kCsv | bench::kJson, extra,
+      "--machines=N --slots=N --max-truth-arity=N --slo=X --victim=W");
   bench::print_config(args, "serving tail latency under interference -- "
                             "SLO-aware vs throughput-only placement");
   if (slots < 2 || machines == 0 || max_truth_arity < 2) {
@@ -70,12 +86,11 @@ int main(int argc, char** argv) try {
   if (aggressors.empty())
     aggressors = {"Stream", "Bandit", "G-PR", "fotonik3d"};
   std::vector<std::string> victims =
-      args.victim.empty() ? std::vector<std::string>{"kvserve", "lsmserve"}
-                          : std::vector<std::string>{args.victim};
+      victim.empty() ? std::vector<std::string>{"kvserve", "lsmserve"}
+                     : std::vector<std::string>{victim};
   std::vector<std::string> axis = aggressors;
   axis.insert(axis.end(), victims.begin(), victims.end());
   const std::size_t first_victim = aggressors.size();
-  const double slo = args.slo > 0.0 ? args.slo : 1.5;
 
   const unsigned reps = args.effective_reps();
 

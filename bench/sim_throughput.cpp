@@ -39,7 +39,7 @@ double now_seconds() {
 int main(int argc, char** argv) try {
   using namespace coperf;
 
-  auto args = bench::parse_args(argc, argv, /*subset_supported=*/true);
+  auto args = bench::parse_args(argc, argv, bench::kSubset | bench::kJson);
   const bool json = args.json;
   // This bench defaults to the 8-workload Tiny configuration the perf
   // trajectory tracks (override with --size/--subset as usual).

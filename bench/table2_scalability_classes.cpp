@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  const auto args = bench::parse_args(argc, argv);
+  const auto args = bench::parse_args(argc, argv, bench::kCsv | bench::kJson);
   bench::print_config(args, "Table II -- scalability classes");
 
   const char* suites[] = {"PowerGraph", "GeminiGraph", "CNTK",

@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  const auto args = bench::parse_args(argc, argv);
+  const auto args = bench::parse_args(argc, argv, bench::kCsv);
   bench::print_config(args, "Table III -- pair bandwidth (GB/s)");
 
   struct Pair {

@@ -48,17 +48,17 @@ int main(int argc, char** argv) try {
     Table table{{"co-runner", "CPI", "LLC MPKI", "L2_PCP", "LL"}};
     const auto solo = results.solo({s.app, args.threads, reps});
     const auto rsolo = find_region(solo.regions, s.region);
-    table.add_row({"(none)", Table::fmt(rsolo.metrics.cpi),
-                   Table::fmt(rsolo.metrics.llc_mpki),
-                   Table::fmt(rsolo.metrics.l2_pcp * 100, 0) + "%",
-                   Table::fmt(rsolo.metrics.ll)});
+    table.add_row({"(none)", Table::fmt(rsolo.stats.cpi()),
+                   Table::fmt(rsolo.stats.llc_mpki()),
+                   Table::fmt(rsolo.stats.l2_pcp() * 100, 0) + "%",
+                   Table::fmt(rsolo.stats.ll())});
     for (const char* bg : s.co_runners) {
       const auto pair = results.group(vs(s.app, bg), reps);
       const auto rp = find_region(pair.members[0].regions, s.region);
-      table.add_row({std::string{"with "} + bg, Table::fmt(rp.metrics.cpi),
-                     Table::fmt(rp.metrics.llc_mpki),
-                     Table::fmt(rp.metrics.l2_pcp * 100, 0) + "%",
-                     Table::fmt(rp.metrics.ll)});
+      table.add_row({std::string{"with "} + bg, Table::fmt(rp.stats.cpi()),
+                     Table::fmt(rp.stats.llc_mpki()),
+                     Table::fmt(rp.stats.l2_pcp() * 100, 0) + "%",
+                     Table::fmt(rp.stats.ll())});
     }
     std::cout << s.app << " (" << s.region << " region)\n";
     table.print(std::cout);

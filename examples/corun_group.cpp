@@ -68,7 +68,7 @@ int main(int argc, char** argv) try {
               << harness::Table::fmt(static_cast<double>(m.cycles) /
                                      static_cast<double>(solo.cycles))
               << "x), " << m.avg_bw_gbs << " GB/s, LLC MPKI "
-              << m.metrics.llc_mpki;
+              << m.stats.llc_mpki();
     if (spec.members[i].restart_until_done)
       std::cout << ", " << g.runs_completed[i] << " completed iterations";
     std::cout << "\n";

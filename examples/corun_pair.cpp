@@ -41,10 +41,10 @@ int main(int argc, char** argv) try {
   std::cout << fg << ":\n"
             << "  solo   : " << fg_solo.cycles << " cycles, "
             << fg_solo.avg_bw_gbs << " GB/s, LLC MPKI "
-            << fg_solo.metrics.llc_mpki << "\n"
+            << fg_solo.stats.llc_mpki() << "\n"
             << "  co-run : " << fg_co.cycles << " cycles (" << fg_slowdown
             << "x), " << fg_co.avg_bw_gbs << " GB/s, LLC MPKI "
-            << fg_co.metrics.llc_mpki << "\n";
+            << fg_co.stats.llc_mpki() << "\n";
   std::cout << bg << ":\n"
             << "  solo   : " << bg_solo.cycles << " cycles, "
             << bg_solo.avg_bw_gbs << " GB/s\n"

@@ -52,18 +52,18 @@ int main(int argc, char** argv) try {
     for (const auto& r : solo.regions) std::cerr << "  " << r.region << "\n";
     return 1;
   }
-  table.add_row({"(none)", Table::fmt(solo_region.metrics.cpi),
-                 Table::fmt(solo_region.metrics.llc_mpki),
-                 Table::fmt(solo_region.metrics.l2_pcp * 100, 0) + "%",
-                 Table::fmt(solo_region.metrics.ll)});
+  table.add_row({"(none)", Table::fmt(solo_region.stats.cpi()),
+                 Table::fmt(solo_region.stats.llc_mpki()),
+                 Table::fmt(solo_region.stats.l2_pcp() * 100, 0) + "%",
+                 Table::fmt(solo_region.stats.ll())});
 
   for (const auto& bg : aggressors) {
     const auto pair = rs.group(harness::GroupSpec::pair(victim, bg));
     const auto r = find_region(pair.members[0].regions, region);
-    table.add_row({bg, Table::fmt(r.metrics.cpi),
-                   Table::fmt(r.metrics.llc_mpki),
-                   Table::fmt(r.metrics.l2_pcp * 100, 0) + "%",
-                   Table::fmt(r.metrics.ll)});
+    table.add_row({bg, Table::fmt(r.stats.cpi()),
+                   Table::fmt(r.stats.llc_mpki()),
+                   Table::fmt(r.stats.l2_pcp() * 100, 0) + "%",
+                   Table::fmt(r.stats.ll())});
   }
 
   std::cout << "region: " << solo_region.region << "\n";

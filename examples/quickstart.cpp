@@ -32,10 +32,10 @@ int main(int argc, char** argv) try {
   std::cout << "runtime        : " << r.cycles << " cycles ("
             << r.seconds * 1e3 << " ms simulated)\n"
             << "instructions   : " << r.stats.instructions << "\n"
-            << "CPI            : " << r.metrics.cpi << "\n"
-            << "IPC            : " << r.metrics.ipc << "\n"
-            << "LLC MPKI       : " << r.metrics.llc_mpki << "\n"
-            << "L2 pending     : " << r.metrics.l2_pcp * 100 << "% of cycles\n"
+            << "CPI            : " << r.stats.cpi() << "\n"
+            << "IPC            : " << r.stats.ipc() << "\n"
+            << "LLC MPKI       : " << r.stats.llc_mpki() << "\n"
+            << "L2 pending     : " << r.stats.l2_pcp() * 100 << "% of cycles\n"
             << "mem stalls     : "
             << 100.0 * r.stats.stall_cycles_mem / r.stats.cycles
             << "% of core cycles\n"
@@ -50,8 +50,8 @@ int main(int argc, char** argv) try {
   for (const auto& region : r.regions) {
     if (region.stats.cycles * 50 < r.stats.cycles) continue;  // <2% noise
     std::cout << "  " << region.region << ": " << region.stats.cycles
-              << " cycles, CPI " << region.metrics.cpi << ", LLC MPKI "
-              << region.metrics.llc_mpki << "\n";
+              << " cycles, CPI " << region.stats.cpi() << ", LLC MPKI "
+              << region.stats.llc_mpki() << "\n";
   }
   return 0;
 } catch (const std::exception& e) {

@@ -31,7 +31,6 @@ RunResult collect_member(sim::Machine& m, std::size_t app_index,
   r.cycles = cycles;
   r.seconds = m.config().seconds(cycles);
   r.stats = m.app_stats(app_index);
-  r.metrics = perf::Metrics::from(r.stats);
   r.avg_bw_gbs =
       app_index < bw.app_avg_gbs.size() ? bw.app_avg_gbs[app_index] : 0.0;
   r.regions = perf::profile_app(m, app_index, /*min_cycles=*/1000);

@@ -59,7 +59,7 @@ struct GroupSpec {
 };
 
 /// Result of one group run: a full per-member RunResult each (stats,
-/// metrics, bandwidth, regions), plus group-level aggregates.
+/// bandwidth, regions, latency), plus group-level aggregates.
 struct GroupResult {
   std::vector<RunResult> members;
   /// Completed iterations per member (0 for run-to-completion members

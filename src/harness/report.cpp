@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/json.hpp"
 
@@ -109,13 +111,24 @@ namespace report {
 
 namespace {
 
-void json_metrics(std::ostringstream& os, const perf::Metrics& m) {
-  os << "{\"cpi\": " << json::number(m.cpi)
-     << ", \"ipc\": " << json::number(m.ipc)
-     << ", \"l2_pcp\": " << json::number(m.l2_pcp)
-     << ", \"llc_mpki\": " << json::number(m.llc_mpki)
-     << ", \"l2_mpki\": " << json::number(m.l2_mpki)
-     << ", \"ll\": " << json::number(m.ll) << "}";
+/// The paper's derived metrics (Section VI-A), computed from `s`.
+void json_metrics(std::ostringstream& os, const sim::CoreStats& s) {
+  os << "{\"cpi\": " << json::number(s.cpi())
+     << ", \"ipc\": " << json::number(s.ipc())
+     << ", \"l2_pcp\": " << json::number(s.l2_pcp())
+     << ", \"llc_mpki\": " << json::number(s.llc_mpki())
+     << ", \"l2_mpki\": " << json::number(s.l2_mpki())
+     << ", \"ll\": " << json::number(s.ll()) << "}";
+}
+
+/// Every raw counter, so the document reloads losslessly.
+void json_stats(std::ostringstream& os, const sim::CoreStats& s) {
+  const char* sep = "{";
+  for (const sim::CoreStatField& f : sim::kCoreStatFields) {
+    os << sep << '"' << f.name << "\": " << s.*f.member;
+    sep = ", ";
+  }
+  os << "}";
 }
 
 /// Latency object: counts plus interpolated percentiles in cycles, and
@@ -148,7 +161,9 @@ void json_run(std::ostringstream& os, const RunResult& r) {
      << ", \"latency\": ";
   json_latency(os, r.latency);
   os << ", \"metrics\": ";
-  json_metrics(os, r.metrics);
+  json_metrics(os, r.stats);
+  os << ", \"stats\": ";
+  json_stats(os, r.stats);
   os << ", \"regions\": [";
   bool first = true;
   for (const auto& reg : r.regions) {
@@ -156,41 +171,12 @@ void json_run(std::ostringstream& os, const RunResult& r) {
     first = false;
     os << "{\"region\": " << json::quote(reg.region)
        << ", \"cycles\": " << reg.stats.cycles << ", \"metrics\": ";
-    json_metrics(os, reg.metrics);
+    json_metrics(os, reg.stats);
+    os << ", \"stats\": ";
+    json_stats(os, reg.stats);
     os << "}";
   }
   os << "]}";
-}
-
-constexpr const char* kRunCsvHeader =
-    "workload,threads,cycles,seconds,instructions,avg_bw_gbs,"
-    "footprint_bytes,hit_cycle_limit,cpi,ipc,llc_mpki,l2_pcp,ll,"
-    "req_count,lat_p50,lat_p95,lat_p99";
-
-void csv_run_row(std::ostringstream& os, const RunResult& r) {
-  os << csv_field(r.workload) << ',' << r.threads << ',';
-  // A cycle-limit-flagged run never finished: its runtime is
-  // undefined, not the cycle count the limit happened to cut it at.
-  // Progress counters (instructions, bandwidth) remain real.
-  if (r.hit_cycle_limit)
-    os << "nan,nan,";
-  else
-    os << r.cycles << ',' << json::number(r.seconds) << ',';
-  os << r.stats.instructions << ',' << json::number(r.avg_bw_gbs) << ','
-     << r.footprint_bytes << ',' << (r.hit_cycle_limit ? 1 : 0) << ','
-     << json::number(r.metrics.cpi) << ',' << json::number(r.metrics.ipc)
-     << ',' << json::number(r.metrics.llc_mpki) << ','
-     << json::number(r.metrics.l2_pcp) << ',' << json::number(r.metrics.ll)
-     << ',' << r.latency.count << ',';
-  // Batch workloads have no requests: the percentile columns stay
-  // empty (not nan -- that marks cycle-limit-flagged members).
-  if (r.latency.empty())
-    os << ",,";
-  else
-    os << json::number(r.latency.quantile(0.50)) << ','
-       << json::number(r.latency.quantile(0.95)) << ','
-       << json::number(r.latency.quantile(0.99));
-  os << '\n';
 }
 
 }  // namespace
@@ -218,6 +204,71 @@ std::string to_json(const GroupResult& g) {
      << ", \"hit_cycle_limit\": " << (g.hit_cycle_limit ? "true" : "false")
      << "}";
   return os.str();
+}
+
+namespace {
+
+[[noreturn]] void malformed(const std::string& what) {
+  throw std::runtime_error{"report: " + what};
+}
+
+sim::CoreStats stats_from(const json::Value& v) {
+  sim::CoreStats s;
+  for (const sim::CoreStatField& f : sim::kCoreStatFields)
+    s.*f.member = v.at(f.name).u64();
+  return s;
+}
+
+sim::LatencyStats latency_from(const json::Value& v) {
+  sim::LatencyStats l;
+  l.count = v.at("count").u64();
+  l.sum = v.at("sum").u64();
+  std::uint64_t total = 0;
+  for (const json::Value& entry : v.at("buckets").arr()) {
+    const auto& pair = entry.arr();
+    if (pair.size() != 2 || pair[0].u64() >= l.buckets.size())
+      malformed("latency buckets must be [index, count] pairs");
+    l.buckets[pair[0].u64()] += pair[1].u64();
+    total += pair[1].u64();
+  }
+  if (total != l.count) malformed("latency buckets do not sum to count");
+  return l;
+}
+
+RunResult run_from(const json::Value& v) {
+  RunResult r;
+  r.workload = v.at("workload").str();
+  const std::uint64_t threads = v.at("threads").u64();
+  if (threads > std::numeric_limits<unsigned>::max())
+    malformed("thread count out of range");
+  r.threads = static_cast<unsigned>(threads);
+  r.cycles = v.at("cycles").u64();
+  r.seconds = v.at("seconds").num();
+  r.stats = stats_from(v.at("stats"));
+  r.avg_bw_gbs = v.at("avg_bw_gbs").num();
+  r.footprint_bytes = v.at("footprint_bytes").u64();
+  r.hit_cycle_limit = v.at("hit_cycle_limit").boolean();
+  r.latency = latency_from(v.at("latency"));
+  for (const json::Value& reg : v.at("regions").arr())
+    r.regions.push_back({reg.at("region").str(), stats_from(reg.at("stats"))});
+  return r;
+}
+
+}  // namespace
+
+GroupResult group_from_json(std::string_view text) {
+  const json::Value doc = json::parse(text);
+  GroupResult g;
+  for (const json::Value& m : doc.at("members").arr())
+    g.members.push_back(run_from(m));
+  for (const json::Value& n : doc.at("runs_completed").arr())
+    g.runs_completed.push_back(n.u64());
+  if (g.runs_completed.size() != g.members.size())
+    malformed("runs_completed needs one entry per member");
+  g.total_avg_bw_gbs = doc.at("total_avg_bw_gbs").num();
+  g.finish_cycle = doc.at("finish_cycle").u64();
+  g.hit_cycle_limit = doc.at("hit_cycle_limit").boolean();
+  return g;
 }
 
 std::string to_json(const CorunMatrix& m) {
@@ -311,26 +362,6 @@ std::string to_json(const std::vector<PrefetchSensitivity>& p) {
   return os.str();
 }
 
-std::string to_csv(const RunResult& r) {
-  std::ostringstream os;
-  os << kRunCsvHeader << '\n';
-  csv_run_row(os, r);
-  return os.str();
-}
-
-std::string to_csv(const GroupResult& g) {
-  std::ostringstream os;
-  os << "member," << kRunCsvHeader << ",runs_completed\n";
-  for (std::size_t i = 0; i < g.members.size(); ++i) {
-    std::ostringstream row;
-    csv_run_row(row, g.members[i]);
-    std::string line = row.str();
-    line.pop_back();  // the trailing newline; runs_completed goes last
-    os << i << ',' << line << ',' << g.runs_completed[i] << '\n';
-  }
-  return os.str();
-}
-
 std::string to_csv(const CorunMatrix& m) {
   std::ostringstream os;
   os << "foreground,background,normalized_runtime\n";
@@ -339,10 +370,6 @@ std::string to_csv(const CorunMatrix& m) {
       os << csv_field(m.workloads[fg]) << ',' << csv_field(m.workloads[bg])
          << ',' << Table::fmt(m.at(fg, bg), 4) << '\n';
   return os.str();
-}
-
-std::string to_csv(const ScalabilityResult& s) {
-  return to_csv(std::vector<ScalabilityResult>{s});
 }
 
 std::string to_csv(const std::vector<ScalabilityResult>& s) {
@@ -354,10 +381,6 @@ std::string to_csv(const std::vector<ScalabilityResult>& s) {
          << ',' << json::number(r.speedup[i]) << ','
          << json::number(r.bw_gbs[i]) << ',' << to_string(r.cls) << '\n';
   return os.str();
-}
-
-std::string to_csv(const PrefetchSensitivity& p) {
-  return to_csv(std::vector<PrefetchSensitivity>{p});
 }
 
 std::string to_csv(const std::vector<PrefetchSensitivity>& p) {

@@ -3,14 +3,16 @@
 // Two layers:
 //   * Table / print_heatmap / print_scalability -- human-readable
 //     output in the same shape as the paper's tables and figures;
-//   * report::to_json / report::to_csv -- one uniform machine-readable
-//     emitter per result type, so every bench binary backs its --csv
-//     and --json flags with the same code ("build plan -> execute ->
-//     emit report").
+//   * report::to_json / report::to_csv -- the machine-readable
+//     documents behind the benches' --json and --csv flags. Run and
+//     group JSON carry every raw counter ("stats"), so
+//     group_from_json reads a group back exactly; the run cache
+//     stores its disk entries in that form.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/group.hpp"
@@ -46,20 +48,25 @@ void print_scalability(std::ostream& os,
 
 namespace report {
 
+/// A run's fields, its derived "metrics" and its raw "stats", with the
+/// same pair per region.
 std::string to_json(const RunResult& r);
 std::string to_json(const GroupResult& g);
+/// The inverse of to_json(GroupResult): every field comes back
+/// bit-identical (doubles print with 17 significant digits; a
+/// non-finite one was written as 0), and the derived "metrics" and
+/// latency percentiles are recomputed, not read. Throws
+/// std::runtime_error on malformed or incomplete input, including
+/// latency buckets that do not sum to their count.
+GroupResult group_from_json(std::string_view text);
 std::string to_json(const CorunMatrix& m);
 std::string to_json(const ScalabilityResult& s);
 std::string to_json(const std::vector<ScalabilityResult>& s);
 std::string to_json(const PrefetchSensitivity& p);
 std::string to_json(const std::vector<PrefetchSensitivity>& p);
 
-std::string to_csv(const RunResult& r);
-std::string to_csv(const GroupResult& g);
 std::string to_csv(const CorunMatrix& m);
-std::string to_csv(const ScalabilityResult& s);
 std::string to_csv(const std::vector<ScalabilityResult>& s);
-std::string to_csv(const PrefetchSensitivity& p);
 std::string to_csv(const std::vector<PrefetchSensitivity>& p);
 
 }  // namespace report

@@ -9,10 +9,11 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
+#include "harness/report.hpp"
 #include "obs/metrics.hpp"
-#include "perf/metrics.hpp"
 #include "util/json.hpp"
 
 namespace coperf::harness {
@@ -28,132 +29,10 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-void put_stats(std::ostream& os, const char* tag, const sim::CoreStats& s) {
-  os << tag << ' ' << s.cycles << ' ' << s.instructions << ' ' << s.loads
-     << ' ' << s.stores << ' ' << s.l1d_hits << ' ' << s.l1d_misses << ' '
-     << s.l2_hits << ' ' << s.l2_misses << ' ' << s.l3_hits << ' '
-     << s.l3_misses << ' ' << s.bytes_from_mem << ' ' << s.bytes_written_back
-     << ' ' << s.stall_cycles_mem << ' ' << s.pending_l2_cycles << ' '
-     << s.barrier_wait_cycles << ' ' << s.prefetches_issued << '\n';
-}
-
-bool get_stats(std::istream& is, sim::CoreStats& s) {
-  return static_cast<bool>(
-      is >> s.cycles >> s.instructions >> s.loads >> s.stores >> s.l1d_hits >>
-      s.l1d_misses >> s.l2_hits >> s.l2_misses >> s.l3_hits >> s.l3_misses >>
-      s.bytes_from_mem >> s.bytes_written_back >> s.stall_cycles_mem >>
-      s.pending_l2_cycles >> s.barrier_wait_cycles >> s.prefetches_issued);
-}
-
-void put_run(std::ostream& os, const RunResult& r) {
-  os << "workload " << r.workload << '\n'
-     << "threads " << r.threads << '\n'
-     << "cycles " << r.cycles << '\n'
-     << "seconds " << json::number(r.seconds) << '\n';
-  put_stats(os, "stats", r.stats);
-  // Sparse latency line: count, sum, then (bucket, count) pairs.
-  os << "latency " << r.latency.count << ' ' << r.latency.sum;
-  for (std::size_t b = 0; b < r.latency.buckets.size(); ++b)
-    if (r.latency.buckets[b] != 0)
-      os << ' ' << b << ' ' << r.latency.buckets[b];
-  os << '\n';
-  os << "avg_bw " << json::number(r.avg_bw_gbs) << '\n'
-     << "footprint " << r.footprint_bytes << '\n'
-     << "hit_limit " << (r.hit_cycle_limit ? 1 : 0) << '\n'
-     << "regions " << r.regions.size() << '\n';
-  for (const auto& reg : r.regions) {
-    put_stats(os, "region_stats", reg.stats);
-    // The name goes last on its own line: region ids may contain spaces.
-    os << "region_name " << reg.region << '\n';
-  }
-}
-
-bool get_run(std::istream& is, RunResult& r) {
-  std::string tag;
-  int hit_limit = 0;
-  std::size_t nregions = 0;
-  if (!(is >> tag >> r.workload) || tag != "workload") return false;
-  if (!(is >> tag >> r.threads) || tag != "threads") return false;
-  if (!(is >> tag >> r.cycles) || tag != "cycles") return false;
-  if (!(is >> tag >> r.seconds) || tag != "seconds") return false;
-  if (!(is >> tag) || tag != "stats" || !get_stats(is, r.stats)) return false;
-  if (!(is >> tag >> r.latency.count >> r.latency.sum) || tag != "latency")
-    return false;
-  {
-    // The rest of the latency line is sparse (bucket, count) pairs.
-    r.latency.buckets.fill(0);
-    std::string rest;
-    if (!std::getline(is, rest)) return false;
-    std::istringstream pairs{rest};
-    std::size_t b = 0;
-    std::uint64_t n = 0;
-    std::uint64_t total = 0;
-    while (pairs >> b >> n) {
-      if (b >= r.latency.buckets.size()) return false;
-      r.latency.buckets[b] = n;
-      total += n;
-    }
-    if (total != r.latency.count) return false;
-  }
-  if (!(is >> tag >> r.avg_bw_gbs) || tag != "avg_bw") return false;
-  if (!(is >> tag >> r.footprint_bytes) || tag != "footprint") return false;
-  if (!(is >> tag >> hit_limit) || tag != "hit_limit") return false;
-  if (!(is >> tag >> nregions) || tag != "regions") return false;
-  r.hit_cycle_limit = hit_limit != 0;
-  r.metrics = perf::Metrics::from(r.stats);
-  r.regions.clear();
-  r.regions.reserve(nregions);
-  for (std::size_t i = 0; i < nregions; ++i) {
-    perf::RegionProfile reg;
-    if (!(is >> tag) || tag != "region_stats" || !get_stats(is, reg.stats))
-      return false;
-    if (!(is >> tag) || tag != "region_name") return false;
-    is.ignore(1);  // the separating space
-    if (!std::getline(is, reg.region)) return false;
-    reg.metrics = perf::Metrics::from(reg.stats);
-    r.regions.push_back(std::move(reg));
-  }
-  return true;
-}
-
-void put_group(std::ostream& os, const GroupResult& g) {
-  os << "members " << g.members.size() << '\n';
-  for (std::size_t i = 0; i < g.members.size(); ++i) {
-    put_run(os, g.members[i]);
-    os << "runs_completed " << g.runs_completed[i] << '\n';
-  }
-  os << "total_avg_bw " << json::number(g.total_avg_bw_gbs) << '\n'
-     << "finish_cycle " << g.finish_cycle << '\n'
-     << "group_hit_limit " << (g.hit_cycle_limit ? 1 : 0) << '\n';
-}
-
-bool get_group(std::istream& is, GroupResult& g) {
-  std::string tag;
-  std::size_t nmembers = 0;
-  int hit_limit = 0;
-  if (!(is >> tag >> nmembers) || tag != "members") return false;
-  g.members.clear();
-  g.runs_completed.clear();
-  g.members.reserve(nmembers);
-  g.runs_completed.resize(nmembers, 0);
-  for (std::size_t i = 0; i < nmembers; ++i) {
-    RunResult r;
-    if (!get_run(is, r)) return false;
-    if (!(is >> tag >> g.runs_completed[i]) || tag != "runs_completed")
-      return false;
-    g.members.push_back(std::move(r));
-  }
-  if (!(is >> tag >> g.total_avg_bw_gbs) || tag != "total_avg_bw") return false;
-  if (!(is >> tag >> g.finish_cycle) || tag != "finish_cycle") return false;
-  if (!(is >> tag >> hit_limit) || tag != "group_hit_limit") return false;
-  g.hit_cycle_limit = hit_limit != 0;
-  return true;
-}
-
-// v4: RunResult gained the per-request latency line. The header bump
-// quarantines every v3 entry through the existing wrong-header path,
-// so a stale cache re-simulates instead of parsing garbage.
-constexpr const char* kDiskHeader = "coperf-run-cache v4";
+// v5: the payload is the report document, to_json(GroupResult). The
+// header bump quarantines every older entry through the wrong-header
+// path, so a stale cache re-simulates instead of parsing garbage.
+constexpr const char* kDiskHeader = "coperf-run-cache v5";
 
 std::string checksum_line(std::string_view payload) {
   char buf[32];
@@ -235,12 +114,16 @@ struct RunCache::Impl {
     std::ostringstream rest;
     rest << in.rdbuf();
     const std::string payload = rest.str();
-    std::istringstream body{payload};
-    if (sum != checksum_line(payload) || !get_group(body, *out)) {
-      quarantine(path, corrupt);
-      return false;
+    if (sum == checksum_line(payload)) {
+      try {
+        *out = report::group_from_json(payload);
+        return true;
+      } catch (const std::runtime_error&) {
+        // Checksummed but unreadable: quarantined like a bad checksum.
+      }
     }
-    return true;
+    quarantine(path, corrupt);
+    return false;
   }
 
   void disk_store(const std::string& dir, const std::string& key,
@@ -250,9 +133,7 @@ struct RunCache::Impl {
     std::filesystem::create_directories(dir, ec);
     const auto path = entry_path(dir, key);
     const auto tmp = path.string() + ".tmp" + std::to_string(::getpid());
-    std::ostringstream body;
-    put_group(body, v);
-    const std::string payload = body.str();
+    const std::string payload = report::to_json(v) + '\n';
     {
       std::ofstream out{tmp};
       if (!out) return;

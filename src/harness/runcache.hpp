@@ -14,14 +14,16 @@
 // The in-memory layer is always available and process-local. Disk
 // persistence (sharing results across bench invocations) is opt-in:
 // set COPERF_RUN_CACHE_DIR (the CI jobs point it under the workspace)
-// or call set_disk_dir(). Entries are one text file per key under that
-// directory, named by a 64-bit FNV-1a hash with the full key stored
-// inside and verified on load, so hash collisions degrade to misses.
-// Entries are published by temp-file + atomic rename and carry a
-// payload checksum; a corrupt or truncated entry (a torn write, a
-// stray editor, an old format version) is treated as a miss and
-// quarantined aside as <entry>.corrupt (runcache.corrupt counts them)
-// instead of poisoning every later run.
+// or call set_disk_dir(). Each key gets one file under that directory,
+// named by a 64-bit FNV-1a hash of the key: a header line, the full key
+// (verified on load, so hash collisions degrade to misses), a payload
+// checksum, then the result as its report document
+// (report::to_json(GroupResult), read back with group_from_json).
+// Entries are published by temp-file + atomic rename; a corrupt,
+// truncated or unreadable entry (a torn write, a stray editor, an old
+// format version) is treated as a miss and quarantined aside as
+// <entry>.corrupt (runcache.corrupt counts them) instead of poisoning
+// every later run.
 #pragma once
 
 #include <cstdint>

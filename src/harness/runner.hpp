@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "perf/metrics.hpp"
 #include "perf/pcm.hpp"
+#include "perf/profiler.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 #include "wl/workload.hpp"
@@ -45,8 +45,9 @@ struct RunResult {
   unsigned threads = 0;
   sim::Cycle cycles = 0;   ///< wall-clock of the run (this app)
   double seconds = 0.0;
-  sim::CoreStats stats;    ///< aggregated over the app's cores
-  perf::Metrics metrics;
+  /// Aggregated over the app's cores; the paper's metrics are its
+  /// methods (stats.cpi(), l2_pcp(), llc_mpki(), ll(), ...).
+  sim::CoreStats stats;
   double avg_bw_gbs = 0.0; ///< this app's DRAM bandwidth
   std::vector<perf::RegionProfile> regions;
   std::size_t footprint_bytes = 0;

@@ -3,12 +3,19 @@
 // attribution the paper uses in Section VI).
 #pragma once
 
+#include <string>
 #include <vector>
 
-#include "perf/metrics.hpp"
 #include "sim/machine.hpp"
 
 namespace coperf::perf {
+
+/// Per-region profile entry (VTune hot-spot analogue). The paper's
+/// metrics are the CoreStats methods: stats.cpi(), stats.ll(), ...
+struct RegionProfile {
+  std::string region;
+  sim::CoreStats stats;
+};
 
 /// Named per-region profiles for application binding `app_index`,
 /// ordered by cycles descending. Regions below `min_cycles` are

@@ -115,12 +115,12 @@ WorkloadSignature WorkloadSignature::from(const harness::RunResult& solo,
   WorkloadSignature s;
   s.workload = solo.workload;
   s.threads = solo.threads;
-  s.cpi = solo.metrics.cpi;
-  s.ipc = solo.metrics.ipc;
-  s.l2_pcp = solo.metrics.l2_pcp;
-  s.llc_mpki = solo.metrics.llc_mpki;
-  s.l2_mpki = solo.metrics.l2_mpki;
-  s.ll = solo.metrics.ll;
+  s.cpi = solo.stats.cpi();
+  s.ipc = solo.stats.ipc();
+  s.l2_pcp = solo.stats.l2_pcp();
+  s.llc_mpki = solo.stats.llc_mpki();
+  s.l2_mpki = solo.stats.l2_mpki();
+  s.ll = solo.stats.ll();
   s.solo_bw_gbs = solo.avg_bw_gbs;
   s.bw_fraction =
       machine.peak_bw_gbs > 0 ? solo.avg_bw_gbs / machine.peak_bw_gbs : 0.0;
@@ -151,9 +151,9 @@ WorkloadSignature WorkloadSignature::from(const harness::RunResult& solo,
           : 0.0;
   for (const auto& region : solo.regions) {
     s.peak_region_llc_mpki =
-        std::max(s.peak_region_llc_mpki, region.metrics.llc_mpki);
+        std::max(s.peak_region_llc_mpki, region.stats.llc_mpki());
     s.peak_region_l2_pcp =
-        std::max(s.peak_region_l2_pcp, region.metrics.l2_pcp);
+        std::max(s.peak_region_l2_pcp, region.stats.l2_pcp());
   }
   s.solo_cycles = solo.cycles;
   s.solo_seconds = solo.seconds;

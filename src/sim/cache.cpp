@@ -37,7 +37,6 @@ void Cache::init_storage(Arena& arena) {
   tags_ = arena.alloc_array<Addr>(lines);
   lru_ = arena.alloc_array<std::uint64_t>(lines);
   flags_ = arena.alloc_array<std::uint8_t>(lines);
-  set_app_mask_ = arena.alloc_array<std::uint8_t>(num_sets_);
   mru_idx_ = arena.alloc_array<std::uint32_t>(num_sets_);
   set_epoch_ = arena.alloc_array<std::uint32_t>(num_sets_);
   if (track_private_) private_mask_ = arena.alloc_array<std::uint64_t>(lines);
@@ -68,31 +67,6 @@ Cache::InvalidateResult Cache::invalidate_slow(Addr line) {
   if (track_private_) private_mask_[i] = 0;
   ++stats_.back_invalidations;
   return r;
-}
-
-std::uint64_t Cache::invalidate_app(AppId app) {
-  std::uint64_t remaining = app_lines_[app];
-  if (remaining == 0) return 0;
-  const std::uint8_t bit = app_bit(app);
-  std::uint64_t n = 0;
-  for (std::uint64_t s = 0; s < num_sets_ && remaining > 0; ++s) {
-    if ((set_app_mask_[s] & bit) == 0) continue;  // app never filled here
-    const std::uint64_t base = s * assoc_;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-      const std::uint64_t i = base + w;
-      if ((flags_[i] & kValid) != 0 && app_of_line(tags_[i]) == app) {
-        flags_[i] = 0;
-        ++n;
-        --remaining;
-        --valid_lines_;
-        presence_remove(tags_[i]);
-        ++set_epoch_[s];
-        if (track_private_) private_mask_[i] = 0;
-      }
-    }
-  }
-  app_lines_[app] = 0;
-  return n;
 }
 
 CacheResult Cache::access(Addr line, bool is_write) {
@@ -299,12 +273,9 @@ CacheResult Cache::install(std::uint64_t set, std::uint32_t way, Addr line,
   flags[i] = static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0) |
                                        (from_prefetch ? kPrefetched : 0));
   lru_[i] = ++lru_clock_;
-  const AppId app = app_of_line(line);
-  ++app_lines_[app];
+  ++app_lines_[app_of_line(line)];
   ++valid_lines_;
   presence_add(line);
-  const std::uint8_t bit = app_bit(app);
-  if ((set_app_mask_[set] & bit) == 0) set_app_mask_[set] |= bit;
   if (from_prefetch) ++stats_.prefetch_fills;
   if (memo_valid_ && memo_line_ == line) memo_valid_ = false;
   return r;

@@ -106,16 +106,6 @@ class Cache {
     return invalidate_slow(line);
   }
 
-  /// Drops every line belonging to application `app` (used when a
-  /// background application restarts with a fresh address space is NOT
-  /// done in the paper's methodology -- provided for tests/tools).
-  /// Scans only the sets whose presence summary names the application.
-  std::uint64_t invalidate_app(AppId app);
-
-  /// True when at least one line of `app` is resident. Coarse per-core
-  /// "may hold lines of app X" filter (complements the per-line mask).
-  bool holds_app(AppId app) const { return app_lines_[app] != 0; }
-
   /// Records that `core`'s private caches received a copy of the line
   /// most recently touched here (access hit, probe hit, or fill). The
   /// hierarchy calls this right after the L3 interaction that precedes
@@ -159,11 +149,6 @@ class Cache {
 
   static AppId app_of_line(Addr line) {
     return app_of(line << kLineBytesLog2);
-  }
-  /// Per-set presence summary bit (applications >= 7 share the top bit;
-  /// the summary is conservative, the way scan still matches exactly).
-  static std::uint8_t app_bit(AppId app) {
-    return static_cast<std::uint8_t>(1u << (app < 7 ? app : 7));
   }
 
   std::uint32_t find_way(std::uint64_t set, std::uint64_t base,
@@ -221,8 +206,6 @@ class Cache {
   /// Way index of the line most recently hit/probed/installed; the
   /// anchor for note_private().
   mutable std::uint64_t last_touch_ = 0;
-  /// Sticky per-set summary of which applications may have lines there.
-  std::uint8_t* set_app_mask_ = nullptr;
   /// Per-set most-recently-touched way (global line index): checked
   /// first by find_way, which short-circuits the way scan for the
   /// repeat-touch patterns that dominate demand hits and the stride

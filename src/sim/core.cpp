@@ -41,32 +41,20 @@ const std::vector<std::pair<std::uint32_t, CoreStats>>& Core::region_stats() {
 }
 
 void Core::flush_region() {
-  CoreStats now = stats_;
-  now.cycles = 0;  // cycles handled separately below
   // Workloads declare a handful of regions, so a sorted flat vector
   // beats a node-based map on both lookup and iteration.
   CoreStats& bucket = sim::region_bucket(region_stats_, cur_region_);
-  auto diff = [](std::uint64_t a, std::uint64_t b) { return a - b; };
-  bucket.instructions += diff(now.instructions, region_snapshot_.instructions);
-  bucket.loads += diff(now.loads, region_snapshot_.loads);
-  bucket.stores += diff(now.stores, region_snapshot_.stores);
-  bucket.l1d_hits += diff(now.l1d_hits, region_snapshot_.l1d_hits);
-  bucket.l1d_misses += diff(now.l1d_misses, region_snapshot_.l1d_misses);
-  bucket.l2_hits += diff(now.l2_hits, region_snapshot_.l2_hits);
-  bucket.l2_misses += diff(now.l2_misses, region_snapshot_.l2_misses);
-  bucket.l3_hits += diff(now.l3_hits, region_snapshot_.l3_hits);
-  bucket.l3_misses += diff(now.l3_misses, region_snapshot_.l3_misses);
-  bucket.bytes_from_mem += diff(now.bytes_from_mem, region_snapshot_.bytes_from_mem);
-  bucket.bytes_written_back +=
-      diff(now.bytes_written_back, region_snapshot_.bytes_written_back);
-  bucket.stall_cycles_mem +=
-      diff(now.stall_cycles_mem, region_snapshot_.stall_cycles_mem);
-  bucket.pending_l2_cycles +=
-      diff(now.pending_l2_cycles, region_snapshot_.pending_l2_cycles);
-  bucket.prefetches_issued +=
-      diff(now.prefetches_issued, region_snapshot_.prefetches_issued);
+  // A region is charged the counter deltas since the last flush, except
+  // for two: cycles come from the local clock below, and barrier waits
+  // are not attributed to regions at all.
+  for (const CoreStatField& f : kCoreStatFields) {
+    if (f.member == &CoreStats::cycles ||
+        f.member == &CoreStats::barrier_wait_cycles)
+      continue;
+    bucket.*f.member += stats_.*f.member - region_snapshot_.*f.member;
+  }
   bucket.cycles += local_ - region_start_cycle_;
-  region_snapshot_ = now;
+  region_snapshot_ = stats_;
   region_start_cycle_ = local_;
 }
 

@@ -6,7 +6,6 @@ void PrefetcherBank::reset() {
   ip_table_.fill(IpEntry{});
   streams_.fill(StreamEntry{});
   stream_clock_ = 0;
-  issued_ = 0;
   last_l1_miss_line_ = ~Addr{0};
 }
 

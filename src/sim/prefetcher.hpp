@@ -142,7 +142,6 @@ class PrefetcherBank {
   const PrefetchMask& mask() const { return mask_; }
   void set_mask(const PrefetchMask& m) { mask_ = m; }
 
-  std::uint64_t issued() const { return issued_; }
   void reset();
 
  private:
@@ -175,7 +174,6 @@ class PrefetcherBank {
 
   void emit(Addr line, PrefetchLevel level, std::vector<PrefetchRequest>& out) {
     out.push_back(PrefetchRequest{line, level});
-    ++issued_;
   }
 
   Addr last_l1_miss_line_ = ~Addr{0};
@@ -185,7 +183,6 @@ class PrefetcherBank {
   std::array<IpEntry, kIpTableSize> ip_table_{};
   std::array<StreamEntry, kStreamTableSize> streams_{};
   std::uint64_t stream_clock_ = 0;
-  std::uint64_t issued_ = 0;
 };
 
 }  // namespace coperf::sim

@@ -103,26 +103,43 @@ struct CoreStats {
     return cpi() * l2_pcp() / l2_mpi;
   }
 
-  CoreStats& operator+=(const CoreStats& o) {
-    cycles += o.cycles;
-    instructions += o.instructions;
-    loads += o.loads;
-    stores += o.stores;
-    l1d_hits += o.l1d_hits;
-    l1d_misses += o.l1d_misses;
-    l2_hits += o.l2_hits;
-    l2_misses += o.l2_misses;
-    l3_hits += o.l3_hits;
-    l3_misses += o.l3_misses;
-    bytes_from_mem += o.bytes_from_mem;
-    bytes_written_back += o.bytes_written_back;
-    stall_cycles_mem += o.stall_cycles_mem;
-    pending_l2_cycles += o.pending_l2_cycles;
-    barrier_wait_cycles += o.barrier_wait_cycles;
-    prefetches_issued += o.prefetches_issued;
-    return *this;
-  }
+  CoreStats& operator+=(const CoreStats& o);
 };
+
+/// One CoreStats counter: its name in reports and its member.
+struct CoreStatField {
+  const char* name;
+  std::uint64_t CoreStats::*member;
+};
+
+/// Every CoreStats counter, in declaration order: the one list that
+/// merging, per-region accounting and the report JSON iterate.
+inline constexpr std::array<CoreStatField, 16> kCoreStatFields{{
+    {"cycles", &CoreStats::cycles},
+    {"instructions", &CoreStats::instructions},
+    {"loads", &CoreStats::loads},
+    {"stores", &CoreStats::stores},
+    {"l1d_hits", &CoreStats::l1d_hits},
+    {"l1d_misses", &CoreStats::l1d_misses},
+    {"l2_hits", &CoreStats::l2_hits},
+    {"l2_misses", &CoreStats::l2_misses},
+    {"l3_hits", &CoreStats::l3_hits},
+    {"l3_misses", &CoreStats::l3_misses},
+    {"bytes_from_mem", &CoreStats::bytes_from_mem},
+    {"bytes_written_back", &CoreStats::bytes_written_back},
+    {"stall_cycles_mem", &CoreStats::stall_cycles_mem},
+    {"pending_l2_cycles", &CoreStats::pending_l2_cycles},
+    {"barrier_wait_cycles", &CoreStats::barrier_wait_cycles},
+    {"prefetches_issued", &CoreStats::prefetches_issued},
+}};
+static_assert(sizeof(CoreStats) ==
+                  kCoreStatFields.size() * sizeof(std::uint64_t),
+              "a CoreStats counter is missing from kCoreStatFields");
+
+inline CoreStats& CoreStats::operator+=(const CoreStats& o) {
+  for (const CoreStatField& f : kCoreStatFields) this->*f.member += o.*f.member;
+  return *this;
+}
 
 /// Per-request latency distribution in simulated cycles, recorded at
 /// OpKind::Request boundaries. Same 65-bucket log2 layout as

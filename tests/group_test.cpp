@@ -13,6 +13,7 @@
 #include "harness/runcache.hpp"
 #include "harness/runner.hpp"
 #include "median_reference.hpp"
+#include "result_equality.hpp"
 #include "perf/pcm.hpp"
 #include "sim/machine.hpp"
 #include "wl/registry.hpp"
@@ -29,41 +30,6 @@ RunOptions tiny_opts(unsigned threads = 4) {
   return o;
 }
 
-void expect_stats_eq(const sim::CoreStats& a, const sim::CoreStats& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.loads, b.loads);
-  EXPECT_EQ(a.stores, b.stores);
-  EXPECT_EQ(a.l1d_hits, b.l1d_hits);
-  EXPECT_EQ(a.l1d_misses, b.l1d_misses);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.l3_hits, b.l3_hits);
-  EXPECT_EQ(a.l3_misses, b.l3_misses);
-  EXPECT_EQ(a.bytes_from_mem, b.bytes_from_mem);
-  EXPECT_EQ(a.bytes_written_back, b.bytes_written_back);
-  EXPECT_EQ(a.stall_cycles_mem, b.stall_cycles_mem);
-  EXPECT_EQ(a.pending_l2_cycles, b.pending_l2_cycles);
-  EXPECT_EQ(a.barrier_wait_cycles, b.barrier_wait_cycles);
-  EXPECT_EQ(a.prefetches_issued, b.prefetches_issued);
-}
-
-void expect_run_eq(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.avg_bw_gbs, b.avg_bw_gbs);
-  EXPECT_EQ(a.footprint_bytes, b.footprint_bytes);
-  EXPECT_EQ(a.hit_cycle_limit, b.hit_cycle_limit);
-  expect_stats_eq(a.stats, b.stats);
-  ASSERT_EQ(a.regions.size(), b.regions.size());
-  for (std::size_t i = 0; i < a.regions.size(); ++i) {
-    EXPECT_EQ(a.regions[i].region, b.regions[i].region);
-    expect_stats_eq(a.regions[i].stats, b.regions[i].stats);
-  }
-}
-
 TEST(Group, TwoMemberGroupReplaysBitIdentically) {
   const RunOptions opt = tiny_opts();
   const GroupSpec spec = GroupSpec::pair("Bandit", "Stream", opt.threads,
@@ -78,12 +44,7 @@ TEST(Group, TwoMemberGroupReplaysBitIdentically) {
   cache.set_disk_dir(saved_disk);
 
   ASSERT_EQ(g.members.size(), 2u);
-  ASSERT_EQ(p.members.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) expect_run_eq(g.members[i], p.members[i]);
-  EXPECT_EQ(g.runs_completed, p.runs_completed);
-  EXPECT_EQ(g.total_avg_bw_gbs, p.total_avg_bw_gbs);
-  EXPECT_EQ(g.finish_cycle, p.finish_cycle);
-  EXPECT_EQ(g.hit_cycle_limit, p.hit_cycle_limit);
+  expect_group_eq(g, p);
 }
 
 /// Independent ground truth: the same pair assembled directly on a

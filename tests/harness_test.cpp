@@ -63,7 +63,7 @@ TEST(Runner, SoloRunProducesSaneResult) {
   EXPECT_EQ(r.threads, 2u);
   EXPECT_GT(r.cycles, 0u);
   EXPECT_GT(r.seconds, 0.0);
-  EXPECT_GT(r.metrics.ipc, 0.0);
+  EXPECT_GT(r.stats.ipc(), 0.0);
 }
 
 TEST(Runner, PairRunMeasuresBothSides) {
@@ -261,7 +261,7 @@ TEST(Report, JsonEscapesControlCharactersInNames) {
   const std::string name = "phase\r1\x01\"end\"";
   RunResult r;
   r.workload = "w\tx";
-  r.regions.push_back({name, {}, {}});
+  r.regions.push_back({name, {}});
   const json::Value doc = json::parse(report::to_json(r));
   EXPECT_EQ(doc.at("workload").str(), "w\tx");
   ASSERT_EQ(doc.at("regions").arr().size(), 1u);

@@ -113,8 +113,8 @@ TEST_F(PaperFindings, GraphAppsDoNotHurtTheirNeighbours) {
 
 TEST_F(PaperFindings, LlcMpkiRisesUnderStreamForGraphApps) {
   // Fig. 7c: LLC MPKI of Gemini apps grows under STREAM.
-  EXPECT_GT(pair_fg("G-PR", "Stream").metrics.llc_mpki,
-            solo("G-PR").metrics.llc_mpki * 1.15)
+  EXPECT_GT(pair_fg("G-PR", "Stream").stats.llc_mpki(),
+            solo("G-PR").stats.llc_mpki() * 1.15)
       << "shared-LLC contention must show up in MPKI";
 }
 
@@ -122,8 +122,8 @@ TEST_F(PaperFindings, CpiAndPcpRiseUnderStream) {
   // Fig. 7a/7b: CPI and L2 pending-cycle share increase under STREAM.
   const auto s = solo("G-PR");
   const auto fg = pair_fg("G-PR", "Stream");
-  EXPECT_GT(fg.metrics.cpi, s.metrics.cpi * 1.1);
-  EXPECT_GE(fg.metrics.l2_pcp, s.metrics.l2_pcp * 0.9);
+  EXPECT_GT(fg.stats.cpi(), s.stats.cpi() * 1.1);
+  EXPECT_GE(fg.stats.l2_pcp(), s.stats.l2_pcp() * 0.9);
 }
 
 TEST_F(PaperFindings, FotonikMpkiStableUnderCorun) {
@@ -136,9 +136,9 @@ TEST_F(PaperFindings, FotonikMpkiStableUnderCorun) {
   // Stable = within 35% relative OR within 1.5 MPKI absolute (the
   // prefetch-covered baseline MPKI is small, so tiny absolute shifts
   // can look like large ratios).
-  const double rise = fg.metrics.llc_mpki - s.metrics.llc_mpki;
-  EXPECT_LT(rise, std::max(s.metrics.llc_mpki * 0.35, 1.5));
-  EXPECT_GT(rise, -std::max(s.metrics.llc_mpki * 0.35, 1.5));
+  const double rise = fg.stats.llc_mpki() - s.stats.llc_mpki();
+  EXPECT_LT(rise, std::max(s.stats.llc_mpki() * 0.35, 1.5));
+  EXPECT_GT(rise, -std::max(s.stats.llc_mpki() * 0.35, 1.5));
 }
 
 TEST_F(PaperFindings, PairBandwidthBelowSumOfSolos) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hpp"
-#include "perf/metrics.hpp"
 #include "perf/pcm.hpp"
 #include "perf/profiler.hpp"
 #include "wl/regions.hpp"
@@ -18,21 +17,20 @@ TEST(Metrics, DerivedQuantitiesMatchDefinitions) {
   s.l2_misses = 50;
   s.l3_misses = 20;
   s.pending_l2_cycles = 600;
-  const Metrics m = Metrics::from(s);
-  EXPECT_DOUBLE_EQ(m.cpi, 2.0);
-  EXPECT_DOUBLE_EQ(m.ipc, 0.5);
-  EXPECT_DOUBLE_EQ(m.llc_mpki, 40.0);
-  EXPECT_DOUBLE_EQ(m.l2_mpki, 100.0);
-  EXPECT_DOUBLE_EQ(m.l2_pcp, 0.6);
+  EXPECT_DOUBLE_EQ(s.cpi(), 2.0);
+  EXPECT_DOUBLE_EQ(s.ipc(), 0.5);
+  EXPECT_DOUBLE_EQ(s.llc_mpki(), 40.0);
+  EXPECT_DOUBLE_EQ(s.l2_mpki(), 100.0);
+  EXPECT_DOUBLE_EQ(s.l2_pcp(), 0.6);
   // LL = CPI * L2_PCP / (L2 misses per instruction) = 2*0.6/0.1 = 12.
-  EXPECT_DOUBLE_EQ(m.ll, 12.0);
+  EXPECT_DOUBLE_EQ(s.ll(), 12.0);
 }
 
 TEST(Metrics, ZeroSafeOnEmptyCounters) {
-  const Metrics m = Metrics::from(sim::CoreStats{});
-  EXPECT_EQ(m.cpi, 0.0);
-  EXPECT_EQ(m.llc_mpki, 0.0);
-  EXPECT_EQ(m.ll, 0.0);
+  const sim::CoreStats s;
+  EXPECT_EQ(s.cpi(), 0.0);
+  EXPECT_EQ(s.llc_mpki(), 0.0);
+  EXPECT_EQ(s.ll(), 0.0);
 }
 
 TEST(Regions, StableIdsAndNames) {

@@ -9,6 +9,7 @@
 #include "harness/report.hpp"
 #include "harness/runcache.hpp"
 #include "median_reference.hpp"
+#include "result_equality.hpp"
 
 namespace coperf::harness {
 namespace {
@@ -223,10 +224,54 @@ TEST(Report, RunAndGroupJsonCoverTheResult) {
   EXPECT_NE(gj.find("\"members\""), std::string::npos);
   EXPECT_NE(gj.find("\"Stream\""), std::string::npos);
   EXPECT_NE(gj.find("\"runs_completed\""), std::string::npos);
+}
 
-  const std::string gc = report::to_csv(g);
-  EXPECT_NE(gc.find("member,workload"), std::string::npos);
-  EXPECT_NE(gc.find("Bandit"), std::string::npos);
+TEST(Report, GroupJsonRoundTrips) {
+  RunResult fg;
+  fg.workload = "kv \"serve\"";
+  fg.threads = 3;
+  fg.cycles = 123'456'789'012'345ull;
+  fg.seconds = 0.1;
+  for (std::size_t i = 0; i < sim::kCoreStatFields.size(); ++i)
+    fg.stats.*sim::kCoreStatFields[i].member = (i + 1) * 1'000'000'007ull;
+  fg.stats.cycles = ~std::uint64_t{0};  // 64-bit counters reload exactly
+  fg.avg_bw_gbs = 1.0 / 3.0;
+  fg.footprint_bytes = std::size_t{1} << 40;
+  fg.latency.record(3);
+  fg.latency.record(4096);
+  fg.latency.record(4096);
+  sim::CoreStats hot;
+  hot.cycles = 77;
+  hot.l2_misses = 5;
+  fg.regions = {{"hot \"loop\"\tstage\n2", hot}, {"<untagged>", {}}};
+  RunResult bg;
+  bg.workload = "Stream";
+  bg.threads = 1;
+  bg.hit_cycle_limit = true;
+
+  GroupResult g;
+  g.members = {fg, bg};
+  g.runs_completed = {0, 7};
+  g.total_avg_bw_gbs = 2.0 / 7.0;
+  g.finish_cycle = 999;
+  g.hit_cycle_limit = true;
+
+  const std::string doc = report::to_json(g);
+  expect_group_eq(report::group_from_json(doc), g);
+  EXPECT_EQ(report::to_json(report::group_from_json(doc)), doc);
+
+  // Latency buckets that do not sum to count are rejected.
+  std::string bad = doc;
+  const std::string count = "\"latency\": {\"count\": 3,";
+  ASSERT_NE(bad.find(count), std::string::npos);
+  bad.replace(bad.find(count), count.size(), "\"latency\": {\"count\": 4,");
+  EXPECT_THROW(report::group_from_json(bad), std::runtime_error);
+  // So are truncated documents and documents missing a field.
+  EXPECT_THROW(report::group_from_json(doc.substr(0, doc.size() / 2)),
+               std::runtime_error);
+  std::string missing = doc;
+  missing.replace(missing.find("\"finish_cycle\""), 14, "\"finish_cyclX\"");
+  EXPECT_THROW(report::group_from_json(missing), std::runtime_error);
 }
 
 TEST(Report, MatrixJsonAndCsvAgreeWithAccessors) {
@@ -243,38 +288,9 @@ TEST(Report, MatrixJsonAndCsvAgreeWithAccessors) {
   EXPECT_EQ(c.rfind("foreground,background,normalized_runtime\n", 0), 0u);
 }
 
-// Satellite regression: CSV fields holding commas are RFC-4180-quoted
-// and cycle-limit-flagged (unfinished) members report nan runtimes
-// instead of the bogus cycle count the limit cut them at.
-TEST(Report, CsvQuotesCommasAndFlagsUnfinishedMembersAsNan) {
-  RunResult finished;
-  finished.workload = "G-PR, warm";  // a name with a comma and a space
-  finished.threads = 2;
-  finished.cycles = 1234;
-  finished.seconds = 0.5;
-  RunResult unfinished = finished;
-  unfinished.workload = "Stream";
-  unfinished.hit_cycle_limit = true;
-
-  const std::string fcsv = report::to_csv(finished);
-  EXPECT_NE(fcsv.find("\"G-PR, warm\",2,1234,"), std::string::npos)
-      << "comma-holding names must be quoted so columns stay aligned";
-  EXPECT_EQ(fcsv.find("nan"), std::string::npos);
-
-  const std::string ucsv = report::to_csv(unfinished);
-  EXPECT_NE(ucsv.find("Stream,2,nan,nan,"), std::string::npos)
-      << "an unfinished run has no defined cycles/seconds";
-  EXPECT_NE(ucsv.find(",1,"), std::string::npos) << "hit_cycle_limit column";
-
-  GroupResult g;
-  g.members = {finished, unfinished};
-  g.runs_completed = {0, 0};
-  const std::string gcsv = report::to_csv(g);
-  EXPECT_NE(gcsv.find("0,\"G-PR, warm\",2,1234,"), std::string::npos);
-  EXPECT_NE(gcsv.find("1,Stream,2,nan,nan,"), std::string::npos)
-      << "the cycle-limit-flagged member must emit nan consistently";
-
-  // Quoting applies to every name-bearing emitter.
+// CSV fields holding commas or quotes are RFC-4180-quoted, so a
+// workload name cannot shift columns.
+TEST(Report, CsvQuotesNameFields) {
   CorunMatrix m;
   m.workloads = {"a,b", "c\"d"};
   m.solo_cycles = {1, 1};
@@ -296,7 +312,7 @@ TEST(Report, ScalabilityAndPrefetchEmitters) {
   s.bw_gbs = {1.0, 2.0};
   s.cls = ScalClass::Low;
   EXPECT_NE(report::to_json(s).find("\"class\": \"Low\""), std::string::npos);
-  EXPECT_NE(report::to_csv(s).find("W,2,60"), std::string::npos);
+  EXPECT_NE(report::to_csv(std::vector{s}).find("W,2,60"), std::string::npos);
 
   PrefetchSensitivity p;
   p.workload = "W";
@@ -305,7 +321,8 @@ TEST(Report, ScalabilityAndPrefetchEmitters) {
   p.speedup_ratio = 0.9;
   EXPECT_NE(report::to_json(p).find("\"speedup_ratio\": 0.9"),
             std::string::npos);
-  EXPECT_NE(report::to_csv(p).find("W,90,100"), std::string::npos);
+  EXPECT_NE(report::to_csv(std::vector{p}).find("W,90,100"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -152,22 +152,12 @@ TEST(Serve, ReportEmittersRoundTripLatency) {
   EXPECT_NE(js.find("\"p99\": "), std::string::npos);
   EXPECT_NE(js.find("\"buckets\": [["), std::string::npos)
       << "a serving run must serialize non-empty sparse buckets";
-  const std::string csv = harness::report::to_csv(r);
-  EXPECT_NE(csv.find("req_count,lat_p50,lat_p95,lat_p99"),
-            std::string::npos);
-  EXPECT_NE(csv.find("," + std::to_string(r.latency.count) + ","),
-            std::string::npos);
 
-  // Batch run: latency object present but empty, csv percentile
-  // columns empty (NOT nan -- that flags unfinished members).
+  // Batch run: latency object present but empty.
   const auto batch = harness::run_solo("Stream", tiny_opts());
   const std::string bjs = harness::report::to_json(batch);
   EXPECT_NE(bjs.find("\"latency\": {\"count\": 0"), std::string::npos);
   EXPECT_NE(bjs.find("\"buckets\": []"), std::string::npos);
-  const std::string bcsv = harness::report::to_csv(batch);
-  EXPECT_EQ(bcsv.find("nan"), std::string::npos);
-  EXPECT_NE(bcsv.find(",0,,,\n"), std::string::npos)
-      << "empty latency -> empty percentile columns";
 }
 
 TEST(Serve, SignaturePassesTailFeaturesThrough) {

@@ -133,16 +133,6 @@ TEST(Cache, OccupancyPerApp) {
   EXPECT_EQ(c.occupancy_of(1), 3u);
 }
 
-TEST(Cache, InvalidateAppDropsOnlyThatApp) {
-  Cache c{"t", small_cfg(64 * 1024, 16)};
-  const Addr app1 = app_base(1) >> kLineBytesLog2;
-  for (std::uint64_t i = 0; i < 5; ++i) c.fill(i, false, false);
-  for (std::uint64_t i = 0; i < 3; ++i) c.fill(app1 + i, false, false);
-  EXPECT_EQ(c.invalidate_app(1), 3u);
-  EXPECT_EQ(c.occupancy_of(1), 0u);
-  EXPECT_EQ(c.occupancy_of(0), 5u);
-}
-
 TEST(Cache, HashedIndexSpreadsAppSpaces) {
   // With hashed indexing, two app spaces whose low bits are identical
   // should not collide into the same sets systematically.

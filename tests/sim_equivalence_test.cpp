@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "harness/parallel.hpp"
 #include "harness/runcache.hpp"
 #include "harness/runner.hpp"
+#include "result_equality.hpp"
 #include "sim/machine.hpp"
 #include "wl/registry.hpp"
 
@@ -49,12 +51,8 @@ const std::pair<const char*, const char*> kPairs[] = {
 };
 
 void append(Snapshot& out, const sim::CoreStats& s) {
-  out.insert(out.end(),
-             {s.cycles, s.instructions, s.loads, s.stores, s.l1d_hits,
-              s.l1d_misses, s.l2_hits, s.l2_misses, s.l3_hits, s.l3_misses,
-              s.bytes_from_mem, s.bytes_written_back, s.stall_cycles_mem,
-              s.pending_l2_cycles, s.barrier_wait_cycles,
-              s.prefetches_issued});
+  for (const sim::CoreStatField& f : sim::kCoreStatFields)
+    out.push_back(s.*f.member);
 }
 
 void append(Snapshot& out, const sim::CacheStats& s) {
@@ -305,28 +303,6 @@ TEST(RunCacheKey, KeyCoversEverySimulationInput) {
       << "fg/bg are not symmetric";
 }
 
-void expect_identical(const harness::RunResult& a, const harness::RunResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.avg_bw_gbs, b.avg_bw_gbs);
-  EXPECT_EQ(a.footprint_bytes, b.footprint_bytes);
-  EXPECT_EQ(a.hit_cycle_limit, b.hit_cycle_limit);
-  Snapshot sa, sb;
-  append(sa, a.stats);
-  append(sb, b.stats);
-  EXPECT_EQ(sa, sb);
-  ASSERT_EQ(a.regions.size(), b.regions.size());
-  for (std::size_t i = 0; i < a.regions.size(); ++i) {
-    EXPECT_EQ(a.regions[i].region, b.regions[i].region);
-    Snapshot ra, rb;
-    append(ra, a.regions[i].stats);
-    append(rb, b.regions[i].stats);
-    EXPECT_EQ(ra, rb);
-  }
-}
-
 TEST(RunCacheKey, HitReturnsIdenticalRunResult) {
   auto& cache = harness::RunCache::instance();
   // Park the disk layer (CI sets COPERF_RUN_CACHE_DIR): the hit/miss
@@ -346,7 +322,7 @@ TEST(RunCacheKey, HitReturnsIdenticalRunResult) {
   const auto after_second = cache.stats();
   EXPECT_EQ(after_second.misses, 1u) << "second run must not re-simulate";
   EXPECT_EQ(after_second.hits, 1u);
-  expect_identical(first, second);
+  harness::expect_run_eq(first, second);
 
   // A different seed is a different simulation.
   harness::RunOptions other = opt;
@@ -368,11 +344,20 @@ TEST(RunCacheKey, DiskLayerRoundTripsAcrossMemoryClear) {
   const harness::RunOptions opt = cache_test_options();
 
   const harness::RunResult first = harness::run_solo("Bandit", opt);
-  cache.clear();  // drop memory; the entry must come back from disk
+  // A serving foreground (non-empty latency buckets) next to a looping
+  // batch background (runs_completed > 0).
+  const harness::GroupSpec pair =
+      harness::GroupSpec::pair("kvserve", "Bandit", 1, 1);
+  const harness::GroupResult g1 = harness::run_group(pair, opt);
+  ASSERT_GT(g1.members[0].latency.count, 0u);
+  ASSERT_GT(g1.runs_completed[1], 0u);
+  cache.clear();  // drop memory; the entries must come back from disk
   const harness::RunResult second = harness::run_solo("Bandit", opt);
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  expect_identical(first, second);
+  const harness::GroupResult g2 = harness::run_group(pair, opt);
+  EXPECT_EQ(cache.stats().disk_hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  harness::expect_run_eq(first, second);
+  harness::expect_group_eq(g1, g2);
 
   cache.clear_disk();
   cache.set_disk_dir("");
@@ -414,7 +399,7 @@ TEST(RunCacheKey, CorruptDiskEntryQuarantinesAndMisses) {
   EXPECT_EQ(stats.corrupt, 1u) << "the torn entry must be flagged";
   EXPECT_EQ(stats.disk_hits, 0u) << "a torn entry must never be served";
   EXPECT_EQ(stats.misses, 2u) << "corrupt entries degrade to misses";
-  expect_identical(first, second);
+  harness::expect_run_eq(first, second);
 
   bool quarantined = false, restored = false;
   for (const auto& e : std::filesystem::directory_iterator{dir}) {
@@ -429,6 +414,70 @@ TEST(RunCacheKey, CorruptDiskEntryQuarantinesAndMisses) {
   (void)harness::run_solo("Stream", opt);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
   EXPECT_EQ(cache.stats().corrupt, 1u);
+
+  cache.clear_disk();
+  std::filesystem::remove_all(dir);
+  cache.set_disk_dir("");
+  cache.clear();
+}
+
+/// FNV-1a, the run cache's payload checksum ("sum %016x" line).
+std::string checksum_line(const std::string& payload) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : payload) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "sum %016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(RunCacheKey, ChecksummedButUnreadableEntryQuarantines) {
+  auto& cache = harness::RunCache::instance();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "coperf_runcache_unreadable_test";
+  std::filesystem::remove_all(dir);
+  cache.set_disk_dir(dir.string());
+  cache.clear();
+  cache.reset_stats();
+  const harness::RunOptions opt = cache_test_options();
+  const harness::RunResult first = harness::run_solo("Stream", opt);
+
+  // Header, key and checksum are all valid; only the JSON body is cut
+  // short, so the entry fails at the parser, not at the checksum.
+  std::filesystem::path entry;
+  for (const auto& e : std::filesystem::directory_iterator{dir})
+    if (e.path().extension() == ".run") entry = e.path();
+  ASSERT_FALSE(entry.empty());
+  {
+    std::ifstream in{entry};
+    std::string header, key, sum, body;
+    ASSERT_TRUE(std::getline(in, header));
+    ASSERT_TRUE(std::getline(in, key));
+    ASSERT_TRUE(std::getline(in, sum));
+    ASSERT_TRUE(std::getline(in, body));
+    in.close();
+    const std::string truncated = body.substr(0, body.size() / 2) + '\n';
+    std::ofstream out{entry, std::ios::trunc};
+    out << header << '\n'
+        << key << '\n'
+        << checksum_line(truncated) << '\n'
+        << truncated;
+  }
+
+  cache.clear();
+  const harness::RunResult second = harness::run_solo("Stream", opt);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.corrupt, 1u) << "the unreadable entry must be flagged";
+  EXPECT_EQ(stats.disk_hits, 0u);
+  EXPECT_EQ(stats.misses, 2u) << "it must be re-simulated";
+  harness::expect_run_eq(first, second);
+  bool quarantined = false;
+  for (const auto& e : std::filesystem::directory_iterator{dir})
+    quarantined = quarantined || e.path().extension() == ".corrupt";
+  EXPECT_TRUE(quarantined) << "the bad bytes must be moved aside";
 
   cache.clear_disk();
   std::filesystem::remove_all(dir);

@@ -28,7 +28,6 @@ TEST(Prefetcher, AllOffEmitsNothing) {
     bank.on_l2_miss(line_of(a), out);
   }
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(bank.issued(), 0u);
 }
 
 TEST(Prefetcher, NextLineFiresOnAscendingL1Misses) {
@@ -165,9 +164,8 @@ TEST(Prefetcher, ResetClearsState) {
   bank.on_l2_miss(10, out);
   bank.on_l2_miss(11, out);
   bank.on_l2_miss(12, out);
-  EXPECT_GT(bank.issued(), 0u);
+  EXPECT_FALSE(out.empty());
   bank.reset();
-  EXPECT_EQ(bank.issued(), 0u);
   out.clear();
   bank.on_l2_miss(13, out);
   // Stream table was cleared: single miss allocates, no prefetch beyond

@@ -82,8 +82,8 @@ TEST(ModelSignature, StreamingAppsHaveHighBandwidth) {
 
 TEST(ModelSignature, ChainWorkloadsStall) {
   const auto r = harness::run_solo("mcf", tiny_opts());
-  EXPECT_GT(r.metrics.cpi, 1.5) << "pointer chasing must hurt CPI";
-  EXPECT_GT(r.metrics.llc_mpki, 1.0);
+  EXPECT_GT(r.stats.cpi(), 1.5) << "pointer chasing must hurt CPI";
+  EXPECT_GT(r.stats.llc_mpki(), 1.0);
 }
 
 TEST(ModelSignature, AtisIsBarrierBound) {

@@ -87,7 +87,7 @@ TEST(SuiteBehavior, AtisBarrierShareGrowsWithThreads) {
 
 TEST(SuiteBehavior, LstmIsCacheResident) {
   const auto r = harness::run_solo("LSTM", tiny_opts());
-  EXPECT_LT(r.metrics.llc_mpki, 1.0)
+  EXPECT_LT(r.stats.llc_mpki(), 1.0)
       << "LSTM weights must live in the cache hierarchy";
 }
 
@@ -159,7 +159,7 @@ TEST(SuiteBehavior, FotonikIsThePrefetchFriendlyOffender) {
 TEST(SuiteBehavior, McfStallsOnPointerChasing) {
   const auto mcf = harness::run_solo("mcf", tiny_opts());
   const auto deeps = harness::run_solo("deepsjeng", tiny_opts());
-  EXPECT_GT(mcf.metrics.l2_pcp, deeps.metrics.l2_pcp)
+  EXPECT_GT(mcf.stats.l2_pcp(), deeps.stats.l2_pcp())
       << "mcf's chains must keep more L2-miss cycles pending than "
          "deepsjeng's compute-rich probes";
 }
