@@ -189,7 +189,7 @@ int main(int argc, char** argv) try {
 
       cluster::RandomPolicy random{seed};
       cluster::CostModelPolicy throughput{"throughput-cost", pairwise};
-      cluster::SloAwarePolicy sloaware{"slo-aware", pairwise, tailm};
+      cluster::CostModelPolicy sloaware{"slo-aware", pairwise, tailm};
       cluster::GroupTruthPolicy oracle{"oracle", truth};
       cluster::PlacementPolicy* policies[] = {&random, &throughput, &sloaware,
                                               &oracle};

@@ -23,7 +23,10 @@
 // per-machine next completions (deterministic (eta, machine, slot)
 // ties) replaces a per-event rescan, and a free-slot bitset feeds the
 // policies' ClusterView so a decision prices only candidate machines.
-// Remaining work is decremented once per constant-rate interval
+// Candidates are priced in two loops: the policies' one argmin
+// (placement.cpp) and the regret bill, which walks the free-slot
+// bitset itself and prices every open machine at ground truth with the
+// same placement_delta and slo_violation. Remaining work is decremented once per constant-rate interval
 // (clamped at zero), so completion arithmetic does not drift. The
 // tests pin it to the pre-fleet scan loop, kept as the executable
 // specification in tests/cluster_reference.hpp.

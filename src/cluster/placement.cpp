@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "harness/matrix.hpp"
 #include "predict/predicted_matrix.hpp"
@@ -19,10 +20,79 @@ std::size_t RandomPolicy::place(const JobSpec& job,
   return cluster.kth_open(rng_.below(open));
 }
 
-CostModelPolicy::CostModelPolicy(std::string name, harness::CorunMatrix estimate)
-    : estimate_(std::move(estimate)), name_(std::move(name)) {
+namespace {
+
+/// The open machine with the lowest `cost(view)`, and that cost. Walks
+/// kth_open in ascending order and keeps the incumbent unless a
+/// candidate is strictly cheaper, so ties go to the lowest index. The
+/// first open machine is the initial incumbent, so a job lands even
+/// when every candidate prices at +inf. The one candidate scan behind
+/// every cost-driven policy.
+template <class Cost>
+auto cheapest(const ClusterView& cluster, const std::string& who, Cost cost) {
+  const std::size_t open = cluster.open_count();
+  if (open == 0)
+    throw std::logic_error{who + "::place: no machine has a free slot"};
+  std::size_t best = cluster.kth_open(0);
+  auto best_cost = cost(cluster.view(best));
+  for (std::size_t k = 1; k < open; ++k) {
+    const std::size_t m = cluster.kth_open(k);
+    const auto c = cost(cluster.view(m));
+    if (c < best_cost) {
+      best_cost = c;
+      best = m;
+    }
+  }
+  return std::pair{best, best_cost};
+}
+
+/// SLO violation of admitting `job` to `machine`: for each
+/// latency-critical party, the excess of its p99 slowdown over its
+/// budget, weighted by the work that runs under that excess. tail(i)
+/// is resident i's p99 slowdown with the job admitted; tail(n), n =
+/// residents, is the job's own. Only latency-critical parties are
+/// asked, so a best-effort-only decision issues no tail query.
+template <class Tail>
+double violation(const JobSpec& job, const MachineView& machine, Tail tail) {
+  const std::size_t n = machine.residents.size();
+  double viol = 0.0;
+  if (job.latency_critical())
+    viol += std::max(0.0, tail(n) - job.slo_p99) * job.work;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ResidentView& r = machine.residents[i];
+    if (r.slo_target <= 0.0) continue;
+    viol += std::max(0.0, tail(i) - r.slo_target) * std::max(0.0, r.remaining);
+  }
+  return viol;
+}
+
+/// Additively composed tail slowdown of party i (as in violation())
+/// once `job_type` joins `machine` -- the tail matrix's analog of
+/// harness::corun_slowdown, inlined allocation-free.
+double composed_tail(const harness::CorunMatrix& tail, std::size_t job_type,
+                     const MachineView& machine, std::size_t i) {
+  const std::size_t n = machine.residents.size();
+  const std::size_t fg = i < n ? machine.residents[i].type : job_type;
+  double excess = 0.0;
+  for (std::size_t j = 0; j < n; ++j)
+    if (j != i) excess += tail.at(fg, machine.residents[j].type) - 1.0;
+  if (i < n) excess += tail.at(fg, job_type) - 1.0;
+  return std::max(1.0, 1.0 + excess);
+}
+
+}  // namespace
+
+CostModelPolicy::CostModelPolicy(std::string name,
+                                 harness::CorunMatrix estimate,
+                                 harness::CorunMatrix tail)
+    : estimate_(std::move(estimate)),
+      tail_(std::move(tail)),
+      name_(std::move(name)) {
   if (estimate_.size() == 0)
     throw std::invalid_argument{"CostModelPolicy: empty estimate matrix"};
+  if (tail_.size() != 0 && tail_.size() != estimate_.size())
+    throw std::invalid_argument{
+        "CostModelPolicy: tail/estimate axis size mismatch"};
 }
 
 double placement_delta(const harness::CorunMatrix& est, std::size_t job_type,
@@ -57,32 +127,17 @@ double placement_delta(harness::InterferenceTruth& truth, std::size_t job_type,
 
 double slo_violation(harness::InterferenceTruth& truth, const JobSpec& job,
                      const MachineView& machine) {
-  // Skip entirely when nothing latency-critical is involved: no tail
-  // queries, so best-effort billing is byte-identical to before.
-  bool any_lc = job.latency_critical();
-  for (const ResidentView& r : machine.residents)
-    any_lc = any_lc || r.slo_target > 0.0;
-  if (!any_lc) return 0.0;
   static thread_local std::vector<std::size_t> others;
-  double viol = 0.0;
-  if (job.latency_critical()) {
+  const std::vector<ResidentView>& rs = machine.residents;
+  return violation(job, machine, [&](std::size_t i) {
+    // The party's co-residents: the job first, then the other
+    // residents (just the residents for the job itself).
     others.clear();
-    for (const ResidentView& r : machine.residents) others.push_back(r.type);
-    const double tail = truth.tail_slowdown(job.type, others);
-    viol += std::max(0.0, tail - job.slo_p99) * job.work;
-  }
-  for (std::size_t i = 0; i < machine.residents.size(); ++i) {
-    const ResidentView& victim = machine.residents[i];
-    if (victim.slo_target <= 0.0) continue;
-    others.clear();
-    others.push_back(job.type);
-    for (std::size_t j = 0; j < machine.residents.size(); ++j)
-      if (j != i) others.push_back(machine.residents[j].type);
-    const double tail = truth.tail_slowdown(victim.type, others);
-    viol += std::max(0.0, tail - victim.slo_target) *
-            std::max(0.0, victim.remaining);
-  }
-  return viol;
+    if (i < rs.size()) others.push_back(job.type);
+    for (std::size_t j = 0; j < rs.size(); ++j)
+      if (j != i) others.push_back(rs[j].type);
+    return truth.tail_slowdown(i < rs.size() ? rs[i].type : job.type, others);
+  });
 }
 
 GroupTruthPolicy::GroupTruthPolicy(std::string name,
@@ -96,116 +151,34 @@ std::size_t GroupTruthPolicy::place(const JobSpec& job,
                                     const ClusterView& cluster) {
   if (job.type >= truth_.size())
     throw std::out_of_range{"GroupTruthPolicy::place: job type outside truth"};
-  std::size_t best = cluster.machines();
-  double best_delta = std::numeric_limits<double>::infinity();
-  const std::size_t open = cluster.open_count();
-  for (std::size_t k = 0; k < open; ++k) {
-    const std::size_t m = cluster.kth_open(k);
-    const double delta =
-        placement_delta(truth_, job.type, job.work, cluster.view(m));
-    if (delta < best_delta) {
-      best_delta = delta;
-      best = m;
-    }
-  }
-  if (best == cluster.machines())
-    throw std::logic_error{name_ + "::place: no machine has a free slot"};
-  last_delta_ = best_delta;
-  return best;
+  const auto [m, delta] = cheapest(cluster, name_, [&](const MachineView& v) {
+    return placement_delta(truth_, job.type, job.work, v);
+  });
+  last_delta_ = delta;
+  return m;
 }
 
 std::size_t CostModelPolicy::place(const JobSpec& job,
                                    const ClusterView& cluster) {
   if (job.type >= estimate_.size())
     throw std::out_of_range{"CostModelPolicy::place: job type outside matrix"};
-  std::size_t best = cluster.machines();
-  double best_delta = std::numeric_limits<double>::infinity();
-  const std::size_t open = cluster.open_count();
-  for (std::size_t k = 0; k < open; ++k) {
-    const std::size_t m = cluster.kth_open(k);
-    const double delta =
-        placement_delta(estimate_, job.type, job.work, cluster.view(m));
-    if (delta < best_delta) {
-      best_delta = delta;
-      best = m;
-    }
+  if (tail_.size() == 0) {
+    const auto [m, delta] = cheapest(cluster, name_, [&](const MachineView& v) {
+      return placement_delta(estimate_, job.type, job.work, v);
+    });
+    last_delta_ = delta;
+    return m;
   }
-  if (best == cluster.machines())
-    throw std::logic_error{name_ + "::place: no machine has a free slot"};
-  last_delta_ = best_delta;
-  return best;
-}
-
-namespace {
-
-/// Additively composed tail slowdown of `fg` against the `others` it
-/// would share a machine with -- the tail matrix's analog of
-/// harness::corun_slowdown, inlined allocation-free.
-double composed_tail(const harness::CorunMatrix& tail, std::size_t fg,
-                     const MachineView& machine, std::size_t skip,
-                     std::size_t extra_type, bool has_extra) {
-  double excess = 0.0;
-  for (std::size_t j = 0; j < machine.residents.size(); ++j)
-    if (j != skip) excess += tail.at(fg, machine.residents[j].type) - 1.0;
-  if (has_extra) excess += tail.at(fg, extra_type) - 1.0;
-  return std::max(1.0, 1.0 + excess);
-}
-
-}  // namespace
-
-SloAwarePolicy::SloAwarePolicy(std::string name,
-                               harness::CorunMatrix throughput,
-                               harness::CorunMatrix tail)
-    : throughput_(std::move(throughput)),
-      tail_(std::move(tail)),
-      name_(std::move(name)) {
-  if (throughput_.size() == 0)
-    throw std::invalid_argument{"SloAwarePolicy: empty throughput matrix"};
-  if (tail_.size() != throughput_.size())
-    throw std::invalid_argument{
-        "SloAwarePolicy: tail/throughput axis size mismatch"};
-}
-
-std::size_t SloAwarePolicy::place(const JobSpec& job,
-                                  const ClusterView& cluster) {
-  if (job.type >= throughput_.size())
-    throw std::out_of_range{"SloAwarePolicy::place: job type outside matrix"};
-  std::size_t best = cluster.machines();
-  double best_viol = std::numeric_limits<double>::infinity();
-  double best_delta = std::numeric_limits<double>::infinity();
-  const std::size_t open = cluster.open_count();
-  for (std::size_t k = 0; k < open; ++k) {
-    const std::size_t m = cluster.kth_open(k);
-    const MachineView& v = cluster.view(m);
-    // Predicted SLO violation: the arriving job's own composed tail
-    // against its budget, plus the tail the job pushes each
-    // latency-critical resident to against that resident's budget.
-    double viol = 0.0;
-    if (job.latency_critical()) {
-      const double own = composed_tail(tail_, job.type, v, v.residents.size(),
-                                       0, /*has_extra=*/false);
-      viol += std::max(0.0, own - job.slo_p99) * job.work;
-    }
-    for (std::size_t i = 0; i < v.residents.size(); ++i) {
-      const ResidentView& r = v.residents[i];
-      if (r.slo_target <= 0.0) continue;
-      const double rt =
-          composed_tail(tail_, r.type, v, i, job.type, /*has_extra=*/true);
-      viol += std::max(0.0, rt - r.slo_target) * std::max(0.0, r.remaining);
-    }
-    const double delta = placement_delta(throughput_, job.type, job.work, v);
-    if (viol < best_viol || (viol == best_viol && delta < best_delta)) {
-      best_viol = viol;
-      best_delta = delta;
-      best = m;
-    }
-  }
-  if (best == cluster.machines())
-    throw std::logic_error{name_ + "::place: no machine has a free slot"};
-  last_delta_ = best_delta;
-  last_violation_ = best_viol;
-  if (best_viol > 0.0) ++forced_;
-  return best;
+  // SLO-aware: (predicted violation, throughput delta), lexicographic.
+  const auto [m, score] = cheapest(cluster, name_, [&](const MachineView& v) {
+    const double viol = violation(job, v, [&](std::size_t i) {
+      return composed_tail(tail_, job.type, v, i);
+    });
+    return std::pair{viol, placement_delta(estimate_, job.type, job.work, v)};
+  });
+  last_delta_ = score.second;
+  if (score.first > 0.0) ++forced_;
+  return m;
 }
 
 OnlineRefinedPolicy::OnlineRefinedPolicy(

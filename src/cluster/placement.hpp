@@ -3,14 +3,18 @@
 // A PlacementPolicy answers one question per arrival: which machine
 // with a free slot should run this job? The cost-model policies answer
 // it from a slowdown matrix -- a prediction frozen at admission time
-// (static) or a prediction the simulator refines after every placement
-// by feeding truly observed group outcomes back (online-refined:
-// 2-resident outcomes pass through InterferenceModel::observe(),
-// 3+-resident outcomes feed a PairDeconvolver so pairwise refinement
-// needs no dedicated pair runs). GroupTruthPolicy asks the measured
-// group-truth oracle directly -- the zero-regret reference the regret
-// bench compares against. Policies own all their randomness, so a
-// fresh policy with the same seed replays identically.
+// (static; with an optional tail matrix it is SLO-aware) or a
+// prediction the simulator refines after every placement by feeding
+// truly observed group outcomes back (online-refined: 2-resident
+// outcomes pass through InterferenceModel::observe(), 3+-resident
+// outcomes feed a PairDeconvolver so pairwise refinement needs no
+// dedicated pair runs). GroupTruthPolicy asks the measured group-truth
+// oracle directly -- the zero-regret reference the regret bench
+// compares against. Every cost-driven policy picks through one argmin
+// over the open machines (lowest index on ties), and the SLO-aware
+// score and slo_violation() share one violation formula. Policies own
+// all their randomness, so a fresh policy with the same seed replays
+// identically.
 //
 // Policies see the cluster through ClusterView: a free-slot index
 // (open_count/kth_open, ascending machine order) plus lazily
@@ -104,10 +108,11 @@ double placement_delta(harness::InterferenceTruth& truth, std::size_t job_type,
 /// true p99 slowdown in the new group over its budget, weighted by the
 /// work that would run under that excess. Zero when nothing
 /// latency-critical is involved -- and the function issues no tail
-/// queries then, so batch-only billing stays byte-identical. This is
-/// the LC regret primitive: the simulator bills
-/// slo_violation(chosen) - min over open machines on every billed
-/// decision of an LC-carrying trace.
+/// queries then, so batch-only billing stays byte-identical. The
+/// SLO-aware CostModelPolicy prices the same formula with its tail
+/// matrix in place of the oracle. This is the LC regret primitive: the
+/// simulator bills slo_violation(chosen) - min over open machines on
+/// every billed decision of an LC-carrying trace.
 double slo_violation(harness::InterferenceTruth& truth, const JobSpec& job,
                      const MachineView& machine);
 
@@ -167,22 +172,42 @@ class RandomPolicy final : public PlacementPolicy {
 /// work). Lowest index wins ties, for determinism. With the truth
 /// matrix as the estimate this is the oracle; with a predicted matrix
 /// it is the static-analytic scheduler.
+///
+/// Given a pairwise *tail* estimate as well (tail(fg, bg) = fg's p99
+/// ratio with bg co-resident, additively composed over residents like
+/// the throughput matrix), the policy is SLO-aware: candidates are
+/// scored lexicographically by (predicted SLO violation, throughput
+/// delta, lowest index). A machine where the arriving job's predicted
+/// p99 blows its budget -- or where admitting it blows a
+/// latency-critical resident's budget -- is refused while any
+/// violation-free machine exists; among the admissible, the cheapest
+/// throughput delta wins. When every open machine violates some
+/// budget, the least-violating one is chosen (the job must land
+/// somewhere). Best-effort-only decisions reduce exactly to the
+/// throughput-only arithmetic.
 class CostModelPolicy : public PlacementPolicy {
  public:
-  CostModelPolicy(std::string name, harness::CorunMatrix estimate);
+  /// An empty `tail` prices throughput only; a non-empty one must
+  /// share the estimate's axis.
+  CostModelPolicy(std::string name, harness::CorunMatrix estimate,
+                  harness::CorunMatrix tail = {});
 
   std::string name() const override { return name_; }
   std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
   double last_cost_delta() const override { return last_delta_; }
 
   const harness::CorunMatrix& estimate() const { return estimate_; }
+  /// SLO-aware decisions where every open machine blew some LC budget.
+  std::size_t forced_violations() const { return forced_; }
 
  protected:
   harness::CorunMatrix estimate_;
 
  private:
+  harness::CorunMatrix tail_;
   std::string name_;
   double last_delta_ = 0.0;
+  std::size_t forced_ = 0;
 };
 
 /// Greedy marginal-cost placement priced directly by a ground-truth
@@ -202,45 +227,6 @@ class GroupTruthPolicy final : public PlacementPolicy {
   harness::InterferenceTruth& truth_;
   std::string name_;
   double last_delta_ = 0.0;
-};
-
-/// SLO-aware marginal-cost placement: a CostModelPolicy-style greedy
-/// over a throughput estimate, extended with a pairwise *tail*
-/// estimate (additively composed over residents, like the throughput
-/// matrix). Candidates are scored lexicographically by (predicted SLO
-/// violation, predicted throughput delta, lowest index): a machine
-/// where the arriving job's predicted p99 blows its budget -- or where
-/// admitting it blows a latency-critical resident's budget -- is
-/// refused while any violation-free machine exists; among the
-/// admissible, the cheapest throughput delta wins as today. When every
-/// open machine violates some budget, the least-violating one is
-/// chosen (the job must land somewhere). Best-effort-only decisions
-/// reduce exactly to CostModelPolicy's arithmetic.
-class SloAwarePolicy final : public PlacementPolicy {
- public:
-  /// `throughput` prices runtime excess (the legacy cost matrix);
-  /// `tail` is the pairwise p99-slowdown projection (tail(fg, bg) =
-  /// fg's p99 ratio with bg co-resident). Same axis required.
-  SloAwarePolicy(std::string name, harness::CorunMatrix throughput,
-                 harness::CorunMatrix tail);
-
-  std::string name() const override { return name_; }
-  std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
-  double last_cost_delta() const override { return last_delta_; }
-
-  /// Predicted SLO violation of the last place() decision (0 when the
-  /// chosen machine was admissible).
-  double last_violation() const { return last_violation_; }
-  /// Decisions where every open machine blew some LC budget.
-  std::size_t forced_violations() const { return forced_; }
-
- private:
-  harness::CorunMatrix throughput_;
-  harness::CorunMatrix tail_;
-  std::string name_;
-  double last_delta_ = 0.0;
-  double last_violation_ = 0.0;
-  std::size_t forced_ = 0;
 };
 
 /// CostModelPolicy that closes the loop: every *new* observed pairwise

@@ -180,18 +180,18 @@ GroupTruth::PlanStats GroupTruth::measure(const std::vector<Key>& keys,
     }
     const RunResult& solo_base = solos_.at(key[0]);
     const double solo_cycles = static_cast<double>(solo_base.cycles);
-    measured_[key] = solo_cycles > 0.0
-                         ? static_cast<double>(g.members[0].cycles) / solo_cycles
-                         : 1.0;
+    Measurement& m = measured_[key];
+    m.slowdown = solo_cycles > 0.0
+                     ? static_cast<double>(g.members[0].cycles) / solo_cycles
+                     : 1.0;
     // Tail ratio only when both sides actually recorded requests (a
     // serving foreground); batch foregrounds fall back to throughput,
     // so tail_slowdown() is total over the axis either way.
     const double solo_p99 = solo_base.latency.quantile(0.99);
-    measured_tail_[key] =
-        (g.members[0].latency.count > 0 && solo_base.latency.count > 0 &&
-         solo_p99 > 0.0)
-            ? g.members[0].latency.quantile(0.99) / solo_p99
-            : measured_[key];
+    m.tail = (g.members[0].latency.count > 0 && solo_base.latency.count > 0 &&
+              solo_p99 > 0.0)
+                 ? g.members[0].latency.quantile(0.99) / solo_p99
+                 : m.slowdown;
   }
   return stats;
 }
@@ -211,7 +211,7 @@ double GroupTruth::slowdown(std::size_t type,
     measure({key}, {});
     it = measured_.find(key);
   }
-  return it->second;
+  return it->second.slowdown;
 }
 
 double GroupTruth::tail_slowdown(std::size_t type,
@@ -222,12 +222,12 @@ double GroupTruth::tail_slowdown(std::size_t type,
   if (others.size() + 1 > cfg_.max_arity)
     return slowdown(type, others);  // composed fallback, counted there
   const Key key = make_key(type, others);
-  auto it = measured_tail_.find(key);
-  if (it == measured_tail_.end()) {
+  auto it = measured_.find(key);
+  if (it == measured_.end()) {
     measure({key}, {});
-    it = measured_tail_.find(key);
+    it = measured_.find(key);
   }
-  return it->second;
+  return it->second.tail;
 }
 
 const CorunMatrix& GroupTruth::pairwise() {
@@ -245,12 +245,12 @@ const CorunMatrix& GroupTruth::pairwise() {
   matrix_.normalized.assign(n, std::vector<double>(n, 1.0));
   for (std::size_t a = 0; a < n; ++a)
     for (std::size_t b = 0; b < n; ++b)
-      matrix_.normalized[a][b] = measured_.at(make_key(a, {b}));
+      matrix_.normalized[a][b] = measured_.at(make_key(a, {b})).slowdown;
   pairwise_built_ = true;
   return matrix_;
 }
 
-GroupTruth::PlanStats GroupTruth::expand_and_measure(
+GroupTruth::PlanStats GroupTruth::prefetch(
     const std::vector<std::vector<std::size_t>>& groups,
     ExperimentPlan::Progress progress) {
   std::vector<Key> keys;
@@ -271,12 +271,6 @@ GroupTruth::PlanStats GroupTruth::expand_and_measure(
     }
   }
   return measure(keys, std::move(progress));
-}
-
-GroupTruth::PlanStats GroupTruth::prefetch(
-    const std::vector<std::vector<std::size_t>>& groups,
-    ExperimentPlan::Progress progress) {
-  return expand_and_measure(groups, std::move(progress));
 }
 
 GroupTruth::PlanStats GroupTruth::prefetch_all(
@@ -308,7 +302,7 @@ GroupTruth::PlanStats GroupTruth::prefetch_all(
                                   .set("max_group", max_group)
                                   .set("multisets", groups.size())
                                   .str()};
-  const PlanStats stats = expand_and_measure(groups, std::move(progress));
+  const PlanStats stats = prefetch(groups, std::move(progress));
   (void)pairwise();  // size-2 multisets are already measured: zero new trials
   return stats;
 }
@@ -330,13 +324,12 @@ const RunResult& GroupTruth::solo(std::size_t type) {
 std::vector<GroupObservation> GroupTruth::observations() const {
   std::vector<GroupObservation> obs;
   obs.reserve(measured_.size());
-  for (const auto& [key, value] : measured_) {
+  for (const auto& [key, m] : measured_) {
     GroupObservation o;
     o.type = key[0];
     o.others.assign(key.begin() + 1, key.end());
-    o.slowdown = value;
-    const auto tail = measured_tail_.find(key);
-    o.tail_slowdown = tail != measured_tail_.end() ? tail->second : value;
+    o.slowdown = m.slowdown;
+    o.tail_slowdown = m.tail;
     obs.push_back(std::move(o));
   }
   return obs;

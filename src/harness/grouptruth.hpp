@@ -239,15 +239,17 @@ class GroupTruth final : public InterferenceTruth {
   /// one plan execution and memoizes the member slowdowns.
   PlanStats measure(const std::vector<Key>& keys,
                     ExperimentPlan::Progress progress);
-  PlanStats expand_and_measure(
-      const std::vector<std::vector<std::size_t>>& groups,
-      ExperimentPlan::Progress progress);
+
+  /// One measured group: the foreground's throughput and tail (p99)
+  /// slowdowns. The tail is the throughput value when no latency data
+  /// exists.
+  struct Measurement {
+    double slowdown = 1.0;
+    double tail = 1.0;
+  };
 
   Config cfg_;
-  std::map<Key, double> measured_;
-  /// Tail (p99) slowdowns, parallel to measured_ -- every measured key
-  /// has an entry (throughput value when no latency data exists).
-  std::map<Key, double> measured_tail_;
+  std::map<Key, Measurement> measured_;
   std::map<std::size_t, RunResult> solos_;
   CorunMatrix matrix_;
   std::uint64_t truncated_ = 0;

@@ -148,12 +148,17 @@ class WorkerPool {
 
 }  // namespace
 
-void parallel_for(std::size_t total, unsigned host_threads,
-                  const std::function<void(std::size_t)>& body) {
+unsigned lane_count(std::size_t total, unsigned host_threads) {
   unsigned n = host_threads != 0 ? host_threads
                                  : std::thread::hardware_concurrency();
   if (n == 0) n = 4;
-  n = static_cast<unsigned>(std::min<std::size_t>(n, total));
+  return static_cast<unsigned>(
+      std::min<std::size_t>(n, std::max<std::size_t>(total, 1)));
+}
+
+void parallel_for(std::size_t total, unsigned host_threads,
+                  const std::function<void(std::size_t)>& body) {
+  const unsigned n = lane_count(total, host_threads);
   // Serial fast path; also taken from inside a pool worker (nested
   // parallel_for must not wait on the pool it is running on).
   if (n <= 1 || tls_inside_pool_worker) {

@@ -22,6 +22,11 @@ namespace coperf::harness {
 void parallel_for(std::size_t total, unsigned host_threads,
                   const std::function<void(std::size_t)>& body);
 
+/// Lanes parallel_for(total, host_threads, ...) runs on, the caller
+/// included: host_threads (0 = hardware concurrency, 4 if unknown),
+/// capped at one per index, and at least one.
+unsigned lane_count(std::size_t total, unsigned host_threads);
+
 /// Number of workers the persistent pool currently holds (diagnostics).
 unsigned pool_size();
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "harness/parallel.hpp"
 #include "harness/runcache.hpp"
@@ -202,14 +201,9 @@ ResultSet ExperimentPlan::execute(unsigned host_threads,
   }
   // The pool spawns lazily inside parallel_for: sample it afterwards.
   reg.gauge("pool.workers").set(pool_size());
-  // Lane count mirrors parallel_for's participant computation (the
-  // caller is a lane too, so this is NOT pool_size(), which is 0 on
-  // the serial path and may exceed this job's cap after larger runs).
-  unsigned lanes =
-      host_threads != 0 ? host_threads : std::thread::hardware_concurrency();
-  if (lanes == 0) lanes = 4;
-  lanes = static_cast<unsigned>(
-      std::min<std::size_t>(lanes, std::max<std::size_t>(trials_.size(), 1)));
+  // The caller is a lane too, so this is NOT pool_size(), which is 0
+  // on the serial path and may exceed this job's cap after larger runs.
+  const unsigned lanes = lane_count(trials_.size(), host_threads);
   reg.gauge("plan.lanes").set(lanes);
   const double plan_wall = obs::wall_us() - plan_t0;
   if (plan_wall > 0.0)
@@ -262,8 +256,7 @@ RunResult ResultSet::solo(const SoloSpec& spec) const {
       .members[0];
 }
 
-ScalabilityResult ResultSet::scalability(const SweepSpec& spec,
-                                         const ScalThresholds& t) const {
+ScalabilityResult ResultSet::scalability(const SweepSpec& spec) const {
   ScalabilityResult res;
   res.workload = spec.workload;
   res.rate_mode = wl::Registry::instance().at(spec.workload).rate_mode;
@@ -281,7 +274,7 @@ ScalabilityResult ResultSet::scalability(const SweepSpec& spec,
     // speedup for SPEC-rate copies (T copies of fixed per-copy work).
     res.speedup.push_back(res.rate_mode ? n * t1 / ct : t1 / ct);
   }
-  res.cls = classify_scalability(res.max_speedup(), t);
+  res.cls = classify_scalability(res.max_speedup());
   return res;
 }
 

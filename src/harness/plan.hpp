@@ -96,8 +96,7 @@ class ResultSet {
   GroupResult group(const GroupSpec& spec, unsigned reps = 1) const;
   /// Median-of-reps solo result (also serves the matrix's baselines).
   RunResult solo(const SoloSpec& spec) const;
-  ScalabilityResult scalability(const SweepSpec& spec,
-                                const ScalThresholds& t = {}) const;
+  ScalabilityResult scalability(const SweepSpec& spec) const;
   PrefetchSensitivity prefetch(const PrefetchSpec& spec) const;
   CorunMatrix matrix(const MatrixSpec& spec) const;
 

@@ -17,9 +17,9 @@ double ScalabilityResult::max_speedup() const {
   return speedup.empty() ? 0.0 : *std::max_element(speedup.begin(), speedup.end());
 }
 
-ScalClass classify_scalability(double s_max, const ScalThresholds& t) {
-  if (s_max < t.low_below) return ScalClass::Low;
-  if (s_max < t.high_at_least) return ScalClass::Medium;
+ScalClass classify_scalability(double s_max) {
+  if (s_max < 2.5) return ScalClass::Low;
+  if (s_max < 5.0) return ScalClass::Medium;
   return ScalClass::High;
 }
 

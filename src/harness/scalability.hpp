@@ -27,13 +27,8 @@ struct ScalabilityResult {
   double max_speedup() const;
 };
 
-/// Classification thresholds on S(max threads). The paper's Table II
-/// buckets are Low / Medium ("saturate") / High.
-struct ScalThresholds {
-  double low_below = 2.5;
-  double high_at_least = 5.0;
-};
-
-ScalClass classify_scalability(double s_max, const ScalThresholds& t = {});
+/// Classifies S(max threads) into the paper's Table II buckets: Low
+/// below 2.5, High from 5.0, Medium ("saturate") in between.
+ScalClass classify_scalability(double s_max);
 
 }  // namespace coperf::harness

@@ -1,8 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <bit>
-
-#include "obs/quantile.hpp"
 #include <chrono>
 #include <map>
 #include <memory>
@@ -39,8 +36,7 @@ double wall_us() noexcept {
 
 void Histogram::record(std::uint64_t v) noexcept {
   if (!metrics_enabled()) return;
-  const unsigned b = v == 0 ? 0 : static_cast<unsigned>(std::bit_width(v));
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
+  buckets_[log_bucket(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
 }
@@ -51,15 +47,15 @@ double Histogram::mean() const noexcept {
 }
 
 std::uint64_t Histogram::bucket(unsigned b) const noexcept {
-  return b < kBuckets ? buckets_[b].load(std::memory_order_relaxed) : 0;
+  return b < kQuantileBuckets ? buckets_[b].load(std::memory_order_relaxed) : 0;
 }
 
 double Histogram::quantile(double q) const noexcept {
   // Snapshot the buckets once so the interpolation sees one coherent
   // view even while other threads record.
-  std::uint64_t snap[kBuckets];
+  std::uint64_t snap[kQuantileBuckets];
   std::uint64_t n = 0;
-  for (unsigned b = 0; b < kBuckets; ++b) {
+  for (unsigned b = 0; b < kQuantileBuckets; ++b) {
     snap[b] = bucket(b);
     n += snap[b];
   }
@@ -138,7 +134,7 @@ void Registry::snapshot_json(std::ostream& os) const {
        << ", \"p99\": " << json::number(h->quantile(0.99))
        << ", \"buckets\": {";
     const char* bsep = "";
-    for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
+    for (unsigned b = 0; b < kQuantileBuckets; ++b) {
       if (h->bucket(b) == 0) continue;
       os << bsep << "\"" << b << "\": " << h->bucket(b);
       bsep = ", ";

@@ -24,6 +24,8 @@
 #include <string>
 #include <type_traits>
 
+#include "obs/quantile.hpp"
+
 namespace coperf::obs {
 
 /// Process-wide metrics switch. Defaults to ON (updates are coarse --
@@ -72,15 +74,13 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Histogram over unsigned values with fixed log2 buckets: bucket b
-/// holds values whose bit width is b, i.e. [2^(b-1), 2^b); value 0
-/// lands in bucket 0. 65 buckets cover the full uint64 range, so a
-/// record() is always one bucket increment -- no locking, no dynamic
-/// resizing, mergeable across processes.
+/// Histogram over unsigned values with the fixed log2 buckets of
+/// obs/quantile.hpp: bucket b holds values whose bit width is b, i.e.
+/// [2^(b-1), 2^b); value 0 lands in bucket 0. 65 buckets cover the full
+/// uint64 range, so a record() is always one bucket increment -- no
+/// locking, no dynamic resizing, mergeable across processes.
 class Histogram {
  public:
-  static constexpr unsigned kBuckets = 65;
-
   void record(std::uint64_t v) noexcept;
 
   std::uint64_t count() const noexcept {
@@ -97,7 +97,7 @@ class Histogram {
   void reset() noexcept;
 
  private:
-  std::atomic<std::uint64_t> buckets_[kBuckets]{};
+  std::atomic<std::uint64_t> buckets_[kQuantileBuckets]{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
 };

@@ -1,7 +1,5 @@
 #include "perf/pcm.hpp"
 
-#include <algorithm>
-
 namespace coperf::perf {
 
 BandwidthReport summarize_bandwidth(const sim::Machine& m,
@@ -25,18 +23,6 @@ BandwidthReport summarize_bandwidth(const sim::Machine& m,
         rep.app_avg_gbs.push_back(
             static_cast<double>(s1.app_bytes[a] - s0.app_bytes[a]) / secs /
             1e9);
-    }
-    for (std::size_t i = first + 1; i < samples.size(); ++i) {
-      const double wsecs =
-          static_cast<double>(samples[i].cycle - samples[i - 1].cycle) /
-          freq_hz;
-      if (wsecs <= 0) continue;
-      const double gbs =
-          static_cast<double>(samples[i].total_bytes -
-                              samples[i - 1].total_bytes) /
-          wsecs / 1e9;
-      rep.total_series_gbs.push_back(gbs);
-      rep.peak_window_gbs = std::max(rep.peak_window_gbs, gbs);
     }
   }
   return rep;

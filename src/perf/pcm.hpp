@@ -3,7 +3,6 @@
 // Sections IV-B, V-B and Table III.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -13,8 +12,6 @@ namespace coperf::perf {
 struct BandwidthReport {
   double avg_total_gbs = 0.0;           ///< whole-socket average
   std::vector<double> app_avg_gbs;      ///< per app binding
-  std::vector<double> total_series_gbs; ///< per sample window
-  double peak_window_gbs = 0.0;
 };
 
 /// Summarizes the machine's bandwidth timeline. `skip_windows` drops

@@ -33,9 +33,6 @@ constexpr Addr app_base(AppId id) { return Addr{id} << kAppIdShift; }
 /// Cache-line number of an address (global across applications).
 constexpr Addr line_of(Addr a) { return a >> kLineBytesLog2; }
 
-/// First byte of the line containing `a`.
-constexpr Addr line_align(Addr a) { return a & ~Addr{kLineBytes - 1}; }
-
 /// AppId owning address `a`.
 constexpr AppId app_of(Addr a) { return static_cast<AppId>(a >> kAppIdShift); }
 

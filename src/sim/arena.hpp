@@ -42,9 +42,6 @@ class Arena {
     return static_cast<T*>(p);
   }
 
-  /// Total bytes handed out (diagnostics).
-  std::size_t bytes_used() const { return total_used_; }
-
  private:
   static constexpr std::size_t kAlign = 16;
   static constexpr std::size_t kLine = 64;
@@ -66,7 +63,6 @@ class Arena {
     used_ += (skew_ - used_) & (kPage - 1);
     void* p = cur_ + used_;
     used_ += bytes;
-    total_used_ += bytes;
     return p;
   }
 
@@ -87,7 +83,6 @@ class Arena {
   std::byte* cur_ = nullptr;
   std::size_t used_ = 0;
   std::size_t cap_ = 0;
-  std::size_t total_used_ = 0;
   std::size_t skew_ = 0;  ///< rotating page offset for the next allocation
 };
 

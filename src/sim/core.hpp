@@ -77,9 +77,6 @@ class Core {
   /// (empty for batch workloads, which never emit request marks).
   const LatencyStats& latency() const { return latency_; }
 
-  /// Forces local time forward (app restart joins, test setup).
-  void advance_to(Cycle t) { local_ = std::max(local_, t); }
-
  private:
   void exec(const Op& op);
   void do_compute(std::uint32_t uops);

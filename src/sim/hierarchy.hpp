@@ -109,9 +109,6 @@ class MemorySystem {
 
   const MachineConfig& config() const { return cfg_; }
 
-  /// Arena bytes backing the cache SoA state (diagnostics).
-  std::size_t arena_bytes() const { return arena_.bytes_used(); }
-
  private:
   /// Gates a request through `core`'s private bandwidth bucket (a core
   /// cannot pull more than per_core_bw_gbs from the socket).

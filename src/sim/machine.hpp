@@ -69,7 +69,6 @@ class Machine final : public SyncEnv {
   const MemorySystem& mem() const { return mem_; }
   Core& core(unsigned i) { return cores_[i]; }
   const MachineConfig& config() const { return cfg_; }
-  Cycle global_cycle() const { return global_; }
 
   std::size_t num_apps() const { return apps_.size(); }
   const AppBinding& app(std::size_t i) const { return apps_[i]; }

@@ -201,11 +201,6 @@ struct MemoryStats {
   std::uint64_t requests = 0;
 
   std::uint64_t total_bytes() const { return bytes_read + bytes_written; }
-  double avg_queue_delay() const {
-    return requests == 0
-               ? 0.0
-               : static_cast<double>(queue_delay_cycles) / static_cast<double>(requests);
-  }
 };
 
 }  // namespace coperf::sim

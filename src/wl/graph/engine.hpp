@@ -15,7 +15,22 @@
 #include <utility>
 #include <vector>
 
+#include "wl/graph/csr.hpp"
+#include "wl/workload.hpp"
+
 namespace coperf::wl::graph {
+
+/// The R-MAT graph both engines run at each input size. Like the
+/// paper's single friendster input, every graph workload at a size
+/// shares one graph (and one rmat_cached entry).
+inline GraphSpec spec_for(SizeClass s) {
+  switch (s) {
+    case SizeClass::Tiny: return GraphSpec{14, 16, 42, true};
+    case SizeClass::Small: return GraphSpec{17, 24, 42, true};
+    case SizeClass::Native: return GraphSpec{19, 24, 42, true};
+  }
+  return GraphSpec{};
+}
 
 /// Chunked dynamic work queue over [0, total) -- the Gemini-style
 /// work-stealing scheduler. Threads pull chunks as their cores consume

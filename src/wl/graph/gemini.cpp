@@ -31,22 +31,13 @@ using graph::GraphSpec;
 using sim::Addr;
 using sim::Dep;
 
-GraphSpec spec_for(SizeClass s) {
-  switch (s) {
-    case SizeClass::Tiny: return GraphSpec{14, 16, 42, true};
-    case SizeClass::Small: return GraphSpec{17, 24, 42, true};
-    case SizeClass::Native: return GraphSpec{19, 24, 42, true};
-  }
-  return GraphSpec{};
-}
-
 /// Common plumbing: shared graph, simulated views of the adjacency
 /// arrays, and the work-stealing cursor.
 class GeminiBase : public WorkloadBase {
  protected:
   GeminiBase(std::string name, const AppParams& p)
       : WorkloadBase(std::move(name), p, sim::ThreadAttr{0.55, 10}),
-        g_(graph::rmat_cached(spec_for(p.size))),
+        g_(graph::rmat_cached(graph::spec_for(p.size))),
         in_off_(space(), std::span{g_->in_offsets}),
         in_src_(space(), std::span{g_->in_sources}),
         out_off_(space(), std::span{g_->out_offsets}),

@@ -36,15 +36,6 @@ using graph::static_range;
 using sim::Addr;
 using sim::Dep;
 
-GraphSpec pg_spec_for(SizeClass s) {
-  switch (s) {
-    case SizeClass::Tiny: return GraphSpec{14, 16, 42, true};
-    case SizeClass::Small: return GraphSpec{17, 24, 42, true};
-    case SizeClass::Native: return GraphSpec{19, 24, 42, true};
-  }
-  return GraphSpec{};
-}
-
 /// PowerGraph's in-memory edge record (src, dst, data): 16 bytes, so a
 /// cache line covers 4 edges (vs. 16 for Gemini's compact 4-byte CSR
 /// entries) -- one reason PowerGraph moves fewer useful bytes per line.
@@ -67,7 +58,7 @@ class PowerGraphBase : public WorkloadBase {
  protected:
   PowerGraphBase(std::string name, const AppParams& p)
       : WorkloadBase(std::move(name), p, sim::ThreadAttr{0.7, 8}),
-        g_(graph::rmat_cached(pg_spec_for(p.size))),
+        g_(graph::rmat_cached(graph::spec_for(p.size))),
         in_off_(space(), std::span{g_->in_offsets}),
         in_src_(space(), std::span{g_->in_sources}),
         out_off_(space(), std::span{g_->out_offsets}),

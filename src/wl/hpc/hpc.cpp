@@ -28,8 +28,6 @@ namespace {
 using sim::Addr;
 using sim::Dep;
 
-constexpr std::size_t kDoublesPerLine = sim::kLineBytes / sizeof(double);
-
 // ---------------------------------------------------------------------
 // lulesh
 // ---------------------------------------------------------------------

@@ -26,11 +26,6 @@ namespace {
 
 using sim::Dep;
 
-/// One cache line of address-only footprint.
-struct CacheLine {
-  std::uint8_t bytes[sim::kLineBytes];
-};
-
 // ---------------------------------------------------------------------
 // McCalpin Stream
 // ---------------------------------------------------------------------

@@ -30,11 +30,6 @@ namespace {
 using sim::Addr;
 using sim::Dep;
 
-/// One cache line of address-only footprint.
-struct CacheLine {
-  std::uint8_t bytes[sim::kLineBytes];
-};
-
 // ---------------------------------------------------------------------
 // blackscholes
 // ---------------------------------------------------------------------

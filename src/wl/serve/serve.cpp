@@ -36,11 +36,6 @@ namespace {
 
 using sim::Dep;
 
-/// One cache line of address-only footprint.
-struct CacheLine {
-  std::uint8_t bytes[sim::kLineBytes];
-};
-
 /// Zipfian rank sampler over `ranks` coarse popularity classes with a
 /// precomputed inverse-CDF table: draw uniform, binary-search the
 /// cumulative harmonic weights. Deterministic given the RNG stream;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +16,14 @@
 #include "sim/addr.hpp"
 
 namespace coperf::wl {
+
+/// One cache line of address-only footprint.
+struct CacheLine {
+  std::uint8_t bytes[sim::kLineBytes];
+};
+
+/// Doubles per cache line: the stride of a one-touch-per-line sweep.
+inline constexpr std::size_t kDoublesPerLine = sim::kLineBytes / sizeof(double);
 
 /// Bump allocator over one application's simulated address space.
 class AddrSpace {

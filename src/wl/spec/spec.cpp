@@ -36,8 +36,6 @@ namespace {
 using sim::Addr;
 using sim::Dep;
 
-constexpr std::size_t kDoublesPerLine = sim::kLineBytes / sizeof(double);
-
 // ---------------------------------------------------------------------
 // mcf: network simplex over an arc/node network (pointer chasing)
 // ---------------------------------------------------------------------

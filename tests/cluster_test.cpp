@@ -338,6 +338,46 @@ TEST(Placement, PoliciesRejectImpossibleRequests) {
   EXPECT_THROW(online.observe_pair(9, 0, 1.5), std::out_of_range);
 }
 
+TEST(Placement, TiesGoToTheLowestOpenMachine) {
+  // Machine 0 is full; machines 1-3 each hold one identical victim, so
+  // every open candidate prices the same under every policy.
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth oracle_truth{truth};
+  const std::vector<MachineView> views = {{0, {{1, 5.0}, {1, 5.0}}},
+                                          {1, {{1, 5.0, 1.2}}},
+                                          {1, {{1, 5.0, 1.2}}},
+                                          {1, {{1, 5.0, 1.2}}}};
+  const VectorClusterView cluster{views};
+  // A latency-critical hog with a budget it blows everywhere, so the
+  // SLO-aware score ties on a nonzero violation as well.
+  const JobSpec job{0, 0, 0.0, 2.0, 0, 1.01};
+  CostModelPolicy throughput{"tp", truth};
+  CostModelPolicy slo{"slo", truth, truth};
+  GroupTruthPolicy oracle{"oracle", oracle_truth};
+  EXPECT_EQ(throughput.place(job, cluster), 1u);
+  EXPECT_EQ(slo.place(job, cluster), 1u);
+  EXPECT_EQ(slo.forced_violations(), 1u);
+  EXPECT_EQ(oracle.place(job, cluster), 1u);
+}
+
+TEST(Placement, InfiniteCostStillPlaces) {
+  // Every co-location prices at +inf under the estimate. Once both
+  // machines hold one resident, every open candidate is +inf, and the
+  // job must still land on the lowest open machine.
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  harness::CorunMatrix inf = truth;
+  for (auto& row : inf.normalized)
+    for (double& cell : row) cell = std::numeric_limits<double>::infinity();
+  CostModelPolicy policy{"inf", inf};
+  const std::vector<JobSpec> trace = {
+      {0, 0, 0.0, 10.0}, {1, 1, 0.0, 10.0}, {2, 2, 0.1, 10.0}};
+  const auto res = simulate({2, 2}, additive, trace, policy);
+  EXPECT_EQ(res.outcomes[0].machine, 0u);
+  EXPECT_EQ(res.outcomes[1].machine, 1u);
+  EXPECT_EQ(res.outcomes[2].machine, 0u);
+}
+
 // The satellite criterion, on the real pipeline: solo signatures ->
 // analytic prediction -> distilled trainable model, then streaming
 // placement on the measured 8-workload Tiny ground truth. Online
@@ -541,7 +581,7 @@ TEST(Slo, ThroughputOnlyPolicyWalksIntoTheTailTrapAndIsBilled) {
 
   // Same scenario under the SLO-aware policy: it pays the throughput
   // premium to protect the budget, and the billed LC regret is zero.
-  SloAwarePolicy slo{"slo", truth.pairwise(), truth.tail_pairwise()};
+  CostModelPolicy slo{"slo", truth.pairwise(), truth.tail_pairwise()};
   const auto sres = simulate({2, 2}, truth, trace, slo);
   EXPECT_NE(sres.outcomes[2].machine, sres.outcomes[0].machine);
   EXPECT_DOUBLE_EQ(sres.mean_lc_tail_regret, 0.0);
@@ -558,7 +598,7 @@ TEST(Slo, ArrivingBeAggressorIsBilledAgainstResidentLcBudgets) {
   std::vector<JobSpec> trace = {{0, 1, 0.0, 10.0, 0, 1.5},
                                 {1, 2, 0.0, 10.0},
                                 {2, 0, 0.1, 10.0}};
-  SloAwarePolicy slo{"slo", truth.pairwise(), truth.tail_pairwise()};
+  CostModelPolicy slo{"slo", truth.pairwise(), truth.tail_pairwise()};
   const auto sres = simulate({2, 2}, truth, trace, slo);
   EXPECT_NE(sres.outcomes[2].machine, sres.outcomes[0].machine)
       << "SLO-aware policy parked the hog next to the LC victim";
@@ -589,7 +629,7 @@ TEST(Slo, BeOnlyDecisionsReduceToCostModelArithmetic) {
   topt.mean_interarrival = 0.6;
   const auto trace = synthetic_trace(3, topt);
   CostModelPolicy tp{"p", truth.pairwise()};
-  SloAwarePolicy slo{"p", truth.pairwise(), truth.tail_pairwise()};
+  CostModelPolicy slo{"p", truth.pairwise(), truth.tail_pairwise()};
   const auto a = simulate({3, 2}, truth, trace, tp);
   const auto b = simulate({3, 2}, truth, trace, slo);
   EXPECT_EQ(a.log.str({"hog", "victim", "neutral"}),
@@ -603,9 +643,9 @@ TEST(Slo, PolicyValidatesItsMatrices) {
   tiny.workloads = {"a"};
   tiny.solo_cycles = {1};
   tiny.normalized = {{1.0}};
-  EXPECT_THROW(SloAwarePolicy("x", truth.pairwise(), tiny),
+  EXPECT_THROW(CostModelPolicy("x", truth.pairwise(), tiny),
                std::invalid_argument);
-  EXPECT_THROW(SloAwarePolicy("x", harness::CorunMatrix{}, tiny),
+  EXPECT_THROW(CostModelPolicy("x", harness::CorunMatrix{}, tiny),
                std::invalid_argument);
 }
 

@@ -9,6 +9,7 @@
 #include "harness/report.hpp"
 #include "harness/runcache.hpp"
 #include "median_reference.hpp"
+#include "obs/metrics.hpp"
 #include "result_equality.hpp"
 
 namespace coperf::harness {
@@ -184,6 +185,20 @@ TEST(Plan, ProgressCallbackSeesEveryTrial) {
   EXPECT_EQ(calls, 3u);
   EXPECT_EQ(last_done, 3u);
   EXPECT_EQ(reported_total, 3u);
+}
+
+TEST(Plan, LanesGaugeMatchesParticipants) {
+  // plan.lanes counts parallel_for's participants: the host_threads
+  // cap, but never more lanes than trials.
+  ExperimentPlan plan{tiny_opts()};
+  plan.add_solo({"Bandit", 2, 2});
+  plan.add_solo({"swaptions", 2, 1});
+  ASSERT_EQ(plan.trial_count(), 3u);
+  obs::Gauge& lanes = obs::Registry::instance().gauge("plan.lanes");
+  (void)plan.execute(8);
+  EXPECT_EQ(lanes.value(), 3.0);
+  (void)plan.execute(2);
+  EXPECT_EQ(lanes.value(), 2.0);
 }
 
 TEST(Plan, ResultSetThrowsForSpecsOutsideThePlan) {
