@@ -75,13 +75,15 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
 /// as of the owning machine's `upd` time; `slowdown` and `eta` are
 /// valid for the machine's current resident multiset.
 struct Resident {
-  std::size_t job = 0;   ///< trace index
-  std::size_t type = 0;
+  std::size_t job = 0;         ///< trace index
+  std::uint32_t type = 0;
+  std::uint32_t priority = 0;  ///< JobSpec::priority, for victim search
   double remaining = 0.0;
   double slowdown = 1.0;
-  double eta = kInf;     ///< absolute completion estimate
-  double slo = 0.0;      ///< JobSpec::slo_p99 (0 = best-effort)
+  double eta = kInf;           ///< absolute completion estimate
+  double slo = 0.0;            ///< JobSpec::slo_p99 (0 = best-effort)
 };
+static_assert(sizeof(Resident) == 48);
 
 struct MachineState {
   std::vector<Resident> residents;
@@ -91,9 +93,11 @@ struct MachineState {
   std::size_t next_pos = 0;
 };
 
-/// Machines with >= 1 free slot, as a bitset: O(1) toggle, popcount
-/// count, and word-scan enumeration -- the free-slot index behind
-/// ClusterView::kth_open.
+/// A set of machines as a bitset: O(1) toggle, O(1) count, and
+/// word-scan enumeration. The engine keeps one of machines with >= 1
+/// free slot (the index behind ClusterView::kth_open) and, with
+/// migration on, one per priority class of machines holding a resident
+/// of that class (the victim index behind Engine::preempt).
 class OpenSet {
  public:
   explicit OpenSet(std::size_t n) : n_(n), words_((n + 63) / 64, 0) {}
@@ -116,7 +120,7 @@ class OpenSet {
   }
   std::size_t count() const { return count_; }
 
-  /// First open machine with index >= from; n (== machines) if none.
+  /// First member with index >= from; n (== machines) if none.
   std::size_t next(std::size_t from) const {
     if (from >= n_) return n_;
     std::size_t wi = from >> 6;
@@ -135,8 +139,9 @@ class OpenSet {
 };
 
 /// The policies' window into the engine. Views materialize lazily and
-/// are cached per event stamp; kth_open serves the ascending scans the
-/// policies and the regret billing do in O(1) amortized per step.
+/// are cached per event stamp; kth_open serves the policies' ascending
+/// scans in O(1) amortized per step (the regret bill walks the open
+/// set itself).
 class EngineView final : public ClusterView {
  public:
   EngineView(const std::vector<MachineState>& ms, const OpenSet& open,
@@ -378,6 +383,8 @@ class Engine {
       }
     }
     waiting_.resize(max_priority + 1);
+    if (cfg.migration.preempt)
+      holders_.assign(max_priority + 1, OpenSet{cfg.machines});
     res_.class_stats.resize(max_priority + 1);
     res_.outcomes.resize(trace.size());
     // Every job logs Arrive, Place and Finish; the fourth line leaves
@@ -506,23 +513,28 @@ class Engine {
 
   /// Opens a change to machine m's resident set at time t: closes its
   /// timeline span, brings its remaining work up to t, and takes its
-  /// residents out of the running count until commit().
+  /// residents out of the running count and the victim index until
+  /// commit().
   MachineState& edit(std::size_t m) {
     MachineState& ms = machines_[m];
     timeline_.lane(m, ms.residents, t_);
     materialize(ms);
     running_ -= ms.residents.size();
+    if (cfg_.migration.preempt)
+      for (const Resident& r : ms.residents) holders_[r.priority].clear(m);
     return ms;
   }
 
-  /// Closes the change: open-set membership, fresh rates and ETAs, a
-  /// new heap entry, and a new view stamp.
+  /// Closes the change: open-set and victim-index membership, fresh
+  /// rates and ETAs, a new heap entry, and a new view stamp.
   void commit(std::size_t m) {
     const MachineState& ms = machines_[m];
     if (alive_[m] && ms.residents.size() < cfg_.slots)
       open_.set(m);
     else
       open_.clear(m);
+    if (cfg_.migration.preempt)
+      for (const Resident& r : ms.residents) holders_[r.priority].set(m);
     reindex(m);
     running_ += ms.residents.size();
     ++stamp_;
@@ -660,23 +672,16 @@ class Engine {
   /// a strictly lower-priority resident (lowest class first, then the
   /// lowest machine and slot), which pays the work-loss penalty and
   /// requeues at once at the back of its lane -- no backoff. Returns
-  /// false when nothing is strictly lower.
+  /// false, in O(classes), when nothing is strictly lower.
   bool preempt() {
     const std::size_t top = top_lane();
-    std::size_t vm = cfg_.machines, vs = 0;
-    unsigned vprio = 0;
-    for (std::size_t m = 0; m < cfg_.machines; ++m) {
-      for (std::size_t s = 0; s < machines_[m].residents.size(); ++s) {
-        const unsigned p = trace_[machines_[m].residents[s].job].priority;
-        if (p >= top) continue;
-        if (vm == cfg_.machines || p < vprio) {
-          vm = m;
-          vs = s;
-          vprio = p;
-        }
-      }
-    }
-    if (vm == cfg_.machines) return false;
+    std::size_t c = 0;
+    while (c < top && holders_[c].count() == 0) ++c;
+    if (c == top) return false;
+    const std::size_t vm = holders_[c].next(0);
+    const std::vector<Resident>& slots = machines_[vm].residents;
+    std::size_t vs = 0;
+    while (slots[vs].priority != c) ++vs;
     const Resident victim = remove_resident(vm, vs);
     lose_work(victim.job, victim.remaining);
     const JobSpec& job = trace_[victim.job];
@@ -713,7 +718,8 @@ class Engine {
       throw std::logic_error{"simulate: policy chose a full machine"};
     timeline_.placed(m, job, policy_, bill(job, m), t_);
     observe(m, job.type);
-    add_resident(m, {jid, job.type, job.work, 1.0, kInf, job.slo_p99});
+    add_resident(m, {jid, static_cast<std::uint32_t>(job.type), job.priority,
+                     job.work, 1.0, kInf, job.slo_p99});
     JobOutcome& out = res_.outcomes[jid];
     out.machine = m;
     // A job places again only after a kill or an eviction.
@@ -835,6 +841,10 @@ class Engine {
 
   std::vector<MachineState> machines_;
   OpenSet open_;
+  /// The victim index, kept only with migration on: per priority class,
+  /// the machines holding a resident of that class. A class is empty
+  /// exactly when its set is.
+  std::vector<OpenSet> holders_;
   std::vector<char> alive_;
   std::size_t alive_machines_;
   std::size_t running_ = 0;

@@ -17,19 +17,24 @@
 // deterministic: same trace + same policy state => byte-identical
 // audit log.
 //
-// simulate() is an indexed event loop built for fleet scale: each
-// machine's resident slowdowns and completion ETAs are cached and
-// recomputed only when its resident multiset changes, a lazy heap of
-// per-machine next completions (deterministic (eta, machine, slot)
-// ties) replaces a per-event rescan, and a free-slot bitset feeds the
-// policies' ClusterView so a decision prices only candidate machines.
+// simulate() is an indexed event loop built for fleet scale:
+//  - each machine's resident slowdowns and completion ETAs are cached
+//    and recomputed only when its resident multiset changes;
+//  - a lazy heap of per-machine next completions (deterministic (eta,
+//    machine, slot) ties) replaces a per-event rescan;
+//  - a free-slot bitset feeds the policies' ClusterView, so a decision
+//    prices only candidate machines;
+//  - with migration on, a per-class resident index (per priority
+//    class, a bitset of the machines holding one of its residents)
+//    finds the preemption victim without scanning the fleet.
 // Candidates are priced in two loops: the policies' one argmin
 // (placement.cpp) and the regret bill, which walks the free-slot
 // bitset itself and prices every open machine at ground truth with the
-// same placement_delta and slo_violation. Remaining work is decremented once per constant-rate interval
-// (clamped at zero), so completion arithmetic does not drift. The
-// tests pin it to the pre-fleet scan loop, kept as the executable
-// specification in tests/cluster_reference.hpp.
+// same placement_delta and slo_violation. Remaining work is
+// decremented once per constant-rate interval (clamped at zero), so
+// completion arithmetic does not drift. The tests pin the loop to the
+// pre-fleet scan loop, kept as the executable specification in
+// tests/cluster_reference.hpp.
 #pragma once
 
 #include <cstddef>
@@ -64,10 +69,12 @@ struct RetryConfig {
 
 /// Policy-driven preemptive migration: when the highest waiting class
 /// would otherwise queue with no slot free, evict a strictly
-/// lower-priority resident (lowest class first -- the PR 7 priority
-/// lanes' victim ordering -- ties to the lowest machine then slot),
-/// charge it the RetryConfig work-loss model as the restart penalty,
-/// and requeue it through the normal decision path.
+/// lower-priority resident (lowest class first, ties to the lowest
+/// machine then slot), charge it the RetryConfig work-loss model as
+/// the restart penalty, and requeue it through the normal decision
+/// path. The victim comes from a per-class index of the machines
+/// holding each class's residents, so a saturated event with no
+/// strictly lower resident costs O(classes), not a scan of the fleet.
 struct MigrationConfig {
   bool preempt = false;
 };

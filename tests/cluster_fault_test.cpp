@@ -1,9 +1,12 @@
 // Fault-injection and graceful-degradation tests: the fault schedule
 // generator, fault-free byte-identity against the reference loop,
 // deterministic fault replay, retry/backoff and work-loss accounting,
-// preemptive migration ordering, and admission-control shed billing.
+// preemptive migration ordering (pinned on fixtures and replayed from
+// audit logs against a brute-force victim scan), and admission-control
+// shed billing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -366,6 +369,211 @@ TEST(Migration, NeverEvictsEqualOrHigherClass) {
   EXPECT_EQ(res.migrations, 0u);
   EXPECT_NEAR(res.outcomes[2].start, 100.0, 1e-9)
       << "equal-class residents must not be preempted";
+}
+
+// Three machines, three classes, every machine full. Machines 0-1 hold
+// only class 1; machine 2 holds class 1 in slot 0 and the fleet's only
+// class-0 resident in slot 1. Victims go lowest class first, then
+// lowest machine, then lowest slot of that class: the first class-2
+// arrival takes machine 2's class-0 slot, not machine 0's.
+TEST(Migration, VictimIsLowestClassThenMachineThenSlot) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  std::vector<JobSpec> trace = neutral_jobs(
+      {{0.0, 100.0}, {0.0, 100.0}, {0.0, 100.0}, {0.0, 100.0}, {0.0, 100.0},
+       {0.0, 100.0}, {1.0, 10.0}, {2.0, 10.0}},
+      /*priority=*/1);
+  trace[5].priority = 0;
+  trace[6].priority = 2;
+  trace[7].priority = 2;
+
+  ClusterConfig cfg{3, 2};
+  cfg.migration.preempt = true;
+  CostModelPolicy p{"oracle", truth};
+  const ClusterResult res = simulate(cfg, additive, trace, p);
+
+  // Neutral co-runs price at 0, so the oracle fills machines in order.
+  std::vector<std::size_t> placed_on;
+  for (const TraceEvent& e : res.log.events)
+    if (e.kind == TraceEvent::Kind::Place) placed_on.push_back(e.machine);
+  ASSERT_GE(placed_on.size(), 8u);
+  EXPECT_EQ(placed_on[4], 2u);
+  EXPECT_EQ(placed_on[5], 2u) << "job 5 must sit in machine 2's slot 1";
+
+  std::vector<const TraceEvent*> evicts;
+  for (const TraceEvent& e : res.log.events)
+    if (e.kind == TraceEvent::Kind::Evict) evicts.push_back(&e);
+  ASSERT_EQ(evicts.size(), 2u);
+  EXPECT_EQ(res.migrations, 2u);
+  EXPECT_EQ(evicts[0]->job, 5u) << "the class-0 resident goes first";
+  EXPECT_EQ(evicts[0]->machine, 2u);
+  EXPECT_NEAR(evicts[0]->time, 1.0, 1e-12);
+  EXPECT_EQ(evicts[1]->job, 0u) << "then machine 0's lowest class-1 slot";
+  EXPECT_EQ(evicts[1]->machine, 0u);
+  EXPECT_NEAR(evicts[1]->time, 2.0, 1e-12);
+  EXPECT_EQ(res.outcomes[6].machine, 2u);
+  EXPECT_EQ(res.outcomes[7].machine, 0u);
+  for (std::size_t j : {1u, 2u, 3u, 4u, 6u, 7u})
+    EXPECT_EQ(res.outcomes[j].evictions, 0u) << "job " << j;
+}
+
+// The victim index must forget a failed machine's residents. Machine 1
+// dies holding the only class-0 resident (job 2), so while it is down a
+// waiting class-1 job finds no victim; once it recovers and job 2
+// places there again, the next class-1 arrival evicts it.
+TEST(Migration, FailedMachineYieldsNoVictimUntilReplaced) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  std::vector<JobSpec> trace = neutral_jobs(
+      {{0.0, 100.0}, {0.0, 100.0}, {0.0, 100.0}, {0.0, 100.0}, {4.0, 10.0}},
+      /*priority=*/1);
+  trace[2].priority = 0;
+
+  ClusterConfig cfg{2, 2};
+  cfg.migration.preempt = true;
+  cfg.faults = {{1.0, 1, FaultEvent::Kind::Down},
+                {3.0, 1, FaultEvent::Kind::Up}};
+  CostModelPolicy p{"oracle", truth};
+  const ClusterResult res = simulate(cfg, additive, trace, p);
+
+  // Job 2 in machine 1's slot 0, job 3 beside it; the failure kills
+  // both and they requeue at t=2, while machine 0 is still full.
+  EXPECT_EQ(res.fault_kills, 2u);
+  EXPECT_EQ(res.outcomes[2].retries, 1u);
+  EXPECT_EQ(res.outcomes[3].retries, 1u);
+  std::vector<const TraceEvent*> evicts;
+  for (const TraceEvent& e : res.log.events)
+    if (e.kind == TraceEvent::Kind::Evict && e.time > 1.0)
+      evicts.push_back(&e);
+  ASSERT_EQ(evicts.size(), 1u)
+      << "no victim while the class-0 job waits, one once it is back";
+  EXPECT_EQ(res.migrations, 1u);
+  EXPECT_EQ(evicts[0]->job, 2u);
+  EXPECT_EQ(evicts[0]->machine, 1u);
+  EXPECT_NEAR(evicts[0]->time, 4.0, 1e-12);
+  EXPECT_EQ(res.outcomes[2].evictions, 1u);
+  EXPECT_NEAR(res.outcomes[3].start, 0.0, 1e-12);
+  EXPECT_EQ(res.outcomes[3].machine, 1u) << "job 3 re-places on recovery";
+  EXPECT_EQ(res.outcomes[4].machine, 1u);
+  EXPECT_NEAR(res.outcomes[4].start, 4.0, 1e-12);
+}
+
+// The audit log as an independent oracle for the victim index: replay
+// each machine's residents in slot order from the log and check every
+// migration's victim against a brute-force scan of the whole fleet,
+// over seeded configs with faults, migration and admission control.
+TEST(Migration, ReplayedVictimsMatchBruteForceScan) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  std::size_t migrations = 0, kills = 0;
+  std::vector<std::size_t> victims_by_class(3, 0);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ClusterConfig cfg;
+    cfg.machines = 8 + (seed * 7) % 25;
+    cfg.slots = 2 + seed % 2;
+    cfg.migration.preempt = true;
+    cfg.retry.checkpoint = seed % 3 == 0 ? 0.5 : 0.0;
+    cfg.admission.queue_limit = cfg.machines;
+    if (seed % 2 == 0) {
+      cfg.admission.util_limit = 0.9;
+      cfg.admission.defer_delay = 2.0;
+      cfg.admission.max_defers = 2;
+    }
+    FleetTraceOptions fopt;
+    fopt.jobs = 300;
+    fopt.seed = seed;
+    fopt.class_shares = {0.6, 0.25, 0.15};
+    // About 140% of the fleet's slot capacity (mean work 8).
+    fopt.mean_interarrival =
+        8.0 / static_cast<double>(cfg.machines * cfg.slots) / 1.4;
+    const auto trace = fleet_trace(truth.size(), fopt);
+    FaultScheduleOptions sched;
+    sched.seed = seed + 100;
+    sched.horizon = trace.back().arrival;
+    sched.mtbf = sched.horizon / 2.0;
+    sched.mttr = sched.horizon / 20.0;
+    cfg.faults = fault_schedule(cfg.machines, sched);
+
+    ClusterResult res;
+    if (seed % 2 == 0) {
+      CostModelPolicy p{"oracle", truth};
+      res = simulate(cfg, additive, trace, p);
+    } else {
+      RandomPolicy p{seed};
+      res = simulate(cfg, additive, trace, p);
+    }
+
+    const auto& events = res.log.events;
+    std::vector<std::vector<std::size_t>> on(cfg.machines);
+    std::vector<std::size_t> killed;  // residents of the latest Fail
+    const TraceEvent* fail = nullptr;
+    std::size_t seen = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const TraceEvent& e = events[i];
+      std::vector<std::size_t>& slots = on[e.machine];
+      const auto pos = std::find(slots.begin(), slots.end(), e.job);
+      switch (e.kind) {
+        case TraceEvent::Kind::Place:
+          ASSERT_LT(slots.size(), cfg.slots) << "seed " << seed;
+          slots.push_back(e.job);
+          break;
+        case TraceEvent::Kind::Finish:
+          ASSERT_NE(pos, slots.end()) << "seed " << seed << " event " << i;
+          slots.erase(pos);
+          break;
+        case TraceEvent::Kind::Fail:
+          fail = &e;
+          killed = slots;
+          slots.clear();
+          break;
+        case TraceEvent::Kind::Evict: {
+          if (pos == slots.end()) {
+            // A fault kill: the job died with its machine's Fail.
+            ASSERT_TRUE(fail && fail->time == e.time &&
+                        fail->machine == e.machine &&
+                        std::count(killed.begin(), killed.end(), e.job) == 1)
+                << "seed " << seed << " event " << i;
+            ++kills;
+            break;
+          }
+          // A migration: the next line places the waiting top class on
+          // the slot it freed.
+          ASSERT_LT(i + 1, events.size());
+          const TraceEvent& next = events[i + 1];
+          ASSERT_EQ(next.kind, TraceEvent::Kind::Place) << "seed " << seed;
+          ASSERT_EQ(next.machine, e.machine) << "seed " << seed;
+          const unsigned top = trace[next.job].priority;
+          std::size_t bm = cfg.machines, bs = 0;
+          unsigned bc = top;
+          for (std::size_t m = 0; m < cfg.machines; ++m)
+            for (std::size_t s = 0; s < on[m].size(); ++s)
+              if (trace[on[m][s]].priority < bc) {
+                bc = trace[on[m][s]].priority;
+                bm = m;
+                bs = s;
+              }
+          const auto slot = static_cast<std::size_t>(pos - slots.begin());
+          EXPECT_TRUE(bm == e.machine && bs == slot)
+              << "seed " << seed << " event " << i << ": evicted machine "
+              << e.machine << " slot " << slot << ", brute force says "
+              << bm << " slot " << bs;
+          ++victims_by_class[trace[e.job].priority];
+          ++seen;
+          slots.erase(pos);
+          break;
+        }
+        default:
+          break;
+      }
+    }
+    EXPECT_EQ(seen, res.migrations) << "seed " << seed;
+    migrations += seen;
+  }
+  EXPECT_GT(kills, 0u);
+  EXPECT_GT(victims_by_class[0], 0u);
+  EXPECT_GT(victims_by_class[1], 0u);
+  EXPECT_EQ(victims_by_class[2], 0u) << "the top class is never a victim";
+  EXPECT_GT(migrations, 100u);
 }
 
 // --- admission control ----------------------------------------------
