@@ -87,20 +87,23 @@ static_assert(sizeof(Resident) == 48);
 
 struct MachineState {
   std::vector<Resident> residents;
-  double upd = 0.0;           ///< time `remaining` values were materialized
-  std::uint64_t version = 0;  ///< bumped on every resident-set change
-  double next_eta = kInf;     ///< min resident eta (ties: lowest slot)
+  double upd = 0.0;        ///< time `remaining` values were materialized
+  double next_eta = kInf;  ///< min resident eta (ties: lowest slot)
   std::size_t next_pos = 0;
 };
 
-/// A set of machines as a bitset: O(1) toggle, O(1) count, and
-/// word-scan enumeration. The engine keeps one of machines with >= 1
-/// free slot (the index behind ClusterView::kth_open) and, with
-/// migration on, one per priority class of machines holding a resident
-/// of that class (the victim index behind Engine::preempt).
+/// A set of machines as a bitset: O(1) toggle, O(1) count, word-scan
+/// enumeration, and rank select through a Fenwick tree over the
+/// per-word popcounts. The engine keeps one of machines with >= 1 free
+/// slot (the index behind ClusterView::kth_open) and, with migration
+/// on, one per priority class of machines holding a resident of that
+/// class (the victim index behind Engine::preempt).
 class OpenSet {
  public:
-  explicit OpenSet(std::size_t n) : n_(n), words_((n + 63) / 64, 0) {}
+  explicit OpenSet(std::size_t n)
+      : n_(n),
+        words_((n + 63) / 64, 0),
+        tree_(std::bit_ceil(words_.size()) + 1, 0) {}
 
   void set(std::size_t i) {
     std::uint64_t& w = words_[i >> 6];
@@ -108,6 +111,8 @@ class OpenSet {
     if (!(w & b)) {
       w |= b;
       ++count_;
+      for (std::size_t f = (i >> 6) + 1; f < tree_.size(); f += f & (~f + 1))
+        ++tree_[f];
     }
   }
   void clear(std::size_t i) {
@@ -116,6 +121,8 @@ class OpenSet {
     if (w & b) {
       w &= ~b;
       --count_;
+      for (std::size_t f = (i >> 6) + 1; f < tree_.size(); f += f & (~f + 1))
+        --tree_[f];
     }
   }
   std::size_t count() const { return count_; }
@@ -132,47 +139,60 @@ class OpenSet {
     }
   }
 
+  /// The k-th (0-based) member in ascending order, k < count(): a
+  /// branch-free Fenwick descent to the word holding it, then that
+  /// word's lower members cleared one by one. O(log words), plus at
+  /// most 63 steps inside the word.
+  std::size_t select(std::size_t k) const {
+    std::size_t wi = 0;  // words wholly before the k-th member
+    for (std::size_t step = (tree_.size() - 1) / 2; step != 0; step >>= 1) {
+      // Branch-free: all ones when the step's words lie wholly before.
+      const std::size_t c = tree_[wi + step];
+      const std::size_t take = ~std::size_t{0} * (c <= k);
+      wi += step & take;
+      k -= c & take;
+    }
+    std::uint64_t w = words_[wi];
+    for (; k != 0; --k) w &= w - 1;
+    return (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
+  }
+
  private:
   std::size_t n_;
   std::size_t count_ = 0;
   std::vector<std::uint64_t> words_;
+  /// Fenwick tree over the word popcounts, 1-based and padded to a
+  /// power of two: tree_[f] counts the members of words
+  /// [f - lowbit(f), f).
+  std::vector<std::size_t> tree_;
 };
 
-/// The policies' window into the engine. Views materialize lazily and
-/// are cached per event stamp; kth_open serves the policies' ascending
-/// scans in O(1) amortized per step (the regret bill walks the open
-/// set itself).
+/// The policies' window into the engine. view() materializes into one
+/// scratch MachineView, valid until the next view() call: a decision
+/// views each candidate once. kth_open selects any k in O(log words)
+/// and serves the policies' ascending scans in O(1) amortized per step
+/// (the regret bill walks the open set itself).
 class EngineView final : public ClusterView {
  public:
   EngineView(const std::vector<MachineState>& ms, const OpenSet& open,
              std::size_t slots, const double& t, const std::uint64_t& stamp)
-      : ms_(ms),
-        open_(open),
-        slots_(slots),
-        t_(t),
-        stamp_(stamp),
-        views_(ms.size()),
-        view_stamp_(ms.size(), 0) {}
+      : ms_(ms), open_(open), slots_(slots), t_(t), stamp_(stamp) {
+    scratch_.residents.reserve(slots);
+  }
 
   std::size_t machines() const override { return ms_.size(); }
   std::size_t open_count() const override { return open_.count(); }
 
   std::size_t kth_open(std::size_t k) const override {
-    const bool warm = scan_stamp_ == stamp_;
-    std::size_t m, kk;
-    if (warm && k == last_k_) return last_m_;
-    if (warm && k == last_k_ + 1) {
-      m = open_.next(last_m_ + 1);
-    } else {
-      m = open_.next(0);
-      for (kk = 0; kk < k && m < ms_.size(); ++kk) m = open_.next(m + 1);
-    }
-    if (m >= ms_.size())
+    if (k >= open_.count())
       throw std::out_of_range{"ClusterView::kth_open: index past open set"};
+    const bool warm = scan_stamp_ == stamp_;
+    if (warm && k == last_k_) return last_m_;
+    last_m_ = warm && k == last_k_ + 1 ? open_.next(last_m_ + 1)
+                                       : open_.select(k);
     scan_stamp_ = stamp_;
     last_k_ = k;
-    last_m_ = m;
-    return m;
+    return last_m_;
   }
 
   std::size_t free_slots(std::size_t m) const override {
@@ -180,19 +200,14 @@ class EngineView final : public ClusterView {
   }
 
   const MachineView& view(std::size_t m) const override {
-    MachineView& v = views_[m];
-    if (view_stamp_[m] != stamp_) {
-      const MachineState& s = ms_[m];
-      v.free_slots = slots_ - s.residents.size();
-      v.residents.clear();
-      for (const Resident& r : s.residents)
-        v.residents.push_back(
-            {r.type,
-             std::max(0.0, r.remaining - (t_ - s.upd) / r.slowdown),
-             r.slo});
-      view_stamp_[m] = stamp_;
-    }
-    return v;
+    const MachineState& s = ms_[m];
+    scratch_.free_slots = slots_ - s.residents.size();
+    scratch_.residents.clear();
+    for (const Resident& r : s.residents)
+      scratch_.residents.push_back(
+          {r.type, std::max(0.0, r.remaining - (t_ - s.upd) / r.slowdown),
+           r.slo});
+    return scratch_;
   }
 
  private:
@@ -201,26 +216,84 @@ class EngineView final : public ClusterView {
   std::size_t slots_;
   const double& t_;
   const std::uint64_t& stamp_;
-  mutable std::vector<MachineView> views_;
-  mutable std::vector<std::uint64_t> view_stamp_;
+  mutable MachineView scratch_;
   mutable std::uint64_t scan_stamp_ = 0;
   mutable std::size_t last_k_ = 0;
   mutable std::size_t last_m_ = 0;
 };
 
-/// Min-heap entry: machine `machine`'s earliest completion, valid while
-/// its version matches (lazy invalidation -- a resident-set change
-/// bumps the version and pushes a fresh entry).
-struct HeapEntry {
-  double eta = kInf;
-  std::size_t machine = 0;
-  std::uint64_t version = 0;
-};
-struct HeapLater {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.eta != b.eta) return a.eta > b.eta;
-    return a.machine > b.machine;  // deterministic: lowest machine first
+/// The completion index: a binary min-heap with one entry per busy
+/// machine, keyed by (next_eta, machine) -- ties go to the lowest
+/// machine, deterministically -- plus each machine's heap slot, so a
+/// resident-set change re-keys its machine's entry in place.
+class CompletionHeap {
+ public:
+  struct Entry {
+    double eta = kInf;
+    std::size_t machine = 0;
+  };
+
+  explicit CompletionHeap(std::size_t machines) : slot_(machines, kAbsent) {}
+
+  bool empty() const { return heap_.empty(); }
+  const Entry& top() const { return heap_.front(); }
+
+  /// Keys machine m at `eta`, inserting it if absent.
+  void update(std::size_t m, double eta) {
+    std::size_t i = slot_[m];
+    if (i == kAbsent) {
+      i = heap_.size();
+      heap_.push_back({eta, m});
+    } else {
+      heap_[i].eta = eta;
+    }
+    sift(i);
   }
+
+  /// Drops machine m's entry, if it has one.
+  void erase(std::size_t m) {
+    const std::size_t i = slot_[m];
+    if (i == kAbsent) return;
+    slot_[m] = kAbsent;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return;
+    put(i, last);
+    sift(i);
+  }
+
+ private:
+  static constexpr std::size_t kAbsent =
+      std::numeric_limits<std::size_t>::max();
+
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.eta != b.eta) return a.eta < b.eta;
+    return a.machine < b.machine;
+  }
+
+  void put(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    slot_[e.machine] = i;
+  }
+
+  /// Moves the entry in slot i up or down to its place.
+  void sift(std::size_t i) {
+    const Entry e = heap_[i];
+    while (i > 0 && before(e, heap_[(i - 1) / 2])) {
+      put(i, heap_[(i - 1) / 2]);
+      i = (i - 1) / 2;
+    }
+    for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
+      if (c + 1 < heap_.size() && before(heap_[c + 1], heap_[c])) ++c;
+      if (!before(heap_[c], e)) break;
+      put(i, heap_[c]);
+      i = c;
+    }
+    put(i, e);
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<std::size_t> slot_;  ///< heap index per machine, or kAbsent
 };
 
 /// A killed or deferred job waiting out its simulated-time delay before
@@ -371,6 +444,7 @@ class Engine {
         alive_(cfg.machines, 1),
         alive_machines_(cfg.machines),
         pending_(trace.size(), 0.0),
+        heap_(cfg.machines),
         view_{machines_, open_, cfg.slots, t_, stamp_},
         timeline_{cfg, policy} {
     for (std::size_t m = 0; m < cfg.machines; ++m) open_.set(m);
@@ -433,18 +507,14 @@ class Engine {
  private:
   // --- event sources ------------------------------------------------
 
-  /// Earliest completion on the heap, stale entries dropped; ties
-  /// resolve to the lowest machine then slot, deterministically.
-  double next_completion() {
-    while (!heap_.empty() &&
-           heap_.top().version != machines_[heap_.top().machine].version)
-      heap_.pop();
+  /// Earliest completion in the fleet; ties resolve to the lowest
+  /// machine then slot, deterministically.
+  double next_completion() const {
     return heap_.empty() ? kInf : heap_.top().eta;
   }
 
   void complete() {
     const std::size_t m = heap_.top().machine;
-    heap_.pop();
     const std::size_t jid = remove_resident(m, machines_[m].next_pos).job;
     timeline_.completions.add();
     JobOutcome& out = res_.outcomes[jid];
@@ -526,7 +596,8 @@ class Engine {
   }
 
   /// Closes the change: open-set and victim-index membership, fresh
-  /// rates and ETAs, a new heap entry, and a new view stamp.
+  /// rates and ETAs, the machine's completion entry, and a new view
+  /// stamp.
   void commit(std::size_t m) {
     const MachineState& ms = machines_[m];
     if (alive_[m] && ms.residents.size() < cfg_.slots)
@@ -567,10 +638,10 @@ class Engine {
 
   /// Re-derives machine m's cached rates after a resident-set change at
   /// time t (remaining already materialized to t): one truth query per
-  /// resident, fresh ETAs, new heap entry.
+  /// resident, fresh ETAs, and the machine's completion entry re-keyed
+  /// in place (dropped once the machine is empty).
   void reindex(std::size_t m) {
     MachineState& ms = machines_[m];
-    ++ms.version;
     ms.next_eta = kInf;
     ms.next_pos = 0;
     for (std::size_t i = 0; i < ms.residents.size(); ++i) {
@@ -587,7 +658,10 @@ class Engine {
         ms.next_pos = i;
       }
     }
-    if (!ms.residents.empty()) heap_.push({ms.next_eta, m, ms.version});
+    if (ms.residents.empty())
+      heap_.erase(m);
+    else
+      heap_.update(m, ms.next_eta);
   }
 
   // --- protection: retry, migration, admission ----------------------
@@ -740,12 +814,12 @@ class Engine {
     double best = kInf, lc_chosen = 0.0, lc_best = kInf;
     for (std::size_t v = open_.next(0); v < cfg_.machines;
          v = open_.next(v + 1)) {
-      const double d =
-          placement_delta(truth_, job.type, job.work, view_.view(v));
+      const MachineView& mv = view_.view(v);
+      const double d = placement_delta(truth_, job.type, job.work, mv);
       if (v == m) b.chosen = d;
       best = std::min(best, d);
       if (any_lc_) {
-        const double lv = slo_violation(truth_, job, view_.view(v));
+        const double lv = slo_violation(truth_, job, mv);
         if (v == m) lc_chosen = lv;
         lc_best = std::min(lc_best, lv);
       }
@@ -854,7 +928,7 @@ class Engine {
   /// Solo work a job still owes at its next placement: its full demand
   /// until a failure kill or eviction applies the work-loss model.
   std::vector<double> pending_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLater> heap_;
+  CompletionHeap heap_;
   std::priority_queue<Requeue, std::vector<Requeue>, RequeueLater> requeues_;
   std::size_t next_arrival_ = 0;
   std::size_t next_fault_ = 0;

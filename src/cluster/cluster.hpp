@@ -20,10 +20,16 @@
 // simulate() is an indexed event loop built for fleet scale:
 //  - each machine's resident slowdowns and completion ETAs are cached
 //    and recomputed only when its resident multiset changes;
-//  - a lazy heap of per-machine next completions (deterministic (eta,
-//    machine, slot) ties) replaces a per-event rescan;
-//  - a free-slot bitset feeds the policies' ClusterView, so a decision
-//    prices only candidate machines;
+//  - an indexed heap of per-machine next completions replaces a
+//    per-event rescan: one entry per busy machine, keyed by (eta,
+//    machine) with the lowest slot first within a machine, re-keyed in
+//    place on every resident-set change and dropped when the machine
+//    empties;
+//  - a free-slot bitset with a rank index feeds the policies'
+//    ClusterView: any kth_open in O(log words), ascending ones in O(1),
+//    and each priced candidate is materialized into one scratch view
+//    (no per-machine view cache), so a decision costs only the
+//    candidates it prices;
 //  - with migration on, a per-class resident index (per priority
 //    class, a bitset of the machines holding one of its residents)
 //    finds the preemption victim without scanning the fleet.

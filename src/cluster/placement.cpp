@@ -22,22 +22,27 @@ std::size_t RandomPolicy::place(const JobSpec& job,
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// The open machine with the lowest `cost(view)`, and that cost. Walks
 /// kth_open in ascending order and keeps the incumbent unless a
 /// candidate is strictly cheaper, so ties go to the lowest index. The
 /// first open machine is the initial incumbent, so a job lands even
-/// when every candidate prices at +inf. The one candidate scan behind
-/// every cost-driven policy.
-template <class Cost>
-auto cheapest(const ClusterView& cluster, const std::string& who, Cost cost) {
+/// when every candidate prices at +inf. `floor` is a cost no candidate
+/// can price below: once the incumbent prices at it, no later machine
+/// can replace it, so the scan stops there with the same pick. The one
+/// candidate scan behind every cost-driven policy.
+template <class Price, class Cost>
+auto cheapest(const ClusterView& cluster, const std::string& who, Price floor,
+              Cost cost) {
   const std::size_t open = cluster.open_count();
   if (open == 0)
     throw std::logic_error{who + "::place: no machine has a free slot"};
   std::size_t best = cluster.kth_open(0);
-  auto best_cost = cost(cluster.view(best));
-  for (std::size_t k = 1; k < open; ++k) {
+  Price best_cost = cost(cluster.view(best));
+  for (std::size_t k = 1; k < open && floor < best_cost; ++k) {
     const std::size_t m = cluster.kth_open(k);
-    const auto c = cost(cluster.view(m));
+    const Price c = cost(cluster.view(m));
     if (c < best_cost) {
       best_cost = c;
       best = m;
@@ -93,6 +98,19 @@ CostModelPolicy::CostModelPolicy(std::string name,
   if (tail_.size() != 0 && tail_.size() != estimate_.size())
     throw std::invalid_argument{
         "CostModelPolicy: tail/estimate axis size mismatch"};
+  reprice_floor();
+}
+
+void CostModelPolicy::reprice_floor() {
+  // With every entry >= 1, placement_delta sums non-negative terms
+  // (residents' remaining work is >= 0), and the violation always does.
+  floor_ = 0.0;
+  for (const std::vector<double>& row : estimate_.normalized)
+    for (const double e : row)
+      if (!(e >= 1.0)) {
+        floor_ = -kInf;
+        return;
+      }
 }
 
 double placement_delta(const harness::CorunMatrix& est, std::size_t job_type,
@@ -151,9 +169,10 @@ std::size_t GroupTruthPolicy::place(const JobSpec& job,
                                     const ClusterView& cluster) {
   if (job.type >= truth_.size())
     throw std::out_of_range{"GroupTruthPolicy::place: job type outside truth"};
-  const auto [m, delta] = cheapest(cluster, name_, [&](const MachineView& v) {
-    return placement_delta(truth_, job.type, job.work, v);
-  });
+  const auto [m, delta] =
+      cheapest(cluster, name_, -kInf, [&](const MachineView& v) {
+        return placement_delta(truth_, job.type, job.work, v);
+      });
   last_delta_ = delta;
   return m;
 }
@@ -163,19 +182,22 @@ std::size_t CostModelPolicy::place(const JobSpec& job,
   if (job.type >= estimate_.size())
     throw std::out_of_range{"CostModelPolicy::place: job type outside matrix"};
   if (tail_.size() == 0) {
-    const auto [m, delta] = cheapest(cluster, name_, [&](const MachineView& v) {
-      return placement_delta(estimate_, job.type, job.work, v);
-    });
+    const auto [m, delta] =
+        cheapest(cluster, name_, floor_, [&](const MachineView& v) {
+          return placement_delta(estimate_, job.type, job.work, v);
+        });
     last_delta_ = delta;
     return m;
   }
   // SLO-aware: (predicted violation, throughput delta), lexicographic.
-  const auto [m, score] = cheapest(cluster, name_, [&](const MachineView& v) {
-    const double viol = violation(job, v, [&](std::size_t i) {
-      return composed_tail(tail_, job.type, v, i);
-    });
-    return std::pair{viol, placement_delta(estimate_, job.type, job.work, v)};
-  });
+  const auto [m, score] = cheapest(
+      cluster, name_, std::pair{floor_, floor_}, [&](const MachineView& v) {
+        const double viol = violation(job, v, [&](std::size_t i) {
+          return composed_tail(tail_, job.type, v, i);
+        });
+        return std::pair{viol,
+                         placement_delta(estimate_, job.type, job.work, v)};
+      });
   last_delta_ = score.second;
   if (score.first > 0.0) ++forced_;
   return m;
@@ -262,6 +284,7 @@ void OnlineRefinedPolicy::refresh_unobserved() {
             decon_.support(i, j) > 0
                 ? decon_.entry(i, j)
                 : std::max(1.0, model_->predict(sigs_[i], sigs_[j]));
+  reprice_floor();
   estimate_stale_ = false;
 }
 

@@ -48,7 +48,10 @@ namespace coperf::cluster {
 /// One running job as the policy sees it.
 struct ResidentView {
   std::size_t type = 0;
-  double remaining = 0.0;  ///< solo-time units left to execute
+  /// Solo-time units left to execute; never negative. CostModelPolicy's
+  /// zero-cost stop relies on it: with every estimate entry >= 1, each
+  /// term of placement_delta and of the SLO violation is then >= 0.
+  double remaining = 0.0;
   /// The resident's p99 slowdown budget; 0 = best-effort
   /// (JobSpec::slo_p99 of the job occupying the slot).
   double slo_target = 0.0;
@@ -74,10 +77,14 @@ class ClusterView {
   /// Machines with at least one free slot.
   virtual std::size_t open_count() const = 0;
   /// The k-th (0-based) open machine in ascending index order. The
-  /// simulator's implementation serves ascending k in O(1) amortized.
+  /// simulator's implementation selects any k in O(log(machines / 64))
+  /// and the next ascending k (k = previous + 1) in O(1) amortized.
   virtual std::size_t kth_open(std::size_t k) const = 0;
   virtual std::size_t free_slots(std::size_t m) const = 0;
-  /// Machine m's residents and free slots, materialized on demand.
+  /// Machine m's residents and free slots, materialized on demand. The
+  /// reference is valid only until the next view() call: the
+  /// simulator's implementation reuses one scratch MachineView, so a
+  /// caller copies what it must keep.
   virtual const MachineView& view(std::size_t m) const = 0;
 };
 
@@ -185,6 +192,11 @@ class RandomPolicy final : public PlacementPolicy {
 /// budget, the least-violating one is chosen (the job must land
 /// somewhere). Best-effort-only decisions reduce exactly to the
 /// throughput-only arithmetic.
+///
+/// When every estimate entry is >= 1, no candidate can price below 0
+/// (SLO-aware: (0, 0)), so the scan stops at the first machine priced
+/// at 0 -- the pick the full scan would make. An estimate with an
+/// entry below 1 scans every open machine.
 class CostModelPolicy : public PlacementPolicy {
  public:
   /// An empty `tail` prices throughput only; a non-empty one must
@@ -201,11 +213,17 @@ class CostModelPolicy : public PlacementPolicy {
   std::size_t forced_violations() const { return forced_; }
 
  protected:
+  /// Re-derives floor_; call after every change to estimate_.
+  void reprice_floor();
+
   harness::CorunMatrix estimate_;
 
  private:
   harness::CorunMatrix tail_;
   std::string name_;
+  /// The lowest cost any candidate can price at: 0 when every estimate
+  /// entry is >= 1, -inf otherwise.
+  double floor_ = 0.0;
   double last_delta_ = 0.0;
   std::size_t forced_ = 0;
 };

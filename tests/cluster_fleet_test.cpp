@@ -8,7 +8,10 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "cluster/cluster.hpp"
 #include "cluster_fixtures.hpp"
@@ -90,6 +93,85 @@ TEST(FleetEquivalence, MatchesReferenceOnRegimeChangeTruth) {
   EXPECT_NEAR(ref.mean_decision_regret, fleet.mean_decision_regret, 1e-9);
   EXPECT_NEAR(ref.mean_stretch, fleet.mean_stretch, 1e-9);
   EXPECT_EQ(ref.billed_decisions, fleet.billed_decisions);
+}
+
+/// The cost-model argmin with no early stop: prices every open machine
+/// and keeps the lowest index on ties. It drives the reference side of
+/// the multi-word pin, so a zero-cost stop that changes a pick shows.
+class FullScanPolicy final : public PlacementPolicy {
+ public:
+  explicit FullScanPolicy(harness::CorunMatrix est) : est_(std::move(est)) {}
+  std::string name() const override { return "full-scan"; }
+  std::size_t place(const JobSpec& job, const ClusterView& cluster) override {
+    std::size_t best = cluster.kth_open(0);
+    last_ = placement_delta(est_, job.type, job.work, cluster.view(best));
+    for (std::size_t k = 1; k < cluster.open_count(); ++k) {
+      const std::size_t m = cluster.kth_open(k);
+      const double c =
+          placement_delta(est_, job.type, job.work, cluster.view(m));
+      if (c < last_) {
+        last_ = c;
+        best = m;
+      }
+    }
+    return best;
+  }
+  double last_cost_delta() const override { return last_; }
+
+ private:
+  harness::CorunMatrix est_;
+  double last_ = 0.0;
+};
+
+// The same pin on a fleet wide enough that the free-slot bitset spans
+// several 64-machine words: random picks select across words, and
+// bursts alternate a full fleet with a scattered open set. The trace
+// opens with 200 identical jobs arriving together: every machine that
+// keeps the same start runs through the same arithmetic, so they
+// finish at bit-identical instants and the completion heap's (eta,
+// machine) tie order shows in the log. The cost-model runs face a
+// full-scan argmin on the reference side: the oracle's estimate has
+// every entry >= 1, so its scan may stop at the first zero-cost
+// machine; the skewed estimate has one entry below 1, so its scan must
+// price every open machine.
+TEST(FleetEquivalence, MatchesReferenceAcrossOpenSetWords) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  harness::CorunMatrix skewed = truth;
+  skewed.normalized[2][2] = 0.95;  // neutral next to neutral: a speedup
+  for (const std::size_t slots : {2, 3}) {
+    const ClusterConfig cfg{160, slots};
+    FleetTraceOptions topt;
+    topt.jobs = 800;
+    topt.seed = 31 + slots;
+    topt.arrivals = ArrivalModel::Bursty;
+    topt.mean_interarrival =
+        topt.mean_work / (0.9 * static_cast<double>(cfg.machines * slots));
+    auto trace = fleet_trace(truth.size(), topt);
+    const double t0 = trace[0].arrival;
+    for (std::size_t i = 0; i < 200; ++i) trace[i] = {i, 0, t0, 4.0};
+
+    const harness::CorunMatrix* const estimates[] = {nullptr, &truth, &skewed};
+    for (const harness::CorunMatrix* est : estimates) {
+      std::unique_ptr<PlacementPolicy> ref_policy, fleet_policy;
+      if (est == nullptr) {
+        ref_policy = std::make_unique<RandomPolicy>(7);
+        fleet_policy = std::make_unique<RandomPolicy>(7);
+      } else {
+        ref_policy = std::make_unique<FullScanPolicy>(*est);
+        fleet_policy = std::make_unique<CostModelPolicy>("cost-model", *est);
+      }
+      const ClusterResult ref =
+          simulate_reference(cfg, additive, trace, *ref_policy);
+      const ClusterResult fleet = simulate(cfg, additive, trace, *fleet_policy);
+      EXPECT_EQ(ref.log.str(truth.workloads), fleet.log.str(truth.workloads))
+          << fleet_policy->name() << (est == &skewed ? " (skewed)" : "")
+          << " at " << slots << " slots diverged from the reference loop";
+      EXPECT_NEAR(ref.mean_decision_regret, fleet.mean_decision_regret, 1e-9);
+      EXPECT_NEAR(ref.makespan, fleet.makespan, 1e-9);
+      EXPECT_EQ(ref.billed_decisions, fleet.billed_decisions);
+    }
+  }
 }
 
 // --- audit-log job identity (the bugfix) ----------------------------

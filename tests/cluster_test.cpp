@@ -4,9 +4,11 @@
 // end-to-end regret ordering on the 8-workload Tiny ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "cluster/cluster.hpp"
 #include "cluster_fixtures.hpp"
@@ -376,6 +378,123 @@ TEST(Placement, InfiniteCostStillPlaces) {
   EXPECT_EQ(res.outcomes[0].machine, 0u);
   EXPECT_EQ(res.outcomes[1].machine, 1u);
   EXPECT_EQ(res.outcomes[2].machine, 0u);
+}
+
+/// Records which machines a policy views, in order, over a hand-built
+/// cluster.
+class CountingClusterView final : public ClusterView {
+ public:
+  explicit CountingClusterView(const std::vector<MachineView>& views)
+      : inner_(views) {}
+
+  std::size_t machines() const override { return inner_.machines(); }
+  std::size_t open_count() const override { return inner_.open_count(); }
+  std::size_t kth_open(std::size_t k) const override {
+    return inner_.kth_open(k);
+  }
+  std::size_t free_slots(std::size_t m) const override {
+    return inner_.free_slots(m);
+  }
+  const MachineView& view(std::size_t m) const override {
+    viewed.push_back(m);
+    return inner_.view(m);
+  }
+
+  mutable std::vector<std::size_t> viewed;
+
+ private:
+  VectorClusterView inner_;
+};
+
+/// Brute-force SLO violation of `job` on `machine` under the additively
+/// composed pairwise `tail` estimate: every latency-critical party's
+/// p99 excess over its budget, weighted by the work it runs under it.
+/// Summed in the policy's order (the job, then each resident), so ties
+/// compare bit for bit.
+double brute_violation(const harness::CorunMatrix& tail, const JobSpec& job,
+                       const MachineView& machine) {
+  const std::vector<ResidentView>& rs = machine.residents;
+  const auto p99 = [&](std::size_t fg, std::size_t self, bool with_job) {
+    double excess = 0.0;
+    for (std::size_t j = 0; j < rs.size(); ++j)
+      if (j != self) excess += tail.at(fg, rs[j].type) - 1.0;
+    if (with_job) excess += tail.at(fg, job.type) - 1.0;
+    return std::max(1.0, 1.0 + excess);
+  };
+  double viol = 0.0;
+  if (job.slo_p99 > 0.0)
+    viol += std::max(0.0, p99(job.type, rs.size(), false) - job.slo_p99) *
+            job.work;
+  for (std::size_t i = 0; i < rs.size(); ++i)
+    if (rs[i].slo_target > 0.0)
+      viol += std::max(0.0, p99(rs[i].type, i, true) - rs[i].slo_target) *
+              rs[i].remaining;
+  return viol;
+}
+
+TEST(Placement, ScanStopsAtTheFirstZeroCostMachineOnlyWhenExact) {
+  // Random 12-machine clusters of 2-slot machines, some full, some
+  // empty, some holding LC residents. With every estimate entry >= 1 no
+  // machine prices below 0 (SLO-aware: (0, 0)), so the policy stops at
+  // the first machine that prices there; with one entry below 1 it
+  // must price every open machine. Either way it picks the brute-force
+  // argmin, lowest index on ties.
+  const auto truth = synthetic_truth();
+  harness::CorunMatrix skewed = truth;
+  skewed.normalized[2][2] = 0.95;
+  util::SplitMix64 rng{5};
+  std::size_t stopped_early = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<MachineView> views(12);
+    for (MachineView& v : views) {
+      const std::size_t n = rng.below(3);
+      v.free_slots = 2 - n;
+      for (std::size_t r = 0; r < n; ++r)
+        v.residents.push_back({rng.below(4), 10.0 * rng.uniform(),
+                               rng.below(3) == 0 ? 1.1 + rng.uniform() : 0.0});
+    }
+    JobSpec job{0, rng.below(4), 0.0, 1.0 + 5.0 * rng.uniform()};
+    if (rng.below(2) == 0) job.slo_p99 = 1.1 + rng.uniform();
+    if (std::none_of(views.begin(), views.end(),
+                     [](const MachineView& v) { return v.free_slots > 0; }))
+      continue;
+
+    for (const bool exact_floor : {true, false}) {
+      const harness::CorunMatrix& est = exact_floor ? truth : skewed;
+      for (const bool slo_aware : {false, true}) {
+        // Brute force over every open machine.
+        std::size_t best = views.size(), first_zero = views.size();
+        std::pair<double, double> best_cost;
+        for (std::size_t m = 0; m < views.size(); ++m) {
+          if (views[m].free_slots == 0) continue;
+          const std::pair<double, double> c{
+              slo_aware ? brute_violation(truth, job, views[m]) : 0.0,
+              placement_delta(est, job.type, job.work, views[m])};
+          if (best == views.size() || c < best_cost) {
+            best = m;
+            best_cost = c;
+          }
+          if (first_zero == views.size() && c == std::pair{0.0, 0.0})
+            first_zero = m;
+        }
+        CostModelPolicy policy = slo_aware ? CostModelPolicy{"slo", est, truth}
+                                           : CostModelPolicy{"tp", est};
+        const CountingClusterView cluster{views};
+        ASSERT_EQ(policy.place(job, cluster), best)
+            << "trial " << trial << (slo_aware ? " slo-aware" : " throughput")
+            << (exact_floor ? "" : " skewed");
+        const std::size_t open = cluster.open_count();
+        if (exact_floor && first_zero != views.size()) {
+          ASSERT_EQ(cluster.viewed.back(), first_zero)
+              << "viewed a machine past the first zero-cost one";
+          stopped_early += cluster.viewed.size() < open ? 1 : 0;
+        } else {
+          ASSERT_EQ(cluster.viewed.size(), open) << "trial " << trial;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stopped_early, 100u) << "fixture never exercised the stop";
 }
 
 // The satellite criterion, on the real pipeline: solo signatures ->
