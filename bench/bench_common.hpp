@@ -19,6 +19,9 @@
 //   --subset=A,B  restrict the bench to named workloads
 // Bench-specific flags (e.g. bench_serving_tail's --slo=X and
 // --victim=W) go through parse_args' `extra` hook.
+// The snapshot benches build their result once as a json::Value:
+// --json prints it and persists it as BENCH_<name>.json (emit_json),
+// and --csv prints one row array of it (rows_csv).
 //
 // Malformed flag values (--reps=abc, --threads=) and flags the bench
 // does not read are rejected with a clear diagnostic and exit code 2
@@ -33,17 +36,21 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "harness/classify.hpp"
 #include "harness/plan.hpp"
+#include "harness/report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "wl/registry.hpp"
 
 namespace coperf::bench {
@@ -319,6 +326,85 @@ inline void print_config(const BenchArgs& a, const std::string& what) {
             << " rep(s), " << a.threads << " threads";
   if (!a.subset.empty()) std::cout << ", subset of " << a.subset.size();
   std::cout << "\n\n";
+}
+
+/// Where BENCH_*.json snapshots go, so the numbers a change ships with
+/// sit next to its code: COPERF_BENCH_SNAPSHOT_DIR when non-empty, else
+/// the first ancestor of the cwd holding ROADMAP.md and CMakeLists.txt
+/// (the repo root), else nullopt.
+inline std::optional<std::filesystem::path> snapshot_dir() {
+  namespace fs = std::filesystem;
+  if (const char* env = std::getenv("COPERF_BENCH_SNAPSHOT_DIR"))
+    if (*env != '\0') return fs::path{env};
+  std::error_code ec;
+  fs::path dir = fs::current_path(ec);
+  if (ec) return std::nullopt;
+  for (; !dir.empty(); dir = dir.parent_path()) {
+    if (fs::exists(dir / "ROADMAP.md", ec) &&
+        fs::exists(dir / "CMakeLists.txt", ec))
+      return dir;
+    if (dir == dir.root_path()) break;
+  }
+  return std::nullopt;
+}
+
+/// Writes BENCH_<name>.json holding `json` (newline-terminated) into
+/// snapshot_dir(), reporting the path -- or why it was skipped, since a
+/// run outside the repo must not fail over bookkeeping -- on stderr.
+inline void write_snapshot(const std::string& name, const std::string& json) {
+  const auto dir = snapshot_dir();
+  if (!dir) {
+    std::cerr << "bench snapshot skipped: no repo root found and "
+                 "COPERF_BENCH_SNAPSHOT_DIR is unset\n";
+    return;
+  }
+  const std::filesystem::path path = *dir / ("BENCH_" + name + ".json");
+  std::ofstream out{path};
+  if (!out) {
+    std::cerr << "bench snapshot skipped: cannot write " << path.string()
+              << "\n";
+    return;
+  }
+  out << json;
+  if (!json.empty() && json.back() != '\n') out << "\n";
+  std::cerr << "bench snapshot written to " << path.string() << "\n";
+}
+
+/// `rows` -- an array of flat objects -- as CSV through Table::to_csv:
+/// the first row's keys are the header, and each cell is its value's
+/// JSON text with strings unquoted (to_csv quotes what needs it). A row
+/// with a missing or extra key, or a nested value, throws.
+inline std::string rows_csv(const json::Value& rows) {
+  if (rows.arr().empty()) return {};
+  std::vector<std::string> header;
+  for (const auto& field : rows.items.front().fields)
+    header.push_back(field.first);
+  harness::Table table{header};
+  for (const json::Value& row : rows.items) {
+    if (row.fields.size() != header.size())
+      throw std::runtime_error{"csv: every row needs the first row's keys"};
+    std::vector<std::string> cells;
+    for (const std::string& key : header) {
+      const json::Value& v = row.at(key);
+      if (v.kind == json::Value::Kind::Array ||
+          v.kind == json::Value::Kind::Object)
+        throw std::runtime_error{"csv: '" + key + "' is nested"};
+      // A string's text is its value, a number's its token, null's "".
+      cells.push_back(v.kind != json::Value::Kind::Bool ? v.text
+                      : v.flag                          ? "true"
+                                                        : "false");
+    }
+    table.add_row(std::move(cells));
+  }
+  return table.to_csv();
+}
+
+/// Prints `doc` after a blank line and writes it as BENCH_<name>.json:
+/// stdout and the snapshot hold the same bytes.
+inline void emit_json(const std::string& name, const json::Value& doc) {
+  const std::string text = json::write(doc);
+  std::cout << "\n" << text;
+  write_snapshot(name, text);
 }
 
 /// Progress reporter for plan execution: trials done/total plus an ETA

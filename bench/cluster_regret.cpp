@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
@@ -36,7 +35,6 @@
 #include "harness/runcache.hpp"
 #include "predict/eval.hpp"
 #include "predict/predicted_matrix.hpp"
-#include "snapshot.hpp"
 
 int main(int argc, char** argv) try {
   using namespace coperf;
@@ -199,9 +197,7 @@ int main(int argc, char** argv) try {
 
   harness::Table table{{"policy", "mean stretch", "co-run slowdown",
                         "decision regret", "pairwise fallbacks"}};
-  std::string csv =
-      "policy,mean_stretch,corun_slowdown,decision_regret,"
-      "pairwise_fallbacks\n";
+  json::Value policies = json::array();
   std::uint64_t total_fallbacks = 0;
   for (Row& r : rows) {
     r.stretch /= seeds;
@@ -212,10 +208,11 @@ int main(int argc, char** argv) try {
                    harness::Table::fmt(r.slowdown, 3),
                    harness::Table::fmt(r.regret, 4),
                    std::to_string(r.fallbacks)});
-    csv += r.name + "," + harness::Table::fmt(r.stretch, 4) + "," +
-           harness::Table::fmt(r.slowdown, 4) + "," +
-           harness::Table::fmt(r.regret, 5) + "," +
-           std::to_string(r.fallbacks) + "\n";
+    policies.items.push_back(json::object(
+        {{"policy", json::str(r.name)}, {"mean_stretch", json::real(r.stretch)},
+         {"corun_slowdown", json::real(r.slowdown)},
+         {"decision_regret", json::real(r.regret)},
+         {"pairwise_fallbacks", json::integer(r.fallbacks)}}));
   }
   table.print(std::cout);
 
@@ -240,34 +237,27 @@ int main(int argc, char** argv) try {
             << harness::Table::fmt(oracle_regret, 4)
             << (oracle_regret <= 1e-9 ? " (zero by construction)" : "")
             << "\n";
-  if (args.csv) std::cout << "\n" << csv;
-  if (args.json) {
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"config\": {\"size\": \"" << bench::size_name(args.size())
-       << "\", \"reps\": " << reps << ", \"workloads\": " << subset.size()
-       << ", \"machines\": " << machines << ", \"slots\": " << slots
-       << ", \"max_truth_arity\": " << gcfg.max_arity
-       << ", \"seeds\": " << seeds << "},\n"
-       << "  \"truth\": {\"trials\": " << pstats.trials
-       << ", \"residue\": " << pstats.residue
-       << ", \"truncated\": " << truth.truncated_trials() << "},\n"
-       << "  \"additive_gap\": {\"observations\": " << gap.observations
-       << ", \"additive_mae\": " << gap.additive_mae
-       << ", \"max_additive_gap\": " << gap.max_additive_gap
-       << ", \"model_mae\": " << gap.model_mae << "},\n"
-       << "  \"policies\": [\n";
-    for (std::size_t p = 0; p < rows.size(); ++p)
-      js << "    {\"name\": \"" << rows[p].name
-         << "\", \"mean_stretch\": " << rows[p].stretch
-         << ", \"corun_slowdown\": " << rows[p].slowdown
-         << ", \"decision_regret\": " << rows[p].regret
-         << ", \"pairwise_fallbacks\": " << rows[p].fallbacks << "}"
-         << (p + 1 < rows.size() ? "," : "") << "\n";
-    js << "  ]\n}\n";
-    std::cout << "\n" << js.str();
-    bench::write_snapshot("cluster_regret", js.str());
-  }
+  const json::Value doc = json::object(
+      {{"config",
+        json::object({{"size", json::str(bench::size_name(args.size()))},
+                      {"reps", json::integer(reps)},
+                      {"workloads", json::integer(subset.size())},
+                      {"machines", json::integer(machines)},
+                      {"slots", json::integer(slots)},
+                      {"max_truth_arity", json::integer(gcfg.max_arity)},
+                      {"seeds", json::integer(seeds)}})},
+       {"truth", json::object({{"trials", json::integer(pstats.trials)},
+                               {"residue", json::integer(pstats.residue)},
+                               {"truncated",
+                                json::integer(truth.truncated_trials())}})},
+       {"additive_gap",
+        json::object({{"observations", json::integer(gap.observations)},
+                      {"additive_mae", json::real(gap.additive_mae)},
+                      {"max_additive_gap", json::real(gap.max_additive_gap)},
+                      {"model_mae", json::real(gap.model_mae)}})},
+       {"policies", std::move(policies)}});
+  if (args.csv) std::cout << "\n" << bench::rows_csv(doc.at("policies"));
+  if (args.json) bench::emit_json("cluster_regret", doc);
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

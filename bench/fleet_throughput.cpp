@@ -34,14 +34,12 @@
 // including the fault ladder's per-class breakdown when --faults is on.
 #include <chrono>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "harness/report.hpp"
-#include "snapshot.hpp"
 
 namespace {
 
@@ -152,31 +150,25 @@ int main(int argc, char** argv) try {
 
   const harness::CorunMatrix truth = synthetic_fleet_truth(8);
   harness::MatrixTruth additive{truth};
-
-  struct Row {
-    std::string policy;
-    Rung rung{};
-    double wall_s = 0.0;
-    double dps = 0.0;  ///< placement decisions per second
-    double stretch = 0.0;
-    double regret = 0.0;
-    std::size_t billed = 0;
-    double makespan = 0.0;
-  };
-  std::vector<Row> rows;
-
-  for (const Rung& rung : ladder) {
+  // A rung's arrival trace, offered at `load` x the fleet's slot capacity.
+  const auto rung_trace = [&](const Rung& rung, double load) {
     cluster::FleetTraceOptions topt;
     topt.jobs = rung.jobs;
     topt.seed = 1;
     topt.arrivals = arrivals;
     topt.work = work;
     topt.class_shares = {0.75, 0.2, 0.05};
-    // ~80% slot utilization at steady state.
     topt.mean_interarrival =
-        topt.mean_work /
-        (0.8 * static_cast<double>(rung.machines) * slots);
-    const auto trace = cluster::fleet_trace(truth.size(), topt);
+        topt.mean_work / (load * static_cast<double>(rung.machines) * slots);
+    return cluster::fleet_trace(truth.size(), topt);
+  };
+
+  harness::Table table{{"machines", "jobs", "policy", "wall s",
+                        "decisions/s", "mean stretch", "regret (sampled)",
+                        "billed"}};
+  json::Value rung_rows = json::array();
+  for (const Rung& rung : ladder) {
+    const auto trace = rung_trace(rung, 0.8);  // ~80% slot utilization
 
     cluster::ClusterConfig cfg;
     cfg.machines = rung.machines;
@@ -191,19 +183,26 @@ int main(int argc, char** argv) try {
       const auto res = cluster::simulate(cfg, additive, trace, *policy);
       const double wall =
           std::chrono::duration<double>(Clock::now() - t0).count();
-      Row row;
-      row.policy = policy->name();
-      row.rung = rung;
-      row.wall_s = wall;
-      row.dps = static_cast<double>(rung.jobs) / wall;
-      row.stretch = res.mean_stretch;
-      row.regret = res.mean_decision_regret;
-      row.billed = res.billed_decisions;
-      row.makespan = res.makespan;
-      rows.push_back(row);
+      const double dps = static_cast<double>(rung.jobs) / wall;
+      table.add_row({std::to_string(rung.machines), std::to_string(rung.jobs),
+                     policy->name(), harness::Table::fmt(wall, 3),
+                     harness::Table::fmt(dps, 0),
+                     harness::Table::fmt(res.mean_stretch, 3),
+                     harness::Table::fmt(res.mean_decision_regret, 4),
+                     std::to_string(res.billed_decisions)});
+      rung_rows.items.push_back(json::object(
+          {{"machines", json::integer(rung.machines)},
+           {"jobs", json::integer(rung.jobs)},
+           {"policy", json::str(policy->name())},
+           {"wall_s", json::real(wall)},
+           {"decisions_per_s", json::real(dps)},
+           {"mean_stretch", json::real(res.mean_stretch)},
+           {"decision_regret", json::real(res.mean_decision_regret)},
+           {"billed_decisions", json::integer(res.billed_decisions)},
+           {"makespan", json::real(res.makespan)}}));
       std::cout << "  " << rung.machines << " machines x " << rung.jobs
-                << " jobs, " << row.policy << ": "
-                << harness::Table::fmt(row.dps / 1e6, 2) << "M decisions/s ("
+                << " jobs, " << policy->name() << ": "
+                << harness::Table::fmt(dps / 1e6, 2) << "M decisions/s ("
                 << harness::Table::fmt(wall, 2) << " s)\n";
     }
   }
@@ -223,19 +222,7 @@ int main(int argc, char** argv) try {
   // for everyone once overload leaves a single open machine per
   // placement, so it cannot separate the configs; stretch folds in
   // co-run slowdown noise from whatever neighbours the matrix deals.)
-  struct FaultRow {
-    std::string policy;
-    bool protected_ = false;
-    Rung rung{};
-    double wall_s = 0.0;
-    double makespan = 0.0;
-    std::size_t failures = 0, migrations = 0, shed_jobs = 0;
-    double shed_work = 0.0;
-    std::vector<cluster::ClassStats> classes;
-    /// Per-class mean solo-normalized placement delay (completed jobs).
-    std::vector<double> wait_regret;
-  };
-  std::vector<FaultRow> frows;
+  json::Value fault_rows = json::array();
   if (faults) {
     std::vector<Rung> fault_ladder = {{64, 20'000},
                                       {128, 40'000},
@@ -244,18 +231,12 @@ int main(int argc, char** argv) try {
     else if (args.quick) fault_ladder.resize(1);
 
     std::cout << "== fault ladder: overload + machine churn ==\n";
+    harness::Table ftable{{"machines", "jobs", "policy", "config",
+                           "failures", "migrations", "shed", "hp goodput",
+                           "hp stretch", "hp queue regret"}};
     for (const Rung& rung : fault_ladder) {
-      cluster::FleetTraceOptions topt;
-      topt.jobs = rung.jobs;
-      topt.seed = 1;
-      topt.arrivals = arrivals;
-      topt.work = work;
-      topt.class_shares = {0.75, 0.2, 0.05};
       // ~135% of slot capacity: without shedding the queue only grows.
-      topt.mean_interarrival =
-          topt.mean_work /
-          (1.35 * static_cast<double>(rung.machines) * slots);
-      const auto trace = cluster::fleet_trace(truth.size(), topt);
+      const auto trace = rung_trace(rung, 1.35);
       const double span = trace.back().arrival;
 
       // ~3 outages per machine over the arrival span, 5% repair time.
@@ -283,92 +264,102 @@ int main(int argc, char** argv) try {
         for (cluster::PlacementPolicy* policy : fpolicies) {
           const auto t0 = Clock::now();
           const auto res = cluster::simulate(cfg, additive, trace, *policy);
-          FaultRow fr;
-          fr.policy = policy->name();
-          fr.protected_ = protect;
-          fr.rung = rung;
-          fr.wall_s =
+          const double wall =
               std::chrono::duration<double>(Clock::now() - t0).count();
-          fr.makespan = res.makespan;
-          fr.failures = res.failures;
-          fr.migrations = res.migrations;
-          fr.shed_jobs = res.shed_jobs;
-          fr.shed_work = res.shed_work;
-          fr.classes = res.class_stats;
-          fr.wait_regret.assign(fr.classes.size(), 0.0);
-          std::vector<std::size_t> wait_n(fr.classes.size(), 0);
+          const std::vector<cluster::ClassStats>& cls = res.class_stats;
+          // Per-class mean solo-normalized placement delay (completed).
+          std::vector<double> wait_regret(cls.size(), 0.0);
+          std::vector<std::size_t> wait_n(cls.size(), 0);
           for (const cluster::JobOutcome& out : res.outcomes) {
             if (!out.completed()) continue;
             const unsigned c = trace[out.job].priority;
-            fr.wait_regret[c] += (out.start - out.arrival) / out.work;
+            wait_regret[c] += (out.start - out.arrival) / out.work;
             ++wait_n[c];
           }
-          for (std::size_t c = 0; c < fr.wait_regret.size(); ++c)
+          for (std::size_t c = 0; c < wait_regret.size(); ++c)
             if (wait_n[c] != 0)
-              fr.wait_regret[c] /= static_cast<double>(wait_n[c]);
-          frows.push_back(fr);
-          const cluster::ClassStats& hp = fr.classes.back();
+              wait_regret[c] /= static_cast<double>(wait_n[c]);
+          const cluster::ClassStats& hp = cls.back();
+          ftable.add_row({std::to_string(rung.machines),
+                          std::to_string(rung.jobs), policy->name(),
+                          protect ? "protected" : "baseline",
+                          std::to_string(res.failures),
+                          std::to_string(res.migrations),
+                          std::to_string(res.shed_jobs),
+                          harness::Table::fmt(hp.goodput, 3),
+                          harness::Table::fmt(hp.mean_stretch, 3),
+                          harness::Table::fmt(wait_regret.back(), 3)});
+          json::Value classes = json::array();
+          for (std::size_t c = 0; c < cls.size(); ++c) {
+            const cluster::ClassStats& cs = cls[c];
+            classes.items.push_back(json::object(
+                {{"class", json::integer(c)},
+                 {"jobs", json::integer(cs.jobs)},
+                 {"completed", json::integer(cs.completed)},
+                 {"shed", json::integer(cs.shed)},
+                 {"goodput", json::real(cs.goodput)},
+                 {"mean_stretch", json::real(cs.mean_stretch)},
+                 {"queueing_regret", json::real(wait_regret[c])},
+                 {"decision_regret", json::real(cs.mean_regret)},
+                 {"billed", json::integer(cs.billed)}}));
+          }
+          fault_rows.items.push_back(json::object(
+              {{"machines", json::integer(rung.machines)},
+               {"jobs", json::integer(rung.jobs)},
+               {"policy", json::str(policy->name())},
+               {"config", json::str(protect ? "protected" : "baseline")},
+               {"wall_s", json::real(wall)},
+               {"makespan", json::real(res.makespan)},
+               {"failures", json::integer(res.failures)},
+               {"migrations", json::integer(res.migrations)},
+               {"shed_jobs", json::integer(res.shed_jobs)},
+               {"shed_work", json::real(res.shed_work)},
+               {"classes", std::move(classes)}}));
           std::cout << "  " << rung.machines << " machines x " << rung.jobs
-                    << " jobs, " << fr.policy << ", "
+                    << " jobs, " << policy->name() << ", "
                     << (protect ? "protected" : "baseline ")
                     << ": top-class goodput "
                     << harness::Table::fmt(hp.goodput, 2) << ", stretch "
                     << harness::Table::fmt(hp.mean_stretch, 2) << ", shed "
-                    << fr.shed_jobs << " jobs\n";
+                    << res.shed_jobs << " jobs\n";
         }
       }
     }
 
-    harness::Table ftable{{"machines", "jobs", "policy", "config",
-                           "failures", "migrations", "shed", "hp goodput",
-                           "hp stretch", "hp queue regret"}};
-    for (const FaultRow& fr : frows) {
-      const cluster::ClassStats& hp = fr.classes.back();
-      ftable.add_row({std::to_string(fr.rung.machines),
-                      std::to_string(fr.rung.jobs), fr.policy,
-                      fr.protected_ ? "protected" : "baseline",
-                      std::to_string(fr.failures),
-                      std::to_string(fr.migrations),
-                      std::to_string(fr.shed_jobs),
-                      harness::Table::fmt(hp.goodput, 3),
-                      harness::Table::fmt(hp.mean_stretch, 3),
-                      harness::Table::fmt(fr.wait_regret.back(), 3)});
-    }
     std::cout << "\n";
     ftable.print(std::cout);
 
-    // Baseline rows and protected rows alternate per policy; pair them
-    // up and report whether protection won the top class. The claim
-    // needs at least one compared pair: no pair proves nothing.
+    // Pair each baseline row with the protected row of the same policy
+    // and rung, and report whether protection won the top class. The
+    // claim needs at least one compared pair: no pair proves nothing.
+    const auto top = [](const json::Value& row, const char* key) {
+      return row.at("classes").arr().back().at(key).num();
+    };
     std::size_t pairs = 0, wins = 0;
-    for (std::size_t i = 0; i < frows.size(); ++i) {
-      const FaultRow& base = frows[i];
-      if (base.protected_) continue;
-      for (std::size_t j = i + 1; j < frows.size(); ++j) {
-        const FaultRow& prot = frows[j];
-        if (!prot.protected_ || prot.policy != base.policy ||
-            prot.rung.machines != base.rung.machines)
+    for (const json::Value& base : fault_rows.items)
+      for (const json::Value& prot : fault_rows.items) {
+        if (base.at("config").str() != "baseline" ||
+            prot.at("config").str() != "protected" ||
+            prot.at("policy").str() != base.at("policy").str() ||
+            prot.at("machines").u64() != base.at("machines").u64())
           continue;
-        const cluster::ClassStats& bh = base.classes.back();
-        const cluster::ClassStats& ph = prot.classes.back();
-        const bool won = ph.goodput > bh.goodput &&
-                         prot.wait_regret.back() < base.wait_regret.back();
+        const bool won =
+            top(prot, "goodput") > top(base, "goodput") &&
+            top(prot, "queueing_regret") < top(base, "queueing_regret");
         ++pairs;
         wins += won ? 1 : 0;
-        std::cout << "  " << base.rung.machines << " machines, "
-                  << base.policy << ": protection "
+        std::cout << "  " << base.at("machines").u64() << " machines, "
+                  << base.at("policy").str() << ": protection "
                   << (won ? "WINS" : "DOES NOT WIN")
                   << " the top class (goodput "
-                  << harness::Table::fmt(bh.goodput, 2) << " -> "
-                  << harness::Table::fmt(ph.goodput, 2)
+                  << harness::Table::fmt(top(base, "goodput"), 2) << " -> "
+                  << harness::Table::fmt(top(prot, "goodput"), 2)
                   << ", queue regret "
-                  << harness::Table::fmt(base.wait_regret.back(), 3)
+                  << harness::Table::fmt(top(base, "queueing_regret"), 3)
                   << " -> "
-                  << harness::Table::fmt(prot.wait_regret.back(), 3)
+                  << harness::Table::fmt(top(prot, "queueing_regret"), 3)
                   << ")\n";
-        break;
       }
-    }
     std::cout << (pairs > 0 && wins == pairs
                       ? "  admission control + migration lifts top-class "
                         "goodput on every rung\n\n"
@@ -377,98 +368,26 @@ int main(int argc, char** argv) try {
                             std::to_string(pairs) + " compared pairs)\n\n");
   }
 
-  harness::Table table{{"machines", "jobs", "policy", "wall s",
-                        "decisions/s", "mean stretch", "regret (sampled)",
-                        "billed"}};
-  std::string csv =
-      "machines,jobs,policy,wall_s,decisions_per_s,mean_stretch,"
-      "decision_regret,billed_decisions\n";
-  for (const Row& r : rows) {
-    table.add_row({std::to_string(r.rung.machines),
-                   std::to_string(r.rung.jobs), r.policy,
-                   harness::Table::fmt(r.wall_s, 3),
-                   harness::Table::fmt(r.dps, 0),
-                   harness::Table::fmt(r.stretch, 3),
-                   harness::Table::fmt(r.regret, 4),
-                   std::to_string(r.billed)});
-    csv += std::to_string(r.rung.machines) + "," +
-           std::to_string(r.rung.jobs) + "," + r.policy + "," +
-           harness::Table::fmt(r.wall_s, 4) + "," +
-           harness::Table::fmt(r.dps, 1) + "," +
-           harness::Table::fmt(r.stretch, 4) + "," +
-           harness::Table::fmt(r.regret, 5) + "," +
-           std::to_string(r.billed) + "\n";
-  }
   table.print(std::cout);
   std::cout << "\nregret is billed at ground truth on every "
             << (regret_sample == 0 ? std::string("(never)")
                                    : std::to_string(regret_sample) + "th")
             << " decision; the oracle rows should stay ~0 at any scale.\n";
 
-  if (args.csv) std::cout << "\n" << csv;
-  if (args.json) {
-    const auto model_name = [&] {
-      std::string a = arrivals == cluster::ArrivalModel::Poisson ? "poisson"
-                      : arrivals == cluster::ArrivalModel::Diurnal
-                          ? "diurnal"
-                          : "bursty";
-      return a + "+" +
-             (work == cluster::WorkModel::Uniform ? "uniform" : "pareto");
-    }();
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"config\": {\"slots\": " << slots
-       << ", \"regret_sample\": " << regret_sample << ", \"trace\": \""
-       << model_name << "\", \"types\": " << truth.size() << "},\n"
-       << "  \"rungs\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      js << "    {\"machines\": " << r.rung.machines
-         << ", \"jobs\": " << r.rung.jobs << ", \"policy\": \"" << r.policy
-         << "\", \"wall_s\": " << r.wall_s
-         << ", \"decisions_per_s\": " << r.dps
-         << ", \"mean_stretch\": " << r.stretch
-         << ", \"decision_regret\": " << r.regret
-         << ", \"billed_decisions\": " << r.billed
-         << ", \"makespan\": " << r.makespan << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    js << "  ]";
-    if (faults) {
-      js << ",\n  \"fault_rungs\": [\n";
-      for (std::size_t i = 0; i < frows.size(); ++i) {
-        const FaultRow& fr = frows[i];
-        js << "    {\"machines\": " << fr.rung.machines
-           << ", \"jobs\": " << fr.rung.jobs << ", \"policy\": \""
-           << fr.policy << "\", \"config\": \""
-           << (fr.protected_ ? "protected" : "baseline")
-           << "\", \"wall_s\": " << fr.wall_s
-           << ", \"makespan\": " << fr.makespan
-           << ", \"failures\": " << fr.failures
-           << ", \"migrations\": " << fr.migrations
-           << ", \"shed_jobs\": " << fr.shed_jobs
-           << ", \"shed_work\": " << fr.shed_work << ",\n"
-           << "     \"classes\": [";
-        for (std::size_t c = 0; c < fr.classes.size(); ++c) {
-          const cluster::ClassStats& cs = fr.classes[c];
-          js << (c == 0 ? "" : ", ")
-             << "{\"class\": " << c << ", \"jobs\": " << cs.jobs
-             << ", \"completed\": " << cs.completed
-             << ", \"shed\": " << cs.shed
-             << ", \"goodput\": " << cs.goodput
-             << ", \"mean_stretch\": " << cs.mean_stretch
-             << ", \"queueing_regret\": " << fr.wait_regret[c]
-             << ", \"decision_regret\": " << cs.mean_regret
-             << ", \"billed\": " << cs.billed << "}";
-        }
-        js << "]}" << (i + 1 < frows.size() ? "," : "") << "\n";
-      }
-      js << "  ]";
-    }
-    js << "\n}";
-    std::cout << "\n" << js.str() << "\n";
-    bench::write_snapshot("fleet_throughput", js.str());
-  }
+  const std::string model_name =
+      std::string{arrivals == cluster::ArrivalModel::Poisson ? "poisson"
+                  : arrivals == cluster::ArrivalModel::Diurnal ? "diurnal"
+                                                               : "bursty"} +
+      "+" + (work == cluster::WorkModel::Uniform ? "uniform" : "pareto");
+  json::Value doc = json::object(
+      {{"config", json::object({{"slots", json::integer(slots)},
+                                {"regret_sample", json::integer(regret_sample)},
+                                {"trace", json::str(model_name)},
+                                {"types", json::integer(truth.size())}})},
+       {"rungs", std::move(rung_rows)}});
+  if (faults) doc.fields.emplace_back("fault_rungs", std::move(fault_rows));
+  if (args.csv) std::cout << "\n" << bench::rows_csv(doc.at("rungs"));
+  if (args.json) bench::emit_json("fleet_throughput", doc);
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "fleet_throughput failed: " << e.what() << "\n";

@@ -25,7 +25,6 @@
 //    line; CI enforces it).
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -33,7 +32,6 @@
 #include "harness/grouptruth.hpp"
 #include "harness/report.hpp"
 #include "harness/runcache.hpp"
-#include "snapshot.hpp"
 
 int main(int argc, char** argv) try {
   using namespace coperf;
@@ -201,30 +199,29 @@ int main(int argc, char** argv) try {
         results[ri][p].violations += run.slo_violation_decisions;
       }
     }
-    for (Cell& c : results[ri]) {
-      c.lc_regret /= seeds;
-      c.be_regret /= seeds;
-      c.stretch /= seeds;
-    }
   }
 
   harness::Table table{{"load", "policy", "LC p99 regret", "BE regret",
                         "mean stretch", "budget-blowing decisions"}};
-  std::string csv =
-      "load,policy,lc_p99_regret,be_regret,mean_stretch,violations\n";
+  json::Value cells = json::array();
   for (std::size_t ri = 0; ri < rungs.size(); ++ri)
     for (std::size_t p = 0; p < policy_names.size(); ++p) {
-      const Cell& c = results[ri][p];
+      Cell& c = results[ri][p];
+      c.lc_regret /= seeds;
+      c.be_regret /= seeds;
+      c.stretch /= seeds;
       table.add_row({harness::Table::fmt(rungs[ri], 1), policy_names[p],
                      harness::Table::fmt(c.lc_regret, 4),
                      harness::Table::fmt(c.be_regret, 4),
                      harness::Table::fmt(c.stretch, 3),
                      std::to_string(c.violations)});
-      csv += harness::Table::fmt(rungs[ri], 1) + "," + policy_names[p] + "," +
-             harness::Table::fmt(c.lc_regret, 5) + "," +
-             harness::Table::fmt(c.be_regret, 5) + "," +
-             harness::Table::fmt(c.stretch, 4) + "," +
-             std::to_string(c.violations) + "\n";
+      cells.items.push_back(
+          json::object({{"load", json::real(rungs[ri])},
+                        {"policy", json::str(policy_names[p])},
+                        {"lc_p99_regret", json::real(c.lc_regret)},
+                        {"be_regret", json::real(c.be_regret)},
+                        {"mean_stretch", json::real(c.stretch)},
+                        {"violations", json::integer(c.violations)}}));
     }
   std::cout << "\n";
   table.print(std::cout);
@@ -255,48 +252,38 @@ int main(int argc, char** argv) try {
     std::cout << "REGRESSION: SLO-aware placement exceeded the "
                  "throughput-only cost model's LC p99 regret on some rung\n";
 
-  if (args.csv) std::cout << "\n" << csv;
-  if (args.json) {
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"config\": {\"size\": \"" << bench::size_name(args.size())
-       << "\", \"reps\": " << reps << ", \"aggressors\": "
-       << aggressors.size() << ", \"victims\": " << victims.size()
-       << ", \"machines\": " << machines << ", \"slots\": " << slots
-       << ", \"max_truth_arity\": " << gcfg.max_arity << ", \"slo_p99\": "
-       << slo << ", \"seeds\": " << seeds << "},\n"
-       << "  \"truth\": {\"trials\": " << pstats.trials << ", \"residue\": "
-       << pstats.residue << ", \"truncated\": " << truth.truncated_trials()
-       << "},\n"
-       << "  \"victim_pairwise\": [\n";
-    bool vp_first = true;
-    for (std::size_t v = first_victim; v < axis.size(); ++v)
-      for (std::size_t b = 0; b < axis.size(); ++b) {
-        js << (vp_first ? "" : ",\n") << "    {\"victim\": \"" << axis[v]
-           << "\", \"vs\": \"" << axis[b] << "\", \"throughput\": "
-           << pairwise.normalized[v][b] << ", \"p99\": "
-           << tailm.normalized[v][b] << "}";
-        vp_first = false;
-      }
-    js << "\n  ],\n  \"rungs\": [\n";
-    for (std::size_t ri = 0; ri < rungs.size(); ++ri) {
-      js << "    {\"load\": " << rungs[ri] << ", \"policies\": [\n";
-      for (std::size_t p = 0; p < policy_names.size(); ++p) {
-        const Cell& c = results[ri][p];
-        js << "      {\"name\": \"" << policy_names[p]
-           << "\", \"lc_p99_regret\": " << c.lc_regret << ", \"be_regret\": "
-           << c.be_regret << ", \"mean_stretch\": " << c.stretch
-           << ", \"violations\": " << c.violations << "}"
-           << (p + 1 < policy_names.size() ? "," : "") << "\n";
-      }
-      js << "    ]}" << (ri + 1 < rungs.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"gate\": {\"slo_aware_holds_every_rung\": "
-       << (every_rung ? "true" : "false") << ", \"strictly_lower_overall\": "
-       << (sum_slo < sum_tp - 1e-9 ? "true" : "false") << "}\n}\n";
-    std::cout << "\n" << js.str();
-    bench::write_snapshot("serving_tail", js.str());
-  }
+  json::Value victim_pairwise = json::array();
+  for (std::size_t v = first_victim; v < axis.size(); ++v)
+    for (std::size_t b = 0; b < axis.size(); ++b)
+      victim_pairwise.items.push_back(json::object(
+          {{"victim", json::str(axis[v])},
+           {"vs", json::str(axis[b])},
+           {"throughput", json::real(pairwise.normalized[v][b])},
+           {"p99", json::real(tailm.normalized[v][b])}}));
+  const json::Value doc = json::object(
+      {{"config",
+        json::object({{"size", json::str(bench::size_name(args.size()))},
+                      {"reps", json::integer(reps)},
+                      {"aggressors", json::integer(aggressors.size())},
+                      {"victims", json::integer(victims.size())},
+                      {"machines", json::integer(machines)},
+                      {"slots", json::integer(slots)},
+                      {"max_truth_arity", json::integer(gcfg.max_arity)},
+                      {"slo_p99", json::real(slo)},
+                      {"seeds", json::integer(seeds)}})},
+       {"truth",
+        json::object({{"trials", json::integer(pstats.trials)},
+                      {"residue", json::integer(pstats.residue)},
+                      {"truncated", json::integer(truth.truncated_trials())}})},
+       {"victim_pairwise", std::move(victim_pairwise)},
+       {"cells", std::move(cells)},
+       {"gate",
+        json::object(
+            {{"slo_aware_holds_every_rung", json::boolean(every_rung)},
+             {"strictly_lower_overall",
+              json::boolean(sum_slo < sum_tp - 1e-9)}})}});
+  if (args.csv) std::cout << "\n" << bench::rows_csv(doc.at("cells"));
+  if (args.json) bench::emit_json("serving_tail", doc);
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

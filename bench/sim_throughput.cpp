@@ -12,19 +12,18 @@
 //   3. warm matrix build: the identical sweep again -- with the run
 //      cache it must finish with ZERO new simulations.
 //
-// --json appends a machine-readable object for the CI perf artifact.
+// --json appends a machine-readable object and persists it as
+// BENCH_sim_throughput.json (the CI perf gates read that file).
 // Each matrix phase builds and executes one ExperimentPlan on every
 // host lane; idle lanes pick up straggler trials.
 #include <chrono>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "harness/plan.hpp"
 #include "harness/report.hpp"
 #include "harness/runcache.hpp"
-#include "snapshot.hpp"
 
 namespace {
 
@@ -40,7 +39,6 @@ int main(int argc, char** argv) try {
   using namespace coperf;
 
   auto args = bench::parse_args(argc, argv, bench::kSubset | bench::kJson);
-  const bool json = args.json;
   // This bench defaults to the 8-workload Tiny configuration the perf
   // trajectory tracks (override with --size/--subset as usual).
   if (!args.size_override && !args.native) args.size_override = wl::SizeClass::Tiny;
@@ -67,18 +65,18 @@ int main(int argc, char** argv) try {
   // ---- phase 1: solo characterization -------------------------------
   std::uint64_t sim_cycles = 0, instructions = 0, accesses = 0,
                 mem_bytes = 0;
-  struct SoloRow {
-    std::string name;
-    std::uint64_t cycles = 0;
-    double wall_s = 0.0;
-  };
-  std::vector<SoloRow> solo_rows;
-  solo_rows.reserve(subset.size());
+  json::Value solo_breakdown = json::array();
   const double t0 = now_seconds();
   for (const auto& w : subset) {
     const double tw = now_seconds();
     const harness::RunResult r = harness::run_solo(w, args.run_options());
-    solo_rows.push_back(SoloRow{w, r.stats.cycles, now_seconds() - tw});
+    const double wall = now_seconds() - tw;
+    solo_breakdown.items.push_back(json::object(
+        {{"workload", json::str(w)}, {"wall_s", json::real(wall)},
+         {"sim_cycles", json::integer(r.stats.cycles)},
+         {"sim_cycles_per_s",
+          json::real(static_cast<double>(r.stats.cycles) /
+                     (wall > 0.0 ? wall : 1e-9))}}));
     sim_cycles += r.stats.cycles;
     instructions += r.stats.instructions;
     accesses += r.stats.loads + r.stats.stores;
@@ -97,13 +95,10 @@ int main(int argc, char** argv) try {
             << " MB of demand accesses/s\n";
   // Per-workload breakdown: which application dominates the solo wall
   // time (and whose simulated-cycle rate regressed) at a glance.
-  for (const SoloRow& row : solo_rows)
-    std::cout << "  solo " << row.name << ": "
-              << harness::Table::fmt(row.wall_s, 3) << " s, "
-              << harness::Table::fmt(
-                     static_cast<double>(row.cycles) / 1e6 /
-                         (row.wall_s > 0.0 ? row.wall_s : 1e-9),
-                     1)
+  for (const json::Value& row : solo_breakdown.items)
+    std::cout << "  solo " << row.at("workload").str() << ": "
+              << harness::Table::fmt(row.at("wall_s").num(), 3) << " s, "
+              << harness::Table::fmt(row.at("sim_cycles_per_s").num() / 1e6, 1)
               << " M cycles/s\n";
 
   // ---- phase 2: cold matrix build ------------------------------------
@@ -168,43 +163,38 @@ int main(int argc, char** argv) try {
   cache.set_disk_dir(saved_disk);
   cache.set_enabled(saved_enabled);
 
-  if (json) {
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"config\": {\"size\": \"" << bench::size_name(args.size())
-       << "\", \"threads\": " << args.threads
-       << ", \"reps\": " << args.effective_reps()
-       << ", \"workloads\": " << subset.size() << "},\n"
-       << "  \"solo\": {\"wall_s\": " << solo_wall
-       << ", \"sim_cycles\": " << sim_cycles
-       << ", \"sim_cycles_per_s\": " << static_cast<double>(sim_cycles) / solo_wall
-       << ", \"instructions\": " << instructions
-       << ", \"access_mb\": " << access_mb
-       << ", \"access_mb_per_s\": " << access_mb / solo_wall
-       << ", \"dram_bytes\": " << mem_bytes << "},\n"
-       << "  \"solo_breakdown\": [";
-    for (std::size_t i = 0; i < solo_rows.size(); ++i) {
-      const SoloRow& row = solo_rows[i];
-      js << (i == 0 ? "\n" : ",\n") << "    {\"workload\": \"" << row.name
-         << "\", \"wall_s\": " << row.wall_s
-         << ", \"sim_cycles\": " << row.cycles << ", \"sim_cycles_per_s\": "
-         << static_cast<double>(row.cycles) /
-                (row.wall_s > 0.0 ? row.wall_s : 1e-9)
-         << "}";
-    }
-    js << "\n  ],\n"
-       << "  \"matrix_cold\": {\"wall_s\": " << cold_wall
-       << ", \"simulations\": " << cold_stats.misses
-       << ", \"utilization\": " << cold_util
-       << ", \"lanes\": " << cold_lanes << "},\n"
-       << "  \"matrix_warm\": {\"wall_s\": " << warm_wall
-       << ", \"new_simulations\": " << warm_stats.misses
-       << ", \"cache_hits\": " << warm_stats.hits
-       << ", \"identical\": " << (identical ? "true" : "false") << "}\n"
-       << "}\n";
-    std::cout << "\n" << js.str();
-    bench::write_snapshot("sim_throughput", js.str());
-  }
+  if (args.json)
+    bench::emit_json(
+        "sim_throughput",
+        json::object(
+            {{"config",
+              json::object(
+                  {{"size", json::str(bench::size_name(args.size()))},
+                   {"threads", json::integer(args.threads)},
+                   {"reps", json::integer(args.effective_reps())},
+                   {"workloads", json::integer(subset.size())}})},
+             {"solo",
+              json::object(
+                  {{"wall_s", json::real(solo_wall)},
+                   {"sim_cycles", json::integer(sim_cycles)},
+                   {"sim_cycles_per_s",
+                    json::real(static_cast<double>(sim_cycles) / solo_wall)},
+                   {"instructions", json::integer(instructions)},
+                   {"access_mb", json::real(access_mb)},
+                   {"access_mb_per_s", json::real(access_mb / solo_wall)},
+                   {"dram_bytes", json::integer(mem_bytes)}})},
+             {"solo_breakdown", std::move(solo_breakdown)},
+             {"matrix_cold",
+              json::object({{"wall_s", json::real(cold_wall)},
+                            {"simulations", json::integer(cold_stats.misses)},
+                            {"utilization", json::real(cold_util)},
+                            {"lanes", json::real(cold_lanes)}})},
+             {"matrix_warm",
+              json::object({{"wall_s", json::real(warm_wall)},
+                            {"new_simulations",
+                             json::integer(warm_stats.misses)},
+                            {"cache_hits", json::integer(warm_stats.hits)},
+                            {"identical", json::boolean(identical)}})}}));
   // The warm build regressing to real simulations is a correctness
   // failure of the run cache, not a perf blip: fail loudly.
   return (warm_stats.misses == 0 && identical) ? 0 : 1;

@@ -96,6 +96,77 @@ const std::vector<Value>& Value::arr() const {
   return items;
 }
 
+// --- builders and writer ---------------------------------------------
+
+namespace {
+
+Value make(Value::Kind kind, std::string text = {}) {
+  Value v;
+  v.kind = kind;
+  v.text = std::move(text);
+  return v;
+}
+
+void write_to(std::string& out, const Value& v, std::size_t depth) {
+  switch (v.kind) {
+    case Value::Kind::Null: out += "null"; return;
+    case Value::Kind::Bool: out += v.flag ? "true" : "false"; return;
+    case Value::Kind::Number: out += v.text; return;
+    case Value::Kind::String: out += quote(v.text); return;
+    default: break;
+  }
+  const bool object = v.kind == Value::Kind::Object;
+  const std::size_t n = object ? v.fields.size() : v.items.size();
+  const auto member = [&](std::size_t i) -> const Value& {
+    return object ? v.fields[i].second : v.items[i];
+  };
+  bool flat = true;  // every member a scalar: the container is one line
+  for (std::size_t i = 0; i < n; ++i)
+    flat = flat && member(i).kind != Value::Kind::Array &&
+           member(i).kind != Value::Kind::Object;
+  const std::string indent = flat ? "" : "\n" + std::string(2 * depth, ' ');
+  out += object ? '{' : '[';
+  for (std::size_t i = 0; i < n; ++i) {
+    out += i == 0 ? "" : ",";
+    out += flat ? (i == 0 ? "" : " ") : indent + "  ";
+    if (object) out += quote(v.fields[i].first) + ": ";
+    write_to(out, member(i), depth + 1);
+  }
+  out += indent;
+  out += object ? '}' : ']';
+}
+
+}  // namespace
+
+Value real(double v) { return make(Value::Kind::Number, number(v)); }
+Value integer(std::uint64_t v) {
+  return make(Value::Kind::Number, std::to_string(v));
+}
+Value str(std::string_view s) {
+  return make(Value::Kind::String, std::string{s});
+}
+Value boolean(bool b) {
+  Value v = make(Value::Kind::Bool);
+  v.flag = b;
+  return v;
+}
+Value object(std::vector<std::pair<std::string, Value>> fields) {
+  Value v = make(Value::Kind::Object);
+  v.fields = std::move(fields);
+  return v;
+}
+Value array(std::vector<Value> items) {
+  Value v = make(Value::Kind::Array);
+  v.items = std::move(items);
+  return v;
+}
+
+std::string write(const Value& v) {
+  std::string out;
+  write_to(out, v, 0);
+  return out + "\n";
+}
+
 // --- parser ----------------------------------------------------------
 
 namespace {

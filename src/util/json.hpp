@@ -1,8 +1,10 @@
-// JSON text: the one string escaper, double formatter and reader behind
-// every document the repo writes or reads -- metrics snapshots, Chrome
-// traces and report JSON. Writers keep their own hand-written layouts
-// and call quote()/number() for the leaves, so each document's
-// whitespace is exactly what its writer prints.
+// JSON text: the one string escaper, double formatter, reader and
+// writer behind every document the repo writes or reads. The snapshot
+// benches build one Value and write() it, so their --json, --csv and
+// BENCH_<name>.json share one layout. The metrics snapshot, Chrome
+// traces and report::to_json keep their own hand-written layouts with
+// quote()/number() leaves: the run cache stores report JSON on disk and
+// CI greps the metrics snapshot line by line, so their bytes stay put.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,21 @@ struct Value {
   const std::string& str() const;
   const std::vector<Value>& arr() const;
 };
+
+/// Leaf and container builders for documents assembled in code.
+/// real() prints through number(); integer() is exact to 2^64 - 1.
+Value real(double v);
+Value integer(std::uint64_t v);
+Value str(std::string_view s);
+Value boolean(bool b);
+Value object(std::vector<std::pair<std::string, Value>> fields = {});
+Value array(std::vector<Value> items = {});
+
+/// `v` as a newline-terminated document: two-space indent, and an
+/// object or array whose members are all scalars (or none) on one line.
+/// Strings go through quote() and numbers print their text, so
+/// write(parse(t)) == t for any `t` in this layout.
+std::string write(const Value& v);
 
 /// Parses one complete RFC 8259 document. Strict: trailing bytes, raw
 /// control characters in strings, unknown escapes, `\u` escapes without

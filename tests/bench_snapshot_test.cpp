@@ -1,9 +1,14 @@
-// bench/snapshot.hpp resolution rules: BENCH_*.json snapshots land at
+// bench/bench_common.hpp snapshot rules: BENCH_*.json snapshots land at
 // the repo root found by walking up to the first ancestor holding BOTH
 // ROADMAP.md and CMakeLists.txt, COPERF_BENCH_SNAPSHOT_DIR overrides
 // the destination (empty value ignored), and write_snapshot emits the
 // document newline-terminated. The CI perf gate diffs these files, so
 // "which directory did the bench write to" is load-bearing.
+//
+// Also the bench output path itself: rows_csv turns a record's row
+// array into CSV, and every committed snapshot is exactly what
+// json::write prints for it, so a hand edit or a layout drift fails
+// here rather than only in CI's snapshot diffs.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,9 +17,11 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
-#include "snapshot.hpp"
+#include "bench_common.hpp"
+#include "util/json.hpp"
 
 namespace coperf::bench {
 namespace {
@@ -113,6 +120,56 @@ TEST(BenchSnapshot, WriteSnapshotEmitsNewlineTerminatedDocument) {
   // Already-terminated documents must not grow a second newline.
   write_snapshot("unit", "{\"k\": 2}\n");
   EXPECT_EQ(slurp(custom / "BENCH_unit.json"), "{\"k\": 2}\n");
+}
+
+TEST(BenchCsv, HeaderIsTheFirstRowsKeysAndNamesAreQuoted) {
+  using namespace json;
+  const Value rows = array(
+      {object({{"policy", str("a,b")}, {"x", real(0.5)}, {"n", integer(3)}}),
+       object({{"policy", str("say \"hi\"")},
+               {"x", real(0.1)},
+               {"n", integer(4)}}),
+       object({{"n", integer(5)}, {"x", real(2)}, {"policy", str("ok")}})});
+  EXPECT_EQ(rows_csv(rows),
+            "policy,x,n\n"
+            "\"a,b\",0.5,3\n"
+            "\"say \"\"hi\"\"\",0.10000000000000001,4\n"
+            "ok,2,5\n");
+  EXPECT_EQ(rows_csv(array()), "");
+}
+
+TEST(BenchCsv, RowsMustCarryExactlyTheHeaderKeys) {
+  using namespace json;
+  const Value first = object({{"policy", str("a")}, {"x", real(1)}});
+  const Value missing = array({first, object({{"policy", str("b")}})});
+  const Value extra = array(
+      {first,
+       object({{"policy", str("b")}, {"x", real(2)}, {"y", real(3)}})});
+  const Value renamed =
+      array({first, object({{"policy", str("b")}, {"z", real(2)}})});
+  const Value nested =
+      array({object({{"policy", str("a")}, {"x", array({real(1)})}})});
+  EXPECT_THROW(rows_csv(missing), std::runtime_error);
+  EXPECT_THROW(rows_csv(extra), std::runtime_error);
+  EXPECT_THROW(rows_csv(renamed), std::runtime_error);
+  EXPECT_THROW(rows_csv(nested), std::runtime_error);
+  EXPECT_THROW(rows_csv(object()), std::runtime_error);
+}
+
+TEST(BenchSnapshot, CommittedSnapshotsAreWhatTheWriterPrints) {
+  const auto dir = snapshot_dir();
+  if (!dir) GTEST_SKIP() << "no repo root above " << fs::current_path();
+  for (const char* name : {"cluster_regret", "fleet_throughput",
+                           "serving_tail", "sim_throughput"})
+    EXPECT_TRUE(fs::exists(*dir / ("BENCH_" + std::string{name} + ".json")))
+        << name << " missing from " << *dir;
+  for (const auto& entry : fs::directory_iterator{*dir}) {
+    const std::string file = entry.path().filename().string();
+    if (file.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json")
+      continue;
+    const std::string text = slurp(entry.path());
+    EXPECT_EQ(json::write(json::parse(text)), text) << file;
+  }
 }
 
 }  // namespace

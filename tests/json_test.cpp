@@ -1,8 +1,10 @@
-// util/json: the one escaper, double formatter and strict reader every
-// snapshot, trace and report goes through. quote() escapes
+// util/json: the one escaper, double formatter, strict reader and
+// writer every snapshot, trace and report goes through. quote() escapes
 // every control byte, number() round-trips doubles exactly and matches
-// the 17-digit stream format the documents always used, and parse()
-// rejects anything outside RFC 8259 while keeping u64 counters exact.
+// the 17-digit stream format the documents always used, parse()
+// rejects anything outside RFC 8259 while keeping u64 counters exact,
+// and write() renders a Value in the bench-snapshot layout that parse()
+// reads back unchanged.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -159,6 +161,106 @@ TEST(JsonParse, RejectsMalformedDocuments) {
 TEST(JsonParse, BoundsNestingDepth) {
   EXPECT_NO_THROW(parse(std::string(200, '[') + std::string(200, ']')));
   EXPECT_THROW(parse(std::string(100'000, '[')), std::runtime_error);
+}
+
+/// Field-by-field equality: kind, flag, raw text, keys in order and
+/// every member, recursively.
+void expect_same(const Value& a, const Value& b, const std::string& path) {
+  ASSERT_EQ(a.kind, b.kind) << path;
+  EXPECT_EQ(a.flag, b.flag) << path;
+  EXPECT_EQ(a.text, b.text) << path;
+  ASSERT_EQ(a.items.size(), b.items.size()) << path;
+  for (std::size_t i = 0; i < a.items.size(); ++i)
+    expect_same(a.items[i], b.items[i], path + "[" + std::to_string(i) + "]");
+  ASSERT_EQ(a.fields.size(), b.fields.size()) << path;
+  for (std::size_t i = 0; i < a.fields.size(); ++i) {
+    EXPECT_EQ(a.fields[i].first, b.fields[i].first) << path;
+    expect_same(a.fields[i].second, b.fields[i].second,
+                path + "/" + a.fields[i].first);
+  }
+}
+
+TEST(JsonWrite, EscapesKeysAndValues) {
+  const std::string nasty = std::string{"q\"b\\s\n\x01\x1f"} + '\0' + "z";
+  const Value v = object({{nasty, str(nasty)}});
+  const std::string text = write(v);
+  EXPECT_EQ(text, "{" + quote(nasty) + ": " + quote(nasty) + "}\n");
+  EXPECT_EQ(text,
+            "{\"q\\\"b\\\\s\\n\\u0001\\u001f\\u0000z\": "
+            "\"q\\\"b\\\\s\\n\\u0001\\u001f\\u0000z\"}\n");
+  const Value back = parse(text);
+  EXPECT_EQ(back.fields.at(0).first, nasty);
+  EXPECT_EQ(back.at(nasty).str(), nasty);
+}
+
+TEST(JsonWrite, NumbersAreExact) {
+  const double third = 1.0 / 3.0;
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  const std::string text =
+      write(array({real(third), real(0.1), real(2.0), real(-1e-300),
+                   integer(max), integer(0), real(std::nan(""))}));
+  EXPECT_EQ(text,
+            "[0.33333333333333331, 0.10000000000000001, 2, "
+            "-1e-300, 18446744073709551615, 0, 0]\n");
+  const Value back = parse(text);
+  EXPECT_EQ(back.items[0].num(), third);
+  EXPECT_EQ(back.items[4].u64(), max);
+}
+
+TEST(JsonWrite, BoolsAndNull) {
+  EXPECT_EQ(write(array({boolean(true), boolean(false), Value{}})),
+            "[true, false, null]\n");
+  EXPECT_TRUE(parse(write(boolean(true))).boolean());
+}
+
+TEST(JsonWrite, ScalarContainersOnOneLineNestedOnesIndented) {
+  EXPECT_EQ(write(object()), "{}\n");
+  EXPECT_EQ(write(array()), "[]\n");
+  EXPECT_EQ(write(object({{"a", integer(1)}, {"b", str("x")}})),
+            "{\"a\": 1, \"b\": \"x\"}\n");
+  // A member that is a container, even an empty one, puts its parent
+  // on indented lines.
+  EXPECT_EQ(write(object({{"rows", array()}})), "{\n  \"rows\": []\n}\n");
+  const Value doc = object(
+      {{"config", object({{"n", integer(2)}})},
+       {"rows", array({object({{"k", real(0.5)}}),
+                       object({{"k", real(1.5)},
+                               {"sub", array({integer(1), integer(2)})}})})}});
+  EXPECT_EQ(write(doc),
+            "{\n"
+            "  \"config\": {\"n\": 2},\n"
+            "  \"rows\": [\n"
+            "    {\"k\": 0.5},\n"
+            "    {\n"
+            "      \"k\": 1.5,\n"
+            "      \"sub\": [1, 2]\n"
+            "    }\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(JsonWrite, RoundTripsThroughParse) {
+  const Value doc = object(
+      {{"name", str("a \"b\"\tc")},
+       {"n", integer(std::numeric_limits<std::uint64_t>::max())},
+       {"x", real(6.02214076e23)},
+       {"ok", boolean(false)},
+       {"none", Value{}},
+       {"rows", array({object({{"p", str("x,y")}, {"v", real(-0.25)}}),
+                       array({array(), object()})})}});
+  expect_same(parse(write(doc)), doc, "");
+
+  // A document already in the writer's layout comes back byte for byte,
+  // including number tokens write() would not produce itself.
+  const std::string text =
+      "{\n"
+      "  \"a\": {\"b\": 1e3, \"c\": -0, \"d\": \"\\u0007\"},\n"
+      "  \"e\": [\n"
+      "    [true, null],\n"
+      "    {}\n"
+      "  ]\n"
+      "}\n";
+  EXPECT_EQ(write(parse(text)), text);
 }
 
 }  // namespace
