@@ -270,9 +270,11 @@ int main(int argc, char** argv) try {
           // Per-class mean solo-normalized placement delay (completed).
           std::vector<double> wait_regret(cls.size(), 0.0);
           std::vector<std::size_t> wait_n(cls.size(), 0);
-          for (const cluster::JobOutcome& out : res.outcomes) {
+          // outcomes[i] is trace[i]: index by position, not JobSpec::id.
+          for (std::size_t i = 0; i < res.outcomes.size(); ++i) {
+            const cluster::JobOutcome& out = res.outcomes[i];
             if (!out.completed()) continue;
-            const unsigned c = trace[out.job].priority;
+            const unsigned c = trace[i].priority;
             wait_regret[c] += (out.start - out.arrival) / out.work;
             ++wait_n[c];
           }

@@ -10,17 +10,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace coperf::cluster {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Simulated-time scale on the trace: 1 unit of work = 1 ms displayed.
-constexpr double kTraceUsPerUnit = 1000.0;
 
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument{std::string{"simulate: "} + what};
@@ -29,9 +23,11 @@ void require(bool ok, const char* what) {
 // Every range check is written so that NaN fails it.
 void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
               const std::vector<JobSpec>& trace) {
-  require(cfg.machines > 0, "need at least one machine");
+  require(cfg.machines > 0 && cfg.machines <= UINT32_MAX,
+          "need 1 to 2^32 - 1 machines");
   require(cfg.slots >= 2, "co-run machines need >= 2 slots");
-  require(truth.size() > 0, "empty ground truth");
+  require(truth.size() > 0 && truth.size() <= 65536,
+          "truth axis needs 1 to 65536 types");
   double prev = 0.0;
   for (const JobSpec& j : trace) {
     require(j.type < truth.size(), "job type outside the truth axis");
@@ -311,122 +307,6 @@ struct RequeueLater {
   }
 };
 
-/// One decision's ground-truth bill; all zero when it was not sampled.
-struct Bill {
-  bool billed = false;
-  bool lc = false;         ///< LC tail regret billed too
-  double chosen = 0.0;     ///< true cost of the chosen machine
-  double regret = 0.0;     ///< chosen - best open machine
-  double lc_regret = 0.0;  ///< same, priced by slo_violation
-};
-
-/// Everything a run reports to obs: the cluster.* counters, and -- when
-/// obs::Trace is recording -- a simulated-time timeline in the run's
-/// own trace process (so back-to-back policy sweeps do not overwrite
-/// each other's lanes). It only reads engine state; each method bumps
-/// its counter, then returns at once when tracing is off.
-struct Timeline {
-  obs::Trace& tr = obs::Trace::instance();
-  const bool on = tr.enabled();
-  const int pid = on ? tr.next_pid() : 0;
-  const std::vector<std::string>& type_names;
-  /// Start of the current constant-resident-set interval, per machine
-  /// (of the outage, while the machine is down).
-  std::vector<double> lane_since;
-  obs::Registry& reg = obs::Registry::instance();
-  obs::Counter& placements = reg.counter("cluster.placements");
-  obs::Counter& completions = reg.counter("cluster.completions");
-  obs::Counter& failures = reg.counter("cluster.failures");
-  obs::Counter& recoveries = reg.counter("cluster.recoveries");
-  obs::Counter& fault_kills = reg.counter("cluster.fault_kills");
-  obs::Counter& retries = reg.counter("cluster.retries");
-  obs::Counter& migrations = reg.counter("cluster.migrations");
-  obs::Counter& sheds = reg.counter("cluster.shed");
-
-  Timeline(const ClusterConfig& cfg, const PlacementPolicy& policy)
-      : type_names(cfg.type_names),
-        lane_since(on ? cfg.machines : 0, 0.0) {
-    if (!on) return;
-    tr.name_process(pid, "cluster " + policy.name() + " (" +
-                             std::to_string(cfg.machines) + "x" +
-                             std::to_string(cfg.slots) + ", simulated time)");
-    for (std::size_t m = 0; m < cfg.machines; ++m)
-      tr.name_thread(pid, static_cast<int>(m), "machine " + std::to_string(m));
-  }
-
-  std::string label(std::size_t type) const {
-    if (type < type_names.size()) return type_names[type];
-    return "t" + std::to_string(type);
-  }
-
-  /// Closes machine m's resident-set span at time t; call BEFORE its
-  /// residents change.
-  void lane(std::size_t m, const std::vector<Resident>& residents, double t) {
-    if (!on) return;
-    if (!residents.empty() && t > lane_since[m]) {
-      std::string name;
-      for (const Resident& r : residents) {
-        if (!name.empty()) name += '+';
-        name += label(r.type);
-      }
-      tr.complete(pid, static_cast<int>(m), std::move(name),
-                  lane_since[m] * kTraceUsPerUnit,
-                  (t - lane_since[m]) * kTraceUsPerUnit,
-                  obs::Args{}.set("residents", residents.size()).str());
-    }
-    lane_since[m] = t;
-  }
-
-  void placed(std::size_t m, const JobSpec& job, const PlacementPolicy& policy,
-              const Bill& bill, double t) {
-    placements.add();
-    if (!on) return;
-    obs::Args args;
-    args.set("job", job.id)
-        .set("policy", policy.name())
-        .set("predicted_cost", policy.last_cost_delta());
-    if (bill.billed)
-      args.set("true_cost", bill.chosen).set("regret", bill.regret);
-    if (bill.lc) args.set("lc_regret", bill.lc_regret);
-    args.set("queued_for", t - job.arrival);
-    tr.instant_at(pid, static_cast<int>(m), "place " + label(job.type),
-                  t * kTraceUsPerUnit, args.str());
-  }
-
-  void evicted(std::size_t m, const JobSpec& job, std::size_t for_class,
-               double work_left, double t) {
-    migrations.add();
-    if (!on) return;
-    tr.instant_at(pid, static_cast<int>(m), "evict " + label(job.type),
-                  t * kTraceUsPerUnit,
-                  obs::Args{}
-                      .set("job", job.id)
-                      .set("for_class", for_class)
-                      .set("work_left", work_left)
-                      .str());
-  }
-
-  void recovered(std::size_t m, double t) {
-    recoveries.add();
-    if (!on) return;
-    tr.complete(pid, static_cast<int>(m), "DOWN",
-                lane_since[m] * kTraceUsPerUnit,
-                (t - lane_since[m]) * kTraceUsPerUnit,
-                obs::Args{}.set("machine", m).str());
-    lane_since[m] = t;
-  }
-
-  void queue_depth(std::size_t waiting, double t) {
-    if (on)
-      tr.counter_at(pid, "queue_depth", t * kTraceUsPerUnit,
-                    static_cast<double>(waiting));
-  }
-
-  void goodput(unsigned c, double value) {
-    reg.gauge("cluster.goodput.p" + std::to_string(c)).set(value);
-  }
-};
-
 /// The indexed event loop behind simulate(): run() merges the event
 /// sources, and every change to a machine's resident set goes through
 /// edit() ... commit().
@@ -445,27 +325,26 @@ class Engine {
         alive_machines_(cfg.machines),
         pending_(trace.size(), 0.0),
         heap_(cfg.machines),
-        view_{machines_, open_, cfg.slots, t_, stamp_},
-        timeline_{cfg, policy} {
+        view_{machines_, open_, cfg.slots, t_, stamp_} {
     for (std::size_t m = 0; m < cfg.machines; ++m) open_.set(m);
     unsigned max_priority = 0;
     for (const JobSpec& j : trace) {
       max_priority = std::max(max_priority, j.priority);
-      if (j.latency_critical()) {
-        any_lc_ = true;
-        ++res_.lc_jobs;
-      }
+      res_.lc_jobs += j.latency_critical();
     }
     waiting_.resize(max_priority + 1);
     if (cfg.migration.preempt)
       holders_.assign(max_priority + 1, OpenSet{cfg.machines});
     res_.class_stats.resize(max_priority + 1);
     res_.outcomes.resize(trace.size());
-    // Every job logs Arrive, Place and Finish; the fourth line leaves
-    // room for faults, evictions and deferrals. Growing the log by
-    // doubling instead leaves freed blocks that the allocator keeps, so
-    // peak RSS would depend on how many simulations ran before.
+    // Every job logs Arrive, Place and Finish, and is billed at most once
+    // per placement; the spare room covers faults, evictions, deferrals
+    // and re-placements. Growing by doubling instead leaves freed blocks
+    // that the allocator keeps, so peak RSS would depend on how many
+    // simulations ran before.
     res_.log.events.reserve(4 * trace.size());
+    if (cfg.regret_sample != 0)
+      res_.bills.reserve(2 * trace.size() / cfg.regret_sample + 1);
   }
   Engine(const Engine&) = delete;  // view_ refers into this object
 
@@ -516,7 +395,6 @@ class Engine {
   void complete() {
     const std::size_t m = heap_.top().machine;
     const std::size_t jid = remove_resident(m, machines_[m].next_pos).job;
-    timeline_.completions.add();
     JobOutcome& out = res_.outcomes[jid];
     out.finish = t_;
     log(TraceEvent::Kind::Finish, trace_[jid], m, out.corun_slowdown());
@@ -530,13 +408,11 @@ class Engine {
       alive_[f.machine] = 1;
       ++alive_machines_;
       open_.set(f.machine);
-      timeline_.recovered(f.machine, t_);
       return;
     }
     ++res_.failures;
     log(TraceEvent::Kind::Fail, JobSpec{}, f.machine, 0.0);
     MachineState& ms = edit(f.machine);
-    timeline_.failures.add();
     for (const Resident& r : ms.residents) kill(r.job, r.remaining, f.machine);
     ms.residents.clear();
     alive_[f.machine] = 0;
@@ -581,13 +457,11 @@ class Engine {
 
   // --- resident sets ------------------------------------------------
 
-  /// Opens a change to machine m's resident set at time t: closes its
-  /// timeline span, brings its remaining work up to t, and takes its
-  /// residents out of the running count and the victim index until
-  /// commit().
+  /// Opens a change to machine m's resident set at time t: brings its
+  /// remaining work up to t, and takes its residents out of the running
+  /// count and the victim index until commit().
   MachineState& edit(std::size_t m) {
     MachineState& ms = machines_[m];
-    timeline_.lane(m, ms.residents, t_);
     materialize(ms);
     running_ -= ms.residents.size();
     if (cfg_.migration.preempt)
@@ -681,19 +555,13 @@ class Engine {
     lose_work(jid, remaining);
     JobOutcome& out = res_.outcomes[jid];
     ++res_.fault_kills;
-    timeline_.fault_kills.add();
     if (out.retries >= cfg_.retry.max_retries) {
       shed(jid);
       return;
     }
-    ++out.retries;
-    timeline_.retries.add();
-    const RetryConfig& retry = cfg_.retry;
-    const double delay =
-        retry.backoff *
-        std::pow(retry.backoff_factor, static_cast<double>(out.retries - 1));
     log(TraceEvent::Kind::Evict, trace_[jid], m, pending_[jid]);
-    requeues_.push({t_ + delay, jid, /*deferred=*/false});
+    requeues_.push({t_ + cfg_.retry.delay(++out.retries), jid,
+                    /*deferred=*/false});
   }
 
   /// Queues a job into its priority lane, re-checking admission control
@@ -738,7 +606,6 @@ class Engine {
     res_.outcomes[jid].shed = true;
     ++res_.shed_jobs;
     res_.shed_work += pending_[jid];
-    timeline_.sheds.add();
     log(TraceEvent::Kind::Shed, trace_[jid], 0, pending_[jid]);
   }
 
@@ -758,11 +625,9 @@ class Engine {
     while (slots[vs].priority != c) ++vs;
     const Resident victim = remove_resident(vm, vs);
     lose_work(victim.job, victim.remaining);
-    const JobSpec& job = trace_[victim.job];
     ++res_.migrations;
     ++res_.outcomes[victim.job].evictions;
-    log(TraceEvent::Kind::Evict, job, vm, pending_[victim.job]);
-    timeline_.evicted(vm, job, top, pending_[victim.job], t_);
+    log(TraceEvent::Kind::Evict, trace_[victim.job], vm, pending_[victim.job]);
     enqueue(victim.job);
     return true;
   }
@@ -777,7 +642,6 @@ class Engine {
   void enqueue(std::size_t jid) {
     waiting_[trace_[jid].priority].push_back(jid);
     ++waiting_count_;
-    timeline_.queue_depth(waiting_count_, t_);
   }
 
   // --- decisions and billing ----------------------------------------
@@ -790,7 +654,7 @@ class Engine {
     const std::size_t m = policy_.place(job, view_);
     if (m >= cfg_.machines || machines_[m].residents.size() >= cfg_.slots)
       throw std::logic_error{"simulate: policy chose a full machine"};
-    timeline_.placed(m, job, policy_, bill(job, m), t_);
+    bill(job, m);
     observe(m, job.type);
     add_resident(m, {jid, static_cast<std::uint32_t>(job.type), job.priority,
                      job.work, 1.0, kInf, job.slo_p99});
@@ -799,18 +663,20 @@ class Engine {
     // A job places again only after a kill or an eviction.
     if (out.retries == 0 && out.evictions == 0) out.start = t_;
     log(TraceEvent::Kind::Place, job, m, policy_.last_cost_delta());
-    timeline_.queue_depth(waiting_count_, t_);
   }
 
   /// Bills a decision at ground truth: how much worse was the chosen
   /// machine than the best open one? On an SLO-carrying trace the same
   /// scan prices the true tail violation the decision inflicts (a
   /// best-effort job placed next to a running LC job blows its p99).
-  Bill bill(const JobSpec& job, std::size_t m) {
-    Bill b;
-    b.billed = cfg_.regret_sample != 0 && decisions_ % cfg_.regret_sample == 0;
-    ++decisions_;
-    if (!b.billed) return b;
+  void bill(const JobSpec& job, std::size_t m) {
+    if (cfg_.regret_sample == 0 || decisions_++ % cfg_.regret_sample != 0)
+      return;
+    DecisionBill b;
+    // With no SLO-carrying job in the trace the LC billing is skipped
+    // entirely -- no tail_slowdown queries are issued, so batch-only
+    // runs are byte-identical to the pre-SLO engine.
+    const bool lc = res_.lc_jobs > 0;
     double best = kInf, lc_chosen = 0.0, lc_best = kInf;
     for (std::size_t v = open_.next(0); v < cfg_.machines;
          v = open_.next(v + 1)) {
@@ -818,7 +684,7 @@ class Engine {
       const double d = placement_delta(truth_, job.type, job.work, mv);
       if (v == m) b.chosen = d;
       best = std::min(best, d);
-      if (any_lc_) {
+      if (lc) {
         const double lv = slo_violation(truth_, job, mv);
         if (v == m) lc_chosen = lv;
         lc_best = std::min(lc_best, lv);
@@ -829,14 +695,12 @@ class Engine {
     ++res_.billed_decisions;
     res_.class_stats[job.priority].mean_regret += b.regret;
     ++res_.class_stats[job.priority].billed;
-    if (any_lc_) {
-      b.lc = true;
+    if (lc) {
       b.lc_regret = lc_chosen - lc_best;
       res_.mean_lc_tail_regret += b.lc_regret;
-      ++res_.lc_billed_decisions;
       if (lc_chosen > 0.0) ++res_.slo_violation_decisions;
     }
-    return b;
+    res_.bills.push_back(b);
   }
 
   /// Reports every member's true slowdown in machine m's new resident
@@ -865,7 +729,9 @@ class Engine {
   /// Appends one audit-log line at the current time.
   void log(TraceEvent::Kind kind, const JobSpec& job, std::size_t m,
            double value) {
-    res_.log.events.push_back({kind, t_, job.id, job.type, m, value});
+    res_.log.events.push_back({kind, static_cast<std::uint16_t>(job.type),
+                               static_cast<std::uint32_t>(m), t_, job.id,
+                               value});
   }
 
   void summarize() {
@@ -897,13 +763,12 @@ class Engine {
           cs.mean_stretch /= static_cast<double>(cs.completed);
         if (res.makespan > 0.0) cs.goodput = cs.work_completed / res.makespan;
         if (cs.billed > 0) cs.mean_regret /= static_cast<double>(cs.billed);
-        timeline_.goodput(c, cs.goodput);
       }
     }
-    if (res.billed_decisions > 0)
+    if (res.billed_decisions > 0) {
       res.mean_decision_regret /= static_cast<double>(res.billed_decisions);
-    if (res.lc_billed_decisions > 0)
-      res.mean_lc_tail_regret /= static_cast<double>(res.lc_billed_decisions);
+      res.mean_lc_tail_regret /= static_cast<double>(res.billed_decisions);
+    }
     res.pairwise_fallbacks = truth_.fallbacks() - fallbacks_before_;
   }
 
@@ -936,17 +801,12 @@ class Engine {
   std::uint64_t stamp_ = 1;
   EngineView view_;
 
-  // Billing. With no SLO-carrying job in the trace the LC billing is
-  // skipped entirely -- no tail_slowdown queries are issued, so
-  // batch-only runs are byte-identical to the pre-SLO engine.
-  bool any_lc_ = false;
-  std::size_t decisions_ = 0;
+  std::size_t decisions_ = 0;  ///< placements so far, billed or not
   ClusterResult res_;
 
   /// Scratch buffers reused across all truth queries and observations.
   std::vector<std::size_t> others_, group_;
   std::vector<double> gslow_;
-  Timeline timeline_;
 };
 
 }  // namespace
@@ -956,7 +816,9 @@ ClusterResult simulate(const ClusterConfig& cfg,
                        const std::vector<JobSpec>& trace,
                        PlacementPolicy& policy) {
   validate(cfg, truth, trace);
-  return Engine{cfg, truth, trace, policy}.run();
+  ClusterResult res = Engine{cfg, truth, trace, policy}.run();
+  render_timeline(cfg, trace, policy.name(), res);
+  return res;
 }
 
 }  // namespace coperf::cluster

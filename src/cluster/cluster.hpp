@@ -17,32 +17,19 @@
 // deterministic: same trace + same policy state => byte-identical
 // audit log.
 //
-// simulate() is an indexed event loop built for fleet scale:
-//  - each machine's resident slowdowns and completion ETAs are cached
-//    and recomputed only when its resident multiset changes;
-//  - an indexed heap of per-machine next completions replaces a
-//    per-event rescan: one entry per busy machine, keyed by (eta,
-//    machine) with the lowest slot first within a machine, re-keyed in
-//    place on every resident-set change and dropped when the machine
-//    empties;
-//  - a free-slot bitset with a rank index feeds the policies'
-//    ClusterView: any kth_open in O(log words), ascending ones in O(1),
-//    and each priced candidate is materialized into one scratch view
-//    (no per-machine view cache), so a decision costs only the
-//    candidates it prices;
-//  - with migration on, a per-class resident index (per priority
-//    class, a bitset of the machines holding one of its residents)
-//    finds the preemption victim without scanning the fleet.
-// Candidates are priced in two loops: the policies' one argmin
-// (placement.cpp) and the regret bill, which walks the free-slot
-// bitset itself and prices every open machine at ground truth with the
-// same placement_delta and slo_violation. Remaining work is
-// decremented once per constant-rate interval (clamped at zero), so
-// completion arithmetic does not drift. The tests pin the loop to the
-// pre-fleet scan loop, kept as the executable specification in
-// tests/cluster_reference.hpp.
+// simulate() is an indexed event loop built for fleet scale: cached
+// per-machine slowdowns and ETAs, an indexed completion heap, a
+// free-slot bitset with a rank index behind ClusterView and, with
+// migration on, a per-class victim index (each documented in
+// cluster.cpp). The engine only appends to its ClusterResult -- the
+// audit log and the decision bills -- and render_timeline()
+// (timeline.cpp) derives the obs counters and the Perfetto timeline
+// from that record, so tracing never changes results. The tests pin
+// the loop to the pre-fleet scan loop, kept as the executable
+// specification in tests/cluster_reference.hpp.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -62,10 +49,13 @@ struct RetryConfig {
   /// Failure kills a job may survive before the engine gives up and
   /// sheds it (a Shed event with its work still outstanding).
   unsigned max_retries = 3;
-  /// Simulated-time delay before the first requeue; doubles (times
-  /// `backoff_factor`) per consecutive kill of the same job.
+  /// The requeue after a job's k-th failure kill waits delay(k) =
+  /// backoff * backoff_factor^(k - 1) in simulated time.
   double backoff = 1.0;
   double backoff_factor = 2.0;
+  double delay(unsigned k) const {
+    return backoff * std::pow(backoff_factor, static_cast<double>(k - 1));
+  }
   /// Work-loss model: the fraction of the killed attempt's executed
   /// work that survives the kill. 0 = restart-from-zero (the whole
   /// attempt is lost), 1 = perfect checkpointing (only in-flight time
@@ -105,16 +95,13 @@ struct AdmissionConfig {
 struct ClusterConfig {
   std::size_t machines = 4;
   std::size_t slots = 2;  ///< co-run slots per machine, >= 2
-  /// Optional workload names indexed by job type, used only to label
-  /// the observability timeline (obs::Trace); empty = "t<type>". Has
-  /// no effect on simulation results.
+  /// Workload names by job type, used only to label the rendered
+  /// timeline (render_timeline); empty = "t<type>".
   std::vector<std::string> type_names;
-  /// Bill ground-truth decision regret on every Nth placement (1 =
-  /// every placement, the exact legacy accounting; 0 = never).
-  /// Billing prices every open machine at ground truth, so sampling
-  /// keeps fleet-scale runs affordable; mean_decision_regret averages
-  /// over the billed decisions only, and skipped decisions issue no
-  /// truth queries (so pairwise_fallbacks shrinks accordingly).
+  /// Bill every Nth decision at ground truth (1 = every one; 0 = none;
+  /// see ClusterResult::bills). Billing prices every open machine, so
+  /// sampling keeps fleet-scale runs affordable; skipped decisions
+  /// issue no truth queries (so pairwise_fallbacks shrinks too).
   std::size_t regret_sample = 1;
   /// Machine failure/recovery schedule (fault_schedule(), or
   /// hand-built: sorted by time, alternating Down/Up per machine).
@@ -167,23 +154,30 @@ struct ClassStats {
   std::size_t billed = 0;     ///< billed placements in this class
 };
 
+/// One decision's ground-truth bill (see ClusterResult::bills).
+struct DecisionBill {
+  double chosen = 0.0;     ///< true cost of the chosen machine
+  double regret = 0.0;     ///< chosen - best open machine
+  double lc_regret = 0.0;  ///< same, priced by slo_violation (0 off-LC)
+};
+
+/// Everything a run records: render_timeline() reads nothing else.
 struct ClusterResult {
   std::vector<JobOutcome> outcomes;  ///< indexed by trace position
-  TraceLog log;
+  TraceLog log;  ///< every event, in the order the engine processed it
+  /// One row per billed decision: decision d (the d-th Place event,
+  /// from 0) is billed iff regret_sample != 0 and d % regret_sample ==
+  /// 0, so bill k belongs to Place event k * regret_sample.
+  std::vector<DecisionBill> bills;
   double mean_stretch = 0.0;         ///< mean JobOutcome::stretch()
   double mean_corun_slowdown = 0.0;  ///< mean JobOutcome::corun_slowdown()
   double makespan = 0.0;             ///< time the last job finished
-  /// Placement regret, billed per decision at ground truth: mean over
-  /// billed decisions of (true admission_delta of the chosen machine)
-  /// - (true admission_delta of the best available machine). Zero for
-  /// the group-truth oracle by construction; the decision-quality
-  /// metric the regret bench and tests compare, immune to downstream
-  /// queueing chaos that otherwise drowns out the placement signal in
-  /// mean_stretch. With ClusterConfig::regret_sample == 1 every
-  /// decision is billed (the legacy accounting).
+  /// Mean DecisionBill::regret: the decision-quality metric (zero for
+  /// the group-truth oracle by construction), immune to the queueing
+  /// chaos that drowns out the placement signal in mean_stretch.
   double mean_decision_regret = 0.0;
-  /// Decisions actually billed at ground truth (== outcomes.size()
-  /// unless regret_sample != 1).
+  /// == bills.size(). Re-placements after kills and evictions are
+  /// decisions too, so this can exceed outcomes.size().
   std::size_t billed_decisions = 0;
   /// Ground-truth queries this run answered by additive pairwise
   /// composition instead of a measurement (resident groups above the
@@ -210,55 +204,49 @@ struct ClusterResult {
   // so batch-only runs stay byte-identical to the pre-SLO engine.
   /// Arrivals with an SLO budget (JobSpec::slo_p99 > 0).
   std::size_t lc_jobs = 0;
-  /// Mean LC tail regret over billed decisions: true SLO violation
-  /// cost of the chosen machine minus the best open machine's (see
-  /// slo_violation). Billed at EVERY billed decision, not only LC
-  /// arrivals -- a best-effort aggressor placed next to a running LC
-  /// job is what blows its p99, and that decision must pay for it.
+  /// Mean DecisionBill::lc_regret, billed at EVERY billed decision
+  /// once lc_jobs > 0, not only at LC arrivals -- a best-effort
+  /// aggressor placed next to a running LC job is what blows its p99,
+  /// and that decision must pay for it.
   double mean_lc_tail_regret = 0.0;
-  /// Billed decisions on a latency-critical trace (== billed_decisions
-  /// when any job carries an SLO; 0 otherwise).
-  std::size_t lc_billed_decisions = 0;
   /// Billed decisions whose chosen machine carried a nonzero true SLO
   /// violation -- some latency-critical budget was blown.
   std::size_t slo_violation_decisions = 0;
 };
 
 /// Runs the indexed event loop: arrivals queue per priority class
-/// (FIFO within a class, higher classes first; all-zero priorities ==
-/// plain FIFO), a job is admitted whenever a slot is free (policy
-/// picks the machine through ClusterView), and runs to completion at a
-/// rate of 1/slowdown where the slowdown is the truth oracle's answer
-/// for the machine's current resident group.
+/// (FIFO within a class, higher classes first), a job is admitted
+/// whenever a slot is free (the policy picks the machine through
+/// ClusterView), and runs at a rate of 1/slowdown, the truth oracle's
+/// answer for its machine's current resident group. Each placement
+/// reports the new group's true slowdowns to the policy through
+/// observe_group() (the legacy observe_pair() feedback for 2-resident
+/// groups).
 ///
-/// Fault injection and graceful degradation (all off by default, and
-/// byte-identical to the fault-free engine when off): a FaultEvent
-/// schedule takes machines down (killing residents, which requeue
-/// through RetryConfig's bounded exponential backoff and work-loss
-/// model) and brings them back; MigrationConfig lets a waiting
-/// high-priority job preempt a strictly lower-priority resident; and
-/// AdmissionConfig sheds or defers best-effort arrivals under
-/// overload. Every such action is audited (Fail/Recover/Evict/Shed/
-/// Defer events), so fault runs replay byte-identically from the same
-/// seed. Completions beat same-instant failures (a job finishing as
-/// its machine dies finished); recoveries and requeues beat
-/// same-instant arrivals. Each placement reports
-/// the full new group outcome (per-member true slowdowns) to the
-/// policy via observe_group(); for 2-resident groups that decomposes
-/// into the legacy observe_pair() feedback.
-///
-/// When obs::Trace is recording, the run additionally emits a
-/// simulated-time timeline in its own trace process (1 work unit
-/// renders as 1 ms): one lane per machine holding resident-set spans
-/// (a span per interval of constant resident multiset, labeled with
-/// the member names), a per-decision instant event on the chosen
-/// machine's lane carrying the policy name, its predicted cost, the
-/// true cost, and the billed regret (true cost/regret only on billed
-/// decisions), plus a queue-depth counter track. Tracing never changes
-/// results -- it only reads simulator state.
+/// Faults, retries, migration and admission control (ClusterConfig)
+/// are off by default, and byte-identical to the fault-free engine
+/// when off; every such action is an audit event, so fault runs replay
+/// byte-identically from the same seed. On ties, completions beat
+/// failures (a job finishing as its machine dies finished), and
+/// recoveries and requeues beat arrivals.
 ClusterResult simulate(const ClusterConfig& cfg,
                        harness::InterferenceTruth& truth,
                        const std::vector<JobSpec>& trace,
                        PlacementPolicy& policy);
+
+/// Publishes a finished run of simulate() (which calls it) from the
+/// result alone: the cluster.* counters (placements = Place events,
+/// retries = sum of JobOutcome::retries, the rest the matching result
+/// fields) and the cluster.goodput.p<class> gauges. When obs::Trace is
+/// recording it also replays the log into a simulated-time process of
+/// its own (1 work unit renders as 1 ms): per machine lane, a span per
+/// constant resident multiset ("hog+victim"), DOWN spans, a "place
+/// <type>" instant per decision (policy, predicted cost, queued_for
+/// and, when billed, true cost, regret and LC regret) and an "evict
+/// <type>" instant per preemption; and a queue_depth counter sampled
+/// once per instant a job joins or leaves the waiting lanes.
+void render_timeline(const ClusterConfig& cfg,
+                     const std::vector<JobSpec>& trace,
+                     const std::string& policy, const ClusterResult& res);
 
 }  // namespace coperf::cluster

@@ -180,45 +180,32 @@ std::string fmt6(double v) {
   return buf;
 }
 
+/// How each TraceEvent::Kind renders, indexed by kind: its verb, whether
+/// it names a job (and type) and a machine, and its value's label.
+struct LineFormat {
+  const char* verb;
+  bool job, machine;
+  const char* value;  ///< nullptr = no value
+};
+constexpr LineFormat kLineFormats[] = {
+    {"arrive", true, false, nullptr},    {"place", true, true, "cost+="},
+    {"finish", true, true, "slowdown="}, {"fail", false, true, nullptr},
+    {"recover", false, true, nullptr},   {"evict", true, true, "work_left="},
+    {"shed", true, false, "work_left="}, {"defer", true, false, "until="},
+};
+
 }  // namespace
 
 void TraceLog::write(std::ostream& os,
                      const std::vector<std::string>& workloads) const {
   for (const TraceEvent& e : events) {
-    const std::string name =
-        e.type < workloads.size() ? workloads[e.type] : "?";
-    os << "t=" << fmt6(e.time);
-    switch (e.kind) {
-      case TraceEvent::Kind::Arrive:
-        os << " arrive job=" << e.job << " type=" << name;
-        break;
-      case TraceEvent::Kind::Place:
-        os << " place job=" << e.job << " type=" << name
-           << " machine=" << e.machine << " cost+=" << fmt6(e.value);
-        break;
-      case TraceEvent::Kind::Finish:
-        os << " finish job=" << e.job << " type=" << name
-           << " machine=" << e.machine << " slowdown=" << fmt6(e.value);
-        break;
-      case TraceEvent::Kind::Fail:
-        os << " fail machine=" << e.machine;
-        break;
-      case TraceEvent::Kind::Recover:
-        os << " recover machine=" << e.machine;
-        break;
-      case TraceEvent::Kind::Evict:
-        os << " evict job=" << e.job << " type=" << name
-           << " machine=" << e.machine << " work_left=" << fmt6(e.value);
-        break;
-      case TraceEvent::Kind::Shed:
-        os << " shed job=" << e.job << " type=" << name
-           << " work_left=" << fmt6(e.value);
-        break;
-      case TraceEvent::Kind::Defer:
-        os << " defer job=" << e.job << " type=" << name
-           << " until=" << fmt6(e.value);
-        break;
-    }
+    const LineFormat& f = kLineFormats[static_cast<std::size_t>(e.kind)];
+    os << "t=" << fmt6(e.time) << ' ' << f.verb;
+    if (f.job)
+      os << " job=" << e.job << " type="
+         << (e.type < workloads.size() ? workloads[e.type] : "?");
+    if (f.machine) os << " machine=" << e.machine;
+    if (f.value) os << ' ' << f.value << fmt6(e.value);
     os << '\n';
   }
 }

@@ -139,20 +139,25 @@ struct FaultScheduleOptions {
 std::vector<FaultEvent> fault_schedule(std::size_t machines,
                                        const FaultScheduleOptions& opt);
 
-/// One line of the simulator's audit log.
+/// One line of the simulator's audit log, packed to 32 bytes: a fleet
+/// run logs millions. simulate() bounds the truth axis to 65536 types
+/// and the fleet to 2^32 machines, so `type` and `machine` fit.
 struct TraceEvent {
-  enum class Kind { Arrive, Place, Finish, Fail, Recover, Evict, Shed, Defer };
+  enum class Kind : std::uint8_t {
+    Arrive, Place, Finish, Fail, Recover, Evict, Shed, Defer
+  };
   Kind kind = Kind::Arrive;
+  std::uint16_t type = 0;
+  std::uint32_t machine = 0;  ///< Place/Finish/Fail/Recover/Evict only
   double time = 0.0;
   std::size_t job = 0;  ///< JobSpec::id -- the same identity in all kinds
-  std::size_t type = 0;
-  std::size_t machine = 0;  ///< Place/Finish/Fail/Recover/Evict only
   /// Place: the policy's predicted cost delta for the chosen machine;
   /// Finish: the slowdown the job actually experienced;
   /// Evict/Shed: the solo work the job still needed;
   /// Defer: the time the job re-enters the waiting queue.
   double value = 0.0;
 };
+static_assert(sizeof(TraceEvent) == 32);
 
 struct TraceLog {
   std::vector<TraceEvent> events;

@@ -8,9 +8,9 @@
 //   * pid kHostPid -- wall-clock host time. Spans opened with
 //     Trace::Span land on the calling thread's lane (one tid per host
 //     thread, so ExperimentPlan trials draw one row per pool worker).
-//   * explicit pids/lanes with caller-supplied timestamps -- the
-//     cluster event loop renders *simulated* time this way, one lane
-//     per machine, one trace process per simulate() call.
+//   * explicit pids/lanes with caller-supplied timestamps --
+//     cluster::render_timeline draws *simulated* time this way, one
+//     lane per machine, one trace process per simulate() call.
 //
 // Recording is off by default. Every emit checks one relaxed atomic
 // bool and returns -- the branch-only zero-overhead-when-off fast

@@ -839,7 +839,8 @@ TEST(EngineGrid, GoldenDigestsAndInvariants) {
                   "makespan=%.12g billed=%zu lc_billed=%zu slo=%zu",
                   res.mean_decision_regret, res.mean_lc_tail_regret,
                   res.shed_work, res.mean_stretch, res.makespan,
-                  res.billed_decisions, res.lc_billed_decisions,
+                  res.billed_decisions,
+                  res.lc_jobs > 0 ? res.billed_decisions : std::size_t{0},
                   res.slo_violation_decisions);
     const GridPin got{fnv1a(res.log.str(names) + scalars), res.completed_jobs,
                       res.shed_jobs, res.migrations, res.fault_kills,

@@ -45,6 +45,11 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
   double t = 0.0;
   std::size_t next_arrival = 0;
   std::size_t running_count = 0;
+  const auto log = [&](TraceEvent::Kind kind, std::size_t job,
+                       std::size_t type, std::size_t m, double value) {
+    res.log.events.push_back({kind, static_cast<std::uint16_t>(type),
+                              static_cast<std::uint32_t>(m), t, job, value});
+  };
 
   // Current slowdown of one resident: the truth oracle's answer for
   // its co-resident group (measured when the truth holds the group,
@@ -107,8 +112,8 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
       out.arrival = job.arrival;
       out.start = t;
       out.work = job.work;
-      res.log.events.push_back({TraceEvent::Kind::Place, t, job.id, job.type,
-                                m, policy.last_cost_delta()});
+      log(TraceEvent::Kind::Place, job.id, job.type, m,
+          policy.last_cost_delta());
     }
   };
 
@@ -148,12 +153,11 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
       --running_count;
       JobOutcome& out = res.outcomes[jid];
       out.finish = t;
-      res.log.events.push_back({TraceEvent::Kind::Finish, t, trace[jid].id,
-                                out.type, done_m, out.corun_slowdown()});
+      log(TraceEvent::Kind::Finish, trace[jid].id, out.type, done_m,
+          out.corun_slowdown());
     } else {
       const JobSpec& job = trace[next_arrival];
-      res.log.events.push_back(
-          {TraceEvent::Kind::Arrive, t, job.id, job.type, 0, 0.0});
+      log(TraceEvent::Kind::Arrive, job.id, job.type, 0, 0.0);
       waiting.push_back(next_arrival);
       ++next_arrival;
     }

@@ -174,6 +174,74 @@ TEST(Cluster, SimulateValidatesItsInput) {
                  std::invalid_argument);
 }
 
+// ClusterResult::bills holds one row per billed decision: bill k is
+// Place event k * regret_sample, and the billed means are the rows'
+// means. Failure kills re-place jobs, so decisions outnumber jobs.
+TEST(Cluster, BillsAreTheBilledDecisions) {
+  harness::MatrixTruth additive{synthetic_truth()};
+  TraceOptions topt;
+  topt.jobs = 400;
+  topt.seed = 3;
+  topt.mean_interarrival = 2.0;  // room to choose, so random pays regret
+  auto trace = synthetic_trace(4, topt);
+  for (std::size_t i = 0; i < trace.size(); i += 3) trace[i].slo_p99 = 1.3;
+  FaultScheduleOptions sched;
+  sched.horizon = 300.0;
+  sched.mtbf = 60.0;
+  sched.mttr = 5.0;
+  for (const std::size_t sample : {1, 7}) {
+    ClusterConfig cfg{4, 2};
+    cfg.regret_sample = sample;
+    cfg.faults = fault_schedule(cfg.machines, sched);
+    RandomPolicy policy{2};
+    const ClusterResult res = simulate(cfg, additive, trace, policy);
+    std::size_t places = 0;
+    for (const TraceEvent& e : res.log.events)
+      places += e.kind == TraceEvent::Kind::Place;
+    ASSERT_EQ(res.bills.size(), res.billed_decisions) << "sample " << sample;
+    EXPECT_EQ(res.bills.size(), (places + sample - 1) / sample);
+    double regret = 0.0, lc_regret = 0.0;
+    for (const DecisionBill& b : res.bills) {
+      EXPECT_GE(b.regret, 0.0);
+      EXPECT_LE(b.regret, b.chosen);
+      regret += b.regret;
+      lc_regret += b.lc_regret;
+    }
+    const auto n = static_cast<double>(res.bills.size());
+    EXPECT_EQ(regret / n, res.mean_decision_regret);
+    EXPECT_EQ(lc_regret / n, res.mean_lc_tail_regret);
+    EXPECT_GT(res.mean_decision_regret, 0.0) << "sample " << sample;
+    if (sample == 1) {
+      EXPECT_GT(res.billed_decisions, trace.size());
+    }
+  }
+}
+
+// The audit log packs a job type into 16 bits and a machine into 32,
+// so simulate() refuses a wider truth axis or fleet before it sizes
+// anything per machine. SIZE_MAX machines pins that order: sizing first
+// would throw std::length_error, not std::invalid_argument.
+TEST(Cluster, SimulateRejectsWhatTheAuditLogCannotPack) {
+  struct WideTruth final : harness::InterferenceTruth {
+    std::size_t size() const override { return 65537; }
+    double slowdown(std::size_t, const std::vector<std::size_t>&) override {
+      return 1.0;
+    }
+    const harness::CorunMatrix& pairwise() override {
+      throw std::logic_error{"WideTruth has no matrix"};
+    }
+  } wide;
+  RandomPolicy policy{1};
+  const std::vector<JobSpec> ok = {{0, 0, 0.0, 1.0}};
+  EXPECT_THROW(simulate({2, 2}, wide, ok, policy), std::invalid_argument);
+  harness::MatrixTruth additive{synthetic_truth()};
+  for (const std::size_t machines :
+       {std::size_t{1} << 32, std::numeric_limits<std::size_t>::max()})
+    EXPECT_THROW(simulate({machines, 2}, additive, ok, policy),
+                 std::invalid_argument)
+        << machines << " machines";
+}
+
 // (RegimeChangeTruth -- the non-additive group-truth fixture -- lives
 // in cluster_fixtures.hpp, shared with the fleet equivalence suite.)
 
@@ -661,7 +729,7 @@ TEST(Slo, BatchTracesKeepSloAccountingZeroAndUnannotated) {
   CostModelPolicy policy{"tp", truth.pairwise()};
   const auto res = simulate({2, 2}, truth, trace, policy);
   EXPECT_EQ(res.lc_jobs, 0u);
-  EXPECT_EQ(res.lc_billed_decisions, 0u);
+  for (const DecisionBill& b : res.bills) EXPECT_EQ(b.lc_regret, 0.0);
   EXPECT_EQ(res.slo_violation_decisions, 0u);
   EXPECT_DOUBLE_EQ(res.mean_lc_tail_regret, 0.0);
 }
@@ -692,7 +760,6 @@ TEST(Slo, ThroughputOnlyPolicyWalksIntoTheTailTrapAndIsBilled) {
   CostModelPolicy tp{"tp", truth.pairwise()};
   const auto res = simulate({2, 2}, truth, trace, tp);
   EXPECT_EQ(res.lc_jobs, 1u);
-  EXPECT_EQ(res.lc_billed_decisions, res.billed_decisions);
   EXPECT_EQ(res.outcomes[2].machine, res.outcomes[0].machine)
       << "fixture broken: throughput model was supposed to prefer the hog";
   EXPECT_GT(res.mean_lc_tail_regret, 0.0);

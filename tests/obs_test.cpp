@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -448,8 +450,13 @@ TEST(TraceTest, TracingNeverChangesClusterResults) {
   SAME(completed_jobs);
   SAME(lc_jobs);
   SAME(mean_lc_tail_regret);
-  SAME(lc_billed_decisions);
   SAME(slo_violation_decisions);
+  ASSERT_EQ(plain.bills.size(), traced.bills.size());
+  for (std::size_t k = 0; k < plain.bills.size(); ++k) {
+    SAME(bills[k].chosen);
+    SAME(bills[k].regret);
+    SAME(bills[k].lc_regret);
+  }
   ASSERT_EQ(plain.class_stats.size(), traced.class_stats.size());
   for (std::size_t c = 0; c < plain.class_stats.size(); ++c) {
     SAME(class_stats[c].jobs);
@@ -463,6 +470,174 @@ TEST(TraceTest, TracingNeverChangesClusterResults) {
     SAME(class_stats[c].billed);
   }
 #undef SAME
+}
+
+/// FNV-1a over the canonical form of the first simulated-time process
+/// in `doc`: its events sorted by (ph, tid, ts, name, args), with each
+/// counter's samples collapsed to the last one per ts. The pid itself
+/// is left out (it depends on earlier simulate() calls), so two
+/// renderings that emit the same event set in any order hash equal.
+std::uint64_t canonical_cluster_digest(const json::Value& doc) {
+  struct Row {
+    std::string ph;
+    int tid;
+    double ts;
+    std::string name, args, text;
+  };
+  int pid = -1;
+  std::vector<Row> rows;
+  std::map<std::pair<std::string, double>, Row> counters;  // last per ts
+  for (const json::Value& e : doc.at("traceEvents").arr()) {
+    const int p = static_cast<int>(e.at("pid").num());
+    if (p == Trace::kHostPid || (pid != -1 && p != pid)) continue;
+    pid = p;
+    Row r{e.at("ph").str(), static_cast<int>(e.at("tid").num()),
+          e.at("ts").num(), e.at("name").str(),
+          e.has("args") ? json::write(e.at("args")) : std::string{}, ""};
+    if (!r.args.empty()) r.args.pop_back();  // write()'s trailing newline
+    r.text = r.ph + ' ' + std::to_string(r.tid) + ' ' + e.at("ts").text +
+             ' ' + r.name + ' ' + (e.has("dur") ? e.at("dur").text : "-") +
+             ' ' + r.args;
+    if (r.ph == "C")
+      counters[{r.name, r.ts}] = std::move(r);
+    else
+      rows.push_back(std::move(r));
+  }
+  for (auto& [key, r] : counters) rows.push_back(std::move(r));
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return std::tie(a.ph, a.tid, a.ts, a.name, a.args) <
+           std::tie(b.ph, b.tid, b.ts, b.name, b.args);
+  });
+  std::uint64_t h = 14695981039346656037ull;
+  for (const Row& r : rows)
+    for (const unsigned char c : r.text + '\n') {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  return h;
+}
+
+/// Runs `run` with the trace recording and digests its timeline.
+template <typename Run>
+std::uint64_t traced_digest(Run run) {
+  Trace& tr = Trace::instance();
+  tr.clear();
+  tr.start();
+  (void)run();
+  const json::Value doc = parse_current_trace();
+  tr.stop();
+  tr.clear();
+  return canonical_cluster_digest(doc);
+}
+
+// The timeline is rendered from ClusterResult after the run. These
+// pins are the canonical digests of the timeline the event loop used
+// to emit inline, event by event: the rendered event set is the same.
+TEST(TraceTest, ClusterTimelineMatchesPinnedEventSet) {
+  ObsSandbox sandbox;
+  EXPECT_EQ(traced_digest([] { return run_cluster(7); }),
+            0x99486b3ae1015a44ull);
+  EXPECT_EQ(traced_digest(run_protected_cluster), 0xc32c1519c293ea1eull);
+}
+
+// One machine, two slots, every co-run at 1.00x (neutral), migration
+// on, retry backoff 2 with factor 3:
+//   t=0, 1  class-0 jobs 0 and 1 arrive and place at once;
+//   t=2     class-1 job 2 arrives to a full machine and evicts job 0
+//           (the lowest class, first slot), which waits;
+//   t=3     job 2 finishes and job 0 places again;
+//   t=5     the machine fails, killing jobs 1 and 0: back at 5 + 2;
+//   t=7     both re-enter while the machine is still down;
+//   t=8     it recovers and both place;
+//   t=9     it fails again: the second kill backs off 2 * 3, to 15;
+//   t=10    it recovers; t=15 both re-enter and place at once.
+TEST(TraceTest, RenderedTimelineOfAFaultScenario) {
+  ObsSandbox sandbox;
+  cluster::ClusterConfig cfg;
+  cfg.machines = 1;
+  cfg.slots = 2;
+  cfg.type_names = {"hog", "victim", "neutral"};
+  cfg.migration.preempt = true;
+  cfg.retry.backoff = 2.0;
+  cfg.retry.backoff_factor = 3.0;
+  using F = cluster::FaultEvent;
+  cfg.faults = {{5.0, 0, F::Kind::Down}, {8.0, 0, F::Kind::Up},
+                {9.0, 0, F::Kind::Down}, {10.0, 0, F::Kind::Up}};
+  const std::vector<cluster::JobSpec> trace = {
+      {0, 2, 0.0, 10.0, 0}, {1, 2, 1.0, 10.0, 0}, {2, 2, 2.0, 1.0, 1}};
+  cluster::RandomPolicy policy{1};
+  harness::MatrixTruth truth{synthetic_matrix()};
+  Trace& tr = Trace::instance();
+  tr.clear();
+  tr.start();
+  const auto res = cluster::simulate(cfg, truth, trace, policy);
+  const json::Value doc = parse_current_trace();
+  tr.stop();
+  tr.clear();
+  validate_trace_doc(doc);
+  ASSERT_EQ(res.fault_kills, 4u);
+  ASSERT_EQ(res.migrations, 1u);
+  ASSERT_EQ(res.completed_jobs, 3u);
+
+  std::vector<std::pair<double, double>> depth, down;
+  std::vector<std::string> evicts;
+  for (const json::Value& e : doc.at("traceEvents").arr()) {
+    if (static_cast<int>(e.at("pid").num()) == Trace::kHostPid) continue;
+    const std::string& ph = e.at("ph").str();
+    const std::string& name = e.at("name").str();
+    if (ph == "C")
+      depth.emplace_back(e.at("ts").num(), e.at("args").at("value").num());
+    if (ph == "X" && name == "DOWN")
+      down.emplace_back(e.at("ts").num(), e.at("dur").num());
+    if (ph == "i" && name.rfind("evict ", 0) == 0)
+      evicts.push_back(name + json::write(e.at("args")));
+  }
+  // One sample per instant a job joined or left the lanes, holding the
+  // depth after that instant (ts in us: 1 work unit = 1 ms).
+  const std::vector<std::pair<double, double>> want_depth = {
+      {0, 0}, {1000, 0}, {2000, 1}, {3000, 0},
+      {7000, 2}, {8000, 0}, {15000, 0}};
+  EXPECT_EQ(depth, want_depth);
+  const std::vector<std::pair<double, double>> want_down = {{5000, 3000},
+                                                           {9000, 1000}};
+  EXPECT_EQ(down, want_down);
+  // Only the preemption draws an instant (kills do not), claimed for
+  // the class of job 2; job 0 still owed all its work (checkpoint 0).
+  ASSERT_EQ(evicts.size(), 1u);
+  EXPECT_EQ(evicts[0],
+            "evict neutral{\"job\": 0, \"for_class\": 1, \"work_left\": 10}\n");
+}
+
+// Every cluster.* counter moves by exactly its ClusterResult source.
+TEST(MetricsTest, ClusterCountersMatchTheResult) {
+  ObsSandbox sandbox;
+  Registry& reg = Registry::instance();
+  const char* names[] = {"placements", "completions", "failures",
+                         "recoveries", "fault_kills", "retries",
+                         "migrations", "shed"};
+  std::map<std::string, std::uint64_t> before;
+  for (const char* n : names)
+    before[n] = reg.counter(std::string{"cluster."} + n).value();
+  const auto res = run_protected_cluster();
+  std::uint64_t places = 0, retries = 0;
+  for (const cluster::TraceEvent& e : res.log.events)
+    places += e.kind == cluster::TraceEvent::Kind::Place;
+  for (const cluster::JobOutcome& o : res.outcomes) retries += o.retries;
+  const std::map<std::string, std::uint64_t> want = {
+      {"placements", places},        {"completions", res.completed_jobs},
+      {"failures", res.failures},    {"recoveries", res.recoveries},
+      {"fault_kills", res.fault_kills}, {"retries", retries},
+      {"migrations", res.migrations}, {"shed", res.shed_jobs}};
+  for (const char* n : names)
+    EXPECT_EQ(reg.counter(std::string{"cluster."} + n).value() - before[n],
+              want.at(n))
+        << n;
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(res.migrations, 0u);
+  for (std::size_t c = 0; c < res.class_stats.size(); ++c)
+    EXPECT_EQ(reg.gauge("cluster.goodput.p" + std::to_string(c)).value(),
+              res.class_stats[c].goodput)
+        << "class " << c;
 }
 
 TEST(TraceTest, SeparatePidPerSimulateCall) {
