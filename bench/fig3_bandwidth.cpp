@@ -21,15 +21,15 @@ int main(int argc, char** argv) try {
 
   harness::Table table{{"suite", "workload", "1-thread", "4-thread",
                         "8-thread"}};
-  std::string csv = "suite,workload,threads,bw_gbs\n";
+  harness::Table csv{{"suite", "workload", "threads", "bw_gbs"}};
   for (const auto* w : workloads) {
     std::vector<std::string> row{w->suite, w->name};
     for (unsigned t : kThreadCounts) {
       const double bw =
           rs.solo({w->name, t, args.effective_reps()}).avg_bw_gbs;
       row.push_back(harness::Table::fmt(bw, 1));
-      csv += w->suite + "," + w->name + "," + std::to_string(t) + "," +
-             harness::Table::fmt(bw, 2) + "\n";
+      csv.add_row({w->suite, w->name, std::to_string(t),
+                   harness::Table::fmt(bw, 2)});
     }
     table.add_row(std::move(row));
   }
@@ -38,7 +38,7 @@ int main(int argc, char** argv) try {
             << args.machine().peak_bw_gbs << " GB/s; paper anchors @4T: "
             << "Stream 24.5, Bandit 18, fotonik3d 18.4, IRSmk 18.1, "
                "G-CC 17.8, CIFAR 7-8)\n";
-  if (args.csv) std::cout << "\n" << csv;
+  if (args.csv) std::cout << "\n" << csv.to_csv();
   if (args.json) {
     std::cout << "\n[";
     bool first = true;

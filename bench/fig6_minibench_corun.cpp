@@ -33,7 +33,8 @@ int main(int argc, char** argv) try {
   const harness::ResultSet rs = plan.execute(0, bench::plan_progress());
 
   harness::Table table{{"suite", "workload", "vs Bandit", "vs Stream"}};
-  std::string csv = "suite,workload,speedup_vs_bandit,speedup_vs_stream\n";
+  harness::Table csv{
+      {"suite", "workload", "speedup_vs_bandit", "speedup_vs_stream"}};
   double sum_bandit = 0, sum_stream = 0, gem_stream = 0;
   unsigned count = 0, gem_count = 0;
   for (const auto* w : workloads) {
@@ -47,8 +48,8 @@ int main(int argc, char** argv) try {
                    rs.group(vs(w->name, "Stream"), reps).members[0].cycles);
     table.add_row({w->suite, w->name, harness::Table::fmt(sb),
                    harness::Table::fmt(ss)});
-    csv += w->suite + "," + w->name + "," + harness::Table::fmt(sb, 3) + "," +
-           harness::Table::fmt(ss, 3) + "\n";
+    csv.add_row({w->suite, w->name, harness::Table::fmt(sb, 3),
+                 harness::Table::fmt(ss, 3)});
     sum_bandit += sb;
     sum_stream += ss;
     ++count;
@@ -69,7 +70,7 @@ int main(int argc, char** argv) try {
     std::cout << "  vs Stream (GeminiGraph) : "
               << harness::Table::fmt(gem_stream / gem_count)
               << "  (paper: ~0.48, i.e. ~2.08x slowdown)\n";
-  if (args.csv) std::cout << "\n" << csv;
+  if (args.csv) std::cout << "\n" << csv.to_csv();
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

@@ -39,10 +39,9 @@ int main(int argc, char** argv) try {
   harness::Table table{{"workload", "region", "CPI solo", "CPI +Stream",
                         "PCP solo", "PCP +Stream", "MPKI solo", "MPKI +Stream",
                         "LL solo", "LL +Stream"}};
-  std::string csv =
-      "workload,cpi_solo,cpi_stream,pcp_solo,pcp_stream,mpki_solo,"
-      "mpki_stream,ll_solo,ll_stream\n";
   using harness::Table;
+  Table csv{{"workload", "cpi_solo", "cpi_stream", "pcp_solo", "pcp_stream",
+             "mpki_solo", "mpki_stream", "ll_solo", "ll_stream"}};
   for (const char* app : apps) {
     const auto solo = rs.solo({app, args.threads, reps});
     const auto pair = rs.group(vs_stream(app), reps);
@@ -55,19 +54,19 @@ int main(int argc, char** argv) try {
                    Table::fmt(rsolo.stats.llc_mpki()),
                    Table::fmt(rp.stats.llc_mpki()),
                    Table::fmt(rsolo.stats.ll()), Table::fmt(rp.stats.ll())});
-    csv += std::string{app} + "," + Table::fmt(rsolo.stats.cpi(), 3) + "," +
-           Table::fmt(rp.stats.cpi(), 3) + "," +
-           Table::fmt(rsolo.stats.l2_pcp(), 3) + "," +
-           Table::fmt(rp.stats.l2_pcp(), 3) + "," +
-           Table::fmt(rsolo.stats.llc_mpki(), 3) + "," +
-           Table::fmt(rp.stats.llc_mpki(), 3) + "," +
-           Table::fmt(rsolo.stats.ll(), 3) + "," +
-           Table::fmt(rp.stats.ll(), 3) + "\n";
+    csv.add_row({app, Table::fmt(rsolo.stats.cpi(), 3),
+                 Table::fmt(rp.stats.cpi(), 3),
+                 Table::fmt(rsolo.stats.l2_pcp(), 3),
+                 Table::fmt(rp.stats.l2_pcp(), 3),
+                 Table::fmt(rsolo.stats.llc_mpki(), 3),
+                 Table::fmt(rp.stats.llc_mpki(), 3),
+                 Table::fmt(rsolo.stats.ll(), 3),
+                 Table::fmt(rp.stats.ll(), 3)});
   }
   table.print(std::cout);
   std::cout << "\n(paper: under Stream, LLC MPKI ~x2.6, CPI >x2, L2_PCP up "
                "to 93% for G-PR, LL >x2)\n";
-  if (args.csv) std::cout << "\n" << csv;
+  if (args.csv) std::cout << "\n" << csv.to_csv();
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

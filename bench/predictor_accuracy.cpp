@@ -86,7 +86,8 @@ int main(int argc, char** argv) try {
     return total / static_cast<double>(traces.size());
   };
 
-  std::string csv = "model,mae,rmse,spearman,class_agreement,decision_regret\n";
+  harness::Table csv{{"model", "mae", "rmse", "spearman", "class_agreement",
+                      "decision_regret"}};
   const auto report = [&](const std::string& name,
                           const predict::EvalResult& e,
                           const harness::CorunMatrix& predicted) {
@@ -96,11 +97,11 @@ int main(int argc, char** argv) try {
               << " (cost model on this prediction, " << fleet.machines
               << " machines x " << fleet.slots << " slots, " << traces.size()
               << " traces of " << topt.jobs << " jobs at measured truth)\n\n";
-    csv += name + "," + harness::Table::fmt(e.mae, 4) + "," +
-           harness::Table::fmt(e.rmse, 4) + "," +
-           harness::Table::fmt(e.spearman, 4) + "," +
-           harness::Table::fmt(e.confusion.agreement(), 4) + "," +
-           harness::Table::fmt(regret, 5) + "\n";
+    csv.add_row({name, harness::Table::fmt(e.mae, 4),
+                 harness::Table::fmt(e.rmse, 4),
+                 harness::Table::fmt(e.spearman, 4),
+                 harness::Table::fmt(e.confusion.agreement(), 4),
+                 harness::Table::fmt(regret, 5)});
   };
 
   // Analytic model: no training, pure counter arithmetic.
@@ -184,17 +185,18 @@ int main(int argc, char** argv) try {
               << harness::Table::fmt(ge.model_mae, 4) << ", RMSE "
               << harness::Table::fmt(ge.model_rmse, 4) << ", Spearman "
               << harness::Table::fmt(ge.model_spearman, 4) << "\n";
-    csv += "group-additive," + harness::Table::fmt(ge.additive_mae, 4) + "," +
-           harness::Table::fmt(ge.additive_rmse, 4) + ",,,\n";
-    csv += "group-analytic," + harness::Table::fmt(ge.model_mae, 4) + "," +
-           harness::Table::fmt(ge.model_rmse, 4) + "," +
-           harness::Table::fmt(ge.model_spearman, 4) + ",,\n";
+    // Groups have no class agreement or decision regret: empty cells.
+    csv.add_row({"group-additive", harness::Table::fmt(ge.additive_mae, 4),
+                 harness::Table::fmt(ge.additive_rmse, 4)});
+    csv.add_row({"group-analytic", harness::Table::fmt(ge.model_mae, 4),
+                 harness::Table::fmt(ge.model_rmse, 4),
+                 harness::Table::fmt(ge.model_spearman, 4)});
   }
 
   std::cout << "\ncost: measured sweep = " << subset.size() * subset.size()
             << " co-runs; predictor = " << subset.size()
             << " solo runs + inference\n";
-  if (args.csv) std::cout << "\n" << csv;
+  if (args.csv) std::cout << "\n" << csv.to_csv();
   if (args.json)
     std::cout << "\n" << harness::report::to_json(measured) << "\n";
   return 0;

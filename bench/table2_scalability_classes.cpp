@@ -22,7 +22,7 @@ int main(int argc, char** argv) try {
   const harness::ResultSet rs = plan.execute(0, bench::plan_progress());
 
   harness::Table table{{"suite", "Low", "Medium", "High"}};
-  std::string csv = "suite,workload,s8,class\n";
+  harness::Table csv{{"suite", "workload", "s8", "class"}};
   std::vector<harness::ScalabilityResult> all;
   for (const char* suite : suites) {
     std::map<harness::ScalClass, std::string> buckets;
@@ -31,9 +31,8 @@ int main(int argc, char** argv) try {
       std::string& bucket = buckets[res.cls];
       if (!bucket.empty()) bucket += ", ";
       bucket += res.workload;
-      csv += std::string{suite} + "," + res.workload + "," +
-             harness::Table::fmt(res.max_speedup()) + "," +
-             harness::to_string(res.cls) + "\n";
+      csv.add_row({suite, res.workload, harness::Table::fmt(res.max_speedup()),
+                   harness::to_string(res.cls)});
       all.push_back(res);
     }
     auto cell = [&](harness::ScalClass c) {
@@ -45,7 +44,7 @@ int main(int argc, char** argv) try {
                    cell(harness::ScalClass::High)});
   }
   table.print(std::cout);
-  if (args.csv) std::cout << "\n" << csv;
+  if (args.csv) std::cout << "\n" << csv.to_csv();
   if (args.json) std::cout << "\n" << harness::report::to_json(all) << "\n";
   return 0;
 } catch (const std::exception& e) {

@@ -37,7 +37,7 @@ int main(int argc, char** argv) try {
 
   harness::Table table{{"pair", "co-run BW", "A solo", "B solo", "solo sum",
                         "paper (pair/A/B)"}};
-  std::string csv = "a,b,pair_bw,a_solo,b_solo\n";
+  harness::Table csv{{"a", "b", "pair_bw", "a_solo", "b_solo"}};
   for (const auto& p : pairs) {
     const auto a_solo = rs.solo({p.a, args.threads, reps});
     const auto b_solo = rs.solo({p.b, args.threads, reps});
@@ -48,15 +48,14 @@ int main(int argc, char** argv) try {
                    harness::Table::fmt(b_solo.avg_bw_gbs, 1),
                    harness::Table::fmt(a_solo.avg_bw_gbs + b_solo.avg_bw_gbs, 1),
                    p.paper});
-    csv += std::string{p.a} + "," + p.b + "," +
-           harness::Table::fmt(pair.total_avg_bw_gbs, 2) + "," +
-           harness::Table::fmt(a_solo.avg_bw_gbs, 2) + "," +
-           harness::Table::fmt(b_solo.avg_bw_gbs, 2) + "\n";
+    csv.add_row({p.a, p.b, harness::Table::fmt(pair.total_avg_bw_gbs, 2),
+                 harness::Table::fmt(a_solo.avg_bw_gbs, 2),
+                 harness::Table::fmt(b_solo.avg_bw_gbs, 2)});
   }
   table.print(std::cout);
   std::cout << "\n(key property: co-run bandwidth < sum of solo bandwidths "
                "-- the shared channel saturates)\n";
-  if (args.csv) std::cout << "\n" << csv;
+  if (args.csv) std::cout << "\n" << csv.to_csv();
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

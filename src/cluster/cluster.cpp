@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "cluster/open_classes.hpp"
+
 namespace coperf::cluster {
 
 namespace {
@@ -167,12 +169,20 @@ class OpenSet {
 /// scratch MachineView, valid until the next view() call: a decision
 /// views each candidate once. kth_open selects any k in O(log words)
 /// and serves the policies' ascending scans in O(1) amortized per step
-/// (the regret bill walks the open set itself).
+/// (the regret bill walks the open set itself). open_classes() hands
+/// out the engine's class index, filling it from the open set on the
+/// first call; from then on the engine keeps it current.
 class EngineView final : public ClusterView {
  public:
   EngineView(const std::vector<MachineState>& ms, const OpenSet& open,
-             std::size_t slots, const double& t, const std::uint64_t& stamp)
-      : ms_(ms), open_(open), slots_(slots), t_(t), stamp_(stamp) {
+             OpenClasses& classes, std::size_t slots, const double& t,
+             const std::uint64_t& stamp)
+      : ms_(ms),
+        open_(open),
+        classes_(classes),
+        slots_(slots),
+        t_(t),
+        stamp_(stamp) {
     scratch_.residents.reserve(slots);
   }
 
@@ -206,9 +216,19 @@ class EngineView final : public ClusterView {
     return scratch_;
   }
 
+  const OpenClasses* open_classes() const override {
+    if (!classes_.enabled()) {
+      classes_.enable();
+      for (std::size_t m = open_.next(0); m < ms_.size(); m = open_.next(m + 1))
+        classes_.insert(m, ms_[m].residents);
+    }
+    return &classes_;
+  }
+
  private:
   const std::vector<MachineState>& ms_;
   const OpenSet& open_;
+  OpenClasses& classes_;
   std::size_t slots_;
   const double& t_;
   const std::uint64_t& stamp_;
@@ -216,80 +236,6 @@ class EngineView final : public ClusterView {
   mutable std::uint64_t scan_stamp_ = 0;
   mutable std::size_t last_k_ = 0;
   mutable std::size_t last_m_ = 0;
-};
-
-/// The completion index: a binary min-heap with one entry per busy
-/// machine, keyed by (next_eta, machine) -- ties go to the lowest
-/// machine, deterministically -- plus each machine's heap slot, so a
-/// resident-set change re-keys its machine's entry in place.
-class CompletionHeap {
- public:
-  struct Entry {
-    double eta = kInf;
-    std::size_t machine = 0;
-  };
-
-  explicit CompletionHeap(std::size_t machines) : slot_(machines, kAbsent) {}
-
-  bool empty() const { return heap_.empty(); }
-  const Entry& top() const { return heap_.front(); }
-
-  /// Keys machine m at `eta`, inserting it if absent.
-  void update(std::size_t m, double eta) {
-    std::size_t i = slot_[m];
-    if (i == kAbsent) {
-      i = heap_.size();
-      heap_.push_back({eta, m});
-    } else {
-      heap_[i].eta = eta;
-    }
-    sift(i);
-  }
-
-  /// Drops machine m's entry, if it has one.
-  void erase(std::size_t m) {
-    const std::size_t i = slot_[m];
-    if (i == kAbsent) return;
-    slot_[m] = kAbsent;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (i == heap_.size()) return;
-    put(i, last);
-    sift(i);
-  }
-
- private:
-  static constexpr std::size_t kAbsent =
-      std::numeric_limits<std::size_t>::max();
-
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.eta != b.eta) return a.eta < b.eta;
-    return a.machine < b.machine;
-  }
-
-  void put(std::size_t i, const Entry& e) {
-    heap_[i] = e;
-    slot_[e.machine] = i;
-  }
-
-  /// Moves the entry in slot i up or down to its place.
-  void sift(std::size_t i) {
-    const Entry e = heap_[i];
-    while (i > 0 && before(e, heap_[(i - 1) / 2])) {
-      put(i, heap_[(i - 1) / 2]);
-      i = (i - 1) / 2;
-    }
-    for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
-      if (c + 1 < heap_.size() && before(heap_[c + 1], heap_[c])) ++c;
-      if (!before(heap_[c], e)) break;
-      put(i, heap_[c]);
-      i = c;
-    }
-    put(i, e);
-  }
-
-  std::vector<Entry> heap_;
-  std::vector<std::size_t> slot_;  ///< heap index per machine, or kAbsent
 };
 
 /// A killed or deferred job waiting out its simulated-time delay before
@@ -324,8 +270,9 @@ class Engine {
         alive_(cfg.machines, 1),
         alive_machines_(cfg.machines),
         pending_(trace.size(), 0.0),
-        heap_(cfg.machines),
-        view_{machines_, open_, cfg.slots, t_, stamp_} {
+        heap_pos_(cfg.machines, IndexedHeap::kAbsent),
+        classes_(cfg.machines, cfg.slots, t_),
+        view_{machines_, open_, classes_, cfg.slots, t_, stamp_} {
     for (std::size_t m = 0; m < cfg.machines; ++m) open_.set(m);
     unsigned max_priority = 0;
     for (const JobSpec& j : trace) {
@@ -389,11 +336,11 @@ class Engine {
   /// Earliest completion in the fleet; ties resolve to the lowest
   /// machine then slot, deterministically.
   double next_completion() const {
-    return heap_.empty() ? kInf : heap_.top().eta;
+    return heap_.empty() ? kInf : heap_.top().key;
   }
 
   void complete() {
-    const std::size_t m = heap_.top().machine;
+    const std::size_t m = heap_.top().id;
     const std::size_t jid = remove_resident(m, machines_[m].next_pos).job;
     JobOutcome& out = res_.outcomes[jid];
     out.finish = t_;
@@ -408,6 +355,8 @@ class Engine {
       alive_[f.machine] = 1;
       ++alive_machines_;
       open_.set(f.machine);
+      if (classes_.enabled())
+        classes_.insert(f.machine, machines_[f.machine].residents);
       return;
     }
     ++res_.failures;
@@ -459,28 +408,31 @@ class Engine {
 
   /// Opens a change to machine m's resident set at time t: brings its
   /// remaining work up to t, and takes its residents out of the running
-  /// count and the victim index until commit().
+  /// count, the victim index and the class index until commit().
   MachineState& edit(std::size_t m) {
     MachineState& ms = machines_[m];
     materialize(ms);
     running_ -= ms.residents.size();
     if (cfg_.migration.preempt)
       for (const Resident& r : ms.residents) holders_[r.priority].clear(m);
+    if (classes_.enabled()) classes_.erase(m);
     return ms;
   }
 
   /// Closes the change: open-set and victim-index membership, fresh
-  /// rates and ETAs, the machine's completion entry, and a new view
-  /// stamp.
+  /// rates and ETAs, the machine's completion entry, its class while it
+  /// is open, and a new view stamp.
   void commit(std::size_t m) {
     const MachineState& ms = machines_[m];
-    if (alive_[m] && ms.residents.size() < cfg_.slots)
+    const bool open = alive_[m] && ms.residents.size() < cfg_.slots;
+    if (open)
       open_.set(m);
     else
       open_.clear(m);
     if (cfg_.migration.preempt)
       for (const Resident& r : ms.residents) holders_[r.priority].set(m);
     reindex(m);
+    if (open && classes_.enabled()) classes_.insert(m, ms.residents);
     running_ += ms.residents.size();
     ++stamp_;
   }
@@ -532,10 +484,11 @@ class Engine {
         ms.next_pos = i;
       }
     }
+    const auto id = static_cast<std::uint32_t>(m);
     if (ms.residents.empty())
-      heap_.erase(m);
+      heap_.erase(id, heap_pos_);
     else
-      heap_.update(m, ms.next_eta);
+      heap_.update(id, ms.next_eta, heap_pos_);
   }
 
   // --- protection: retry, migration, admission ----------------------
@@ -793,12 +746,19 @@ class Engine {
   /// Solo work a job still owes at its next placement: its full demand
   /// until a failure kill or eviction applies the work-loss model.
   std::vector<double> pending_;
-  CompletionHeap heap_;
+  /// The completion index: one entry per busy machine, keyed by its
+  /// next_eta (ties to the lowest machine, deterministically), re-keyed
+  /// in place through heap_pos_ when its resident set changes.
+  IndexedHeap heap_;
+  std::vector<std::uint32_t> heap_pos_;
   std::priority_queue<Requeue, std::vector<Requeue>, RequeueLater> requeues_;
   std::size_t next_arrival_ = 0;
   std::size_t next_fault_ = 0;
   double t_ = 0.0;
   std::uint64_t stamp_ = 1;
+  /// The open machines by resident types (ClusterView::open_classes()),
+  /// kept only once a policy has asked for it.
+  OpenClasses classes_;
   EngineView view_;
 
   std::size_t decisions_ = 0;  ///< placements so far, billed or not

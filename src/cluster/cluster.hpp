@@ -19,7 +19,10 @@
 //
 // simulate() is an indexed event loop built for fleet scale: cached
 // per-machine slowdowns and ETAs, an indexed completion heap, a
-// free-slot bitset with a rank index behind ClusterView and, with
+// free-slot bitset with a rank index behind ClusterView, from the
+// first decision that asks for it the open machines grouped by
+// resident types (OpenClasses, behind ClusterView::open_classes(), so
+// the cost-model policy prices classes instead of machines) and, with
 // migration on, a per-class victim index (each documented in
 // cluster.cpp). The engine only appends to its ClusterResult -- the
 // audit log and the decision bills -- and render_timeline()

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "cluster/open_classes.hpp"
 #include "harness/matrix.hpp"
 #include "predict/predicted_matrix.hpp"
 
@@ -47,6 +49,107 @@ auto cheapest(const ClusterView& cluster, const std::string& who, Price floor,
       best_cost = c;
       best = m;
     }
+  }
+  return std::pair{best, best_cost};
+}
+
+/// CostModelPolicy's throughput-only pick through the class index: the
+/// open machine with the least placement_delta under `est`, lowest
+/// index on ties -- cheapest()'s pick and cost, exactly -- or nothing
+/// when the index cannot vouch for it (a class whose rate invariant
+/// broke, or prices large enough to overflow).
+///
+/// Every member of a class prices as F(r) = A + sum_i coef_i * r_i,
+/// evaluated in placement_delta's order with the class's own A and
+/// coefficients; only the residents' remaining work r differs. Each
+/// float operation is monotone in its operands, so F evaluated at
+/// bounds on the r_i (the least where coef_i >= 0, the most where it is
+/// < 0) is a lower bound on every member's exact price. A class whose
+/// bound exceeds the incumbent is skipped; the others are walked along
+/// one slot's remaining work, where each member's bound also holds for
+/// every later one, and the walk stops at the first bound above the
+/// incumbent. Members inside the bounds are priced through view(), so
+/// ties are decided on exact prices.
+std::optional<std::pair<std::size_t, double>> cheapest_by_class(
+    const OpenClasses& classes, const ClusterView& cluster,
+    const harness::CorunMatrix& est, const JobSpec& job) {
+  if (!classes.ordered()) return std::nullopt;
+  struct Term {
+    double coef, least, most;  ///< remaining work in [least, most]
+  };
+  static thread_local std::vector<Term> terms;
+  static thread_local std::vector<std::pair<double, std::uint32_t>> bounds;
+  // Fills `terms` for class c and returns its A, the job's own excess
+  // priced as placement_delta prices it.
+  const auto terms_of = [&](std::uint32_t c) {
+    const std::vector<std::uint32_t>& types = classes.types(c);
+    terms.clear();
+    double excess = 0.0;
+    for (const std::uint32_t type : types)
+      excess += est.at(job.type, type) - 1.0;
+    for (std::size_t i = 0; i < types.size(); ++i) {
+      const auto [least, most] = classes.remaining(c, i);
+      terms.push_back({est.at(types[i], job.type) - 1.0, least, most});
+    }
+    return (std::max(1.0, 1.0 + excess) - 1.0) * job.work;
+  };
+  // F at the class bounds, with slot p's remaining work at `r`.
+  const auto bound = [&](double a, std::size_t p, double r) {
+    double b = a;
+    for (std::size_t i = 0; i < terms.size(); ++i)
+      b += terms[i].coef *
+           (i == p ? r : terms[i].coef >= 0.0 ? terms[i].least : terms[i].most);
+    return b;
+  };
+
+  bounds.clear();
+  std::size_t first = 0;
+  for (const std::uint32_t c : classes.live()) {
+    const double a = terms_of(c);
+    // No partial sum of a member's price can overflow under this.
+    double magnitude = a;
+    for (const Term& t : terms) magnitude += std::abs(t.coef) * t.most;
+    if (!(magnitude <= 1e300)) return std::nullopt;
+    bounds.push_back({bound(a, terms.size(), 0.0), c});
+    if (bounds.back().first < bounds[first].first) first = bounds.size() - 1;
+  }
+  if (bounds.empty()) return std::nullopt;
+
+  std::size_t best = 0;
+  double best_cost = kInf;
+  const auto consider = [&](std::size_t m) {
+    const double cost =
+        placement_delta(est, job.type, job.work, cluster.view(m));
+    if (cost < best_cost || (cost == best_cost && m < best)) {
+      best_cost = cost;
+      best = m;
+    }
+  };
+  // The class with the least bound first, for an early incumbent.
+  std::swap(bounds[0], bounds[first]);
+  for (const auto& [lb, c] : bounds) {
+    if (lb > best_cost) continue;
+    const double a = terms_of(c);
+    // Walk the slot whose remaining work spreads the price the most.
+    std::size_t p = terms.size();
+    double spread = -1.0;
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const Term& t = terms[i];
+      const double s = std::abs(t.coef) * (t.most - t.least);
+      if (t.coef != 0.0 && s > spread) {
+        spread = s;
+        p = i;
+      }
+    }
+    if (p == terms.size()) {
+      // Every coefficient is 0: each member prices exactly A.
+      consider(classes.lowest(c));
+      continue;
+    }
+    OpenClasses::Walk walk = classes.walk(c, p, terms[p].coef > 0.0);
+    std::size_t m = 0;
+    double r = 0.0;
+    while (walk.next(m, r) && !(bound(a, p, r) > best_cost)) consider(m);
   }
   return std::pair{best, best_cost};
 }
@@ -182,6 +285,12 @@ std::size_t CostModelPolicy::place(const JobSpec& job,
   if (job.type >= estimate_.size())
     throw std::out_of_range{"CostModelPolicy::place: job type outside matrix"};
   if (tail_.size() == 0) {
+    if (const OpenClasses* classes = cluster.open_classes())
+      if (const auto pick =
+              cheapest_by_class(*classes, cluster, estimate_, job)) {
+        last_delta_ = pick->second;
+        return pick->first;
+      }
     const auto [m, delta] =
         cheapest(cluster, name_, floor_, [&](const MachineView& v) {
           return placement_delta(estimate_, job.type, job.work, v);

@@ -10,18 +10,24 @@
 // outcomes feed a PairDeconvolver so pairwise refinement needs no
 // dedicated pair runs). GroupTruthPolicy asks the measured group-truth
 // oracle directly -- the zero-regret reference the regret bench
-// compares against. Every cost-driven policy picks through one argmin
-// over the open machines (lowest index on ties), and the SLO-aware
-// score and slo_violation() share one violation formula. Policies own
+// compares against. Every cost-driven policy picks the argmin over the
+// open machines (lowest index on ties) through one scan; the
+// throughput-only cost model reaches the same pick through the class
+// index when the view offers one. The SLO-aware score and
+// slo_violation() share one violation formula. Policies own
 // all their randomness, so a fresh policy with the same seed replays
 // identically.
 //
 // Policies see the cluster through ClusterView: a free-slot index
-// (open_count/kth_open, ascending machine order) plus lazily
-// materialized per-machine MachineViews. The simulator's fleet-scale
-// implementation only materializes the machines a policy actually
+// (open_count/kth_open, ascending machine order), lazily materialized
+// per-machine MachineViews and, optionally, the open machines grouped
+// into classes by resident types (open_classes(), OpenClasses in
+// open_classes.hpp). The simulator's fleet-scale implementation offers
+// the classes and only materializes the machines a policy actually
 // prices. ClusterView is the only entry point; tests that hand-build a
-// vector of MachineViews wrap it in their own adapter.
+// vector of MachineViews wrap it in their own adapter, which offers no
+// classes, so every policy also decides from the first five calls
+// alone -- and must pick the same machine either way.
 //
 // Fault tolerance is invisible here by design: a failed machine simply
 // leaves the open set (its slots are never offered), a recovered one
@@ -63,6 +69,8 @@ struct MachineView {
   std::vector<ResidentView> residents;
 };
 
+class OpenClasses;
+
 /// What a policy sees of the cluster at decision time. kth_open
 /// enumerates machines with a free slot in ascending index order --
 /// the deterministic candidate order every policy iterates -- and
@@ -86,6 +94,12 @@ class ClusterView {
   /// simulator's implementation reuses one scratch MachineView, so a
   /// caller copies what it must keep.
   virtual const MachineView& view(std::size_t m) const = 0;
+  /// The open machines grouped by their residents' types in slot
+  /// order, kept current by the view's owner; nullptr (the default)
+  /// when the view keeps no such index. A policy may bound a whole
+  /// class at once and view() only the members that could win, but
+  /// must pick exactly what the kth_open scan would.
+  virtual const OpenClasses* open_classes() const { return nullptr; }
 };
 
 /// Estimated machine time that admitting `job_type` with `job_work`
@@ -193,10 +207,25 @@ class RandomPolicy final : public PlacementPolicy {
 /// somewhere). Best-effort-only decisions reduce exactly to the
 /// throughput-only arithmetic.
 ///
-/// When every estimate entry is >= 1, no candidate can price below 0
-/// (SLO-aware: (0, 0)), so the scan stops at the first machine priced
-/// at 0 -- the pick the full scan would make. An estimate with an
-/// entry below 1 scans every open machine.
+/// Throughput-only, given a view with open_classes(), the policy
+/// prices classes instead of machines: the members of a class share
+/// the job's own excess and every coefficient, and their price is
+/// monotone in each resident's remaining work, so one lower bound per
+/// class (each resident's least remaining work where its coefficient is
+/// >= 0, its most where it is < 0) prunes whole classes. It walks the
+/// rest in order of remaining work, re-prices each member exactly
+/// through view() and stops once a bound exceeds the incumbent, so the
+/// pick (lowest index among the exact minima) and its cost are the
+/// scan's. A class whose coefficients are all 0 prices every member
+/// alike: only its lowest member is priced.
+///
+/// Otherwise -- the SLO-aware score (its cost depends on the residents'
+/// budgets, which the class does not key), a view without classes, or
+/// a price large enough to overflow -- it scans the open machines in
+/// ascending order. When every estimate entry is >= 1, no candidate can
+/// price below 0 (SLO-aware: (0, 0)), so the scan stops at the first
+/// machine priced at 0 -- the pick the full scan would make. An
+/// estimate with an entry below 1 scans every open machine.
 class CostModelPolicy : public PlacementPolicy {
  public:
   /// An empty `tail` prices throughput only; a non-empty one must

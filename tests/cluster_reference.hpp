@@ -6,6 +6,18 @@
 // (rounding may differ below the log's fixed precision) and matching
 // regret. It models FIFO batch jobs on a fault-free fleet only, and
 // rejects any other config rather than mis-model it.
+//
+// The pin holds only where float paths cannot tie. The reference
+// decrements remaining work event by event; the engine materializes it
+// lazily and derives completion times from cached ETAs. Instants that
+// are equal in exact arithmetic but reached through different float
+// paths can therefore log in a different order, or differ in a
+// printed last digit, between the two: with arrivals floored to a
+// 0.25 grid and whole-unit work, two same-instant finishes swap, and a
+// finish slowdown prints 1.164063 against 1.164062. Quantized traces
+// must not be diffed against simulate_reference. Tie-heavy cells diff
+// the engine against itself instead: the class-index suite
+// (cluster_index_test.cpp) compares indexed and index-blind runs.
 #pragma once
 
 #include <algorithm>
