@@ -168,10 +168,10 @@ class OpenSet {
 /// The policies' window into the engine. view() materializes into one
 /// scratch MachineView, valid until the next view() call: a decision
 /// views each candidate once. kth_open selects any k in O(log words)
-/// and serves the policies' ascending scans in O(1) amortized per step
-/// (the regret bill walks the open set itself). open_classes() hands
-/// out the engine's class index, filling it from the open set on the
-/// first call; from then on the engine keeps it current.
+/// and serves ascending scans (the policies' and the regret bill's) in
+/// O(1) amortized per step. open_classes() hands out the engine's class
+/// index, filling it from the open set on the first call; from then on
+/// the engine keeps it current.
 class EngineView final : public ClusterView {
  public:
   EngineView(const std::vector<MachineState>& ms, const OpenSet& open,
@@ -288,10 +288,16 @@ class Engine {
     // per placement; the spare room covers faults, evictions, deferrals
     // and re-placements. Growing by doubling instead leaves freed blocks
     // that the allocator keeps, so peak RSS would depend on how many
-    // simulations ran before.
+    // simulations ran before. The bills get the log's room per job: at
+    // fleet scale both blocks then exceed glibc's largest dynamic mmap
+    // threshold (32 MiB), so each run maps its own and unmaps it. A
+    // smaller bills block is recycled through the heap from the second
+    // run on, and a small allocation that splits it between runs
+    // strands its touched pages (+9 MB at 500k jobs billed per
+    // decision).
     res_.log.events.reserve(4 * trace.size());
     if (cfg.regret_sample != 0)
-      res_.bills.reserve(2 * trace.size() / cfg.regret_sample + 1);
+      res_.bills.reserve(4 * trace.size() / cfg.regret_sample + 1);
   }
   Engine(const Engine&) = delete;  // view_ refers into this object
 
@@ -622,36 +628,29 @@ class Engine {
   /// machine than the best open one? On an SLO-carrying trace the same
   /// scan prices the true tail violation the decision inflicts (a
   /// best-effort job placed next to a running LC job blows its p99).
+  /// Without one, and once a policy has asked for the class index, the
+  /// prices come through the index; the bill never turns it on itself.
   void bill(const JobSpec& job, std::size_t m) {
     if (cfg_.regret_sample == 0 || decisions_++ % cfg_.regret_sample != 0)
       return;
-    DecisionBill b;
     // With no SLO-carrying job in the trace the LC billing is skipped
     // entirely -- no tail_slowdown queries are issued, so batch-only
     // runs are byte-identical to the pre-SLO engine.
     const bool lc = res_.lc_jobs > 0;
-    double best = kInf, lc_chosen = 0.0, lc_best = kInf;
-    for (std::size_t v = open_.next(0); v < cfg_.machines;
-         v = open_.next(v + 1)) {
-      const MachineView& mv = view_.view(v);
-      const double d = placement_delta(truth_, job.type, job.work, mv);
-      if (v == m) b.chosen = d;
-      best = std::min(best, d);
-      if (lc) {
-        const double lv = slo_violation(truth_, job, mv);
-        if (v == m) lc_chosen = lv;
-        lc_best = std::min(lc_best, lv);
-      }
-    }
-    b.regret = b.chosen - best;
+    const OpenClasses* classes = classes_.enabled() ? &classes_ : nullptr;
+    const TruthPrices p =
+        truth_prices(truth_, job, view_, classes, m, lc, "simulate");
+    DecisionBill b;
+    b.chosen = p.chosen;
+    b.regret = p.chosen - p.least;
     res_.mean_decision_regret += b.regret;
     ++res_.billed_decisions;
     res_.class_stats[job.priority].mean_regret += b.regret;
     ++res_.class_stats[job.priority].billed;
     if (lc) {
-      b.lc_regret = lc_chosen - lc_best;
+      b.lc_regret = p.lc_chosen - p.lc_least;
       res_.mean_lc_tail_regret += b.lc_regret;
-      if (lc_chosen > 0.0) ++res_.slo_violation_decisions;
+      if (p.lc_chosen > 0.0) ++res_.slo_violation_decisions;
     }
     res_.bills.push_back(b);
   }

@@ -104,6 +104,15 @@ class OpenClasses {
   std::size_t lowest(std::uint32_t c) const {
     return classes_[c].members.top().id;
   }
+  /// Class c's member count.
+  std::size_t size(std::uint32_t c) const {
+    return classes_[c].members.entries().size();
+  }
+  /// Machine m's class; IndexedHeap::kAbsent when m is not a member
+  /// (or not a machine at all).
+  std::uint32_t class_of(std::size_t m) const {
+    return m < class_of_.size() ? class_of_[m] : IndexedHeap::kAbsent;
+  }
   /// False when some live class has a slot whose residents do not all
   /// drain at one finite rate (a truth that answers the same group
   /// differently): remaining-work bounds are then unsound, and a

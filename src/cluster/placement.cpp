@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "cluster/open_classes.hpp"
@@ -26,14 +27,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The open machine with the lowest `cost(view)`, and that cost. Walks
-/// kth_open in ascending order and keeps the incumbent unless a
+/// The open machine with the lowest `cost(m, view(m))`, and that cost.
+/// Walks kth_open in ascending order and keeps the incumbent unless a
 /// candidate is strictly cheaper, so ties go to the lowest index. The
 /// first open machine is the initial incumbent, so a job lands even
 /// when every candidate prices at +inf. `floor` is a cost no candidate
 /// can price below: once the incumbent prices at it, no later machine
-/// can replace it, so the scan stops there with the same pick. The one
-/// candidate scan behind every cost-driven policy.
+/// can replace it, so the scan stops there with the same pick (a NaN
+/// incumbent is never replaced either, but the scan goes on pricing,
+/// so a caller that records every price sees them all). The one
+/// candidate scan behind every cost-driven policy and the regret bill.
 template <class Price, class Cost>
 auto cheapest(const ClusterView& cluster, const std::string& who, Price floor,
               Cost cost) {
@@ -41,10 +44,10 @@ auto cheapest(const ClusterView& cluster, const std::string& who, Price floor,
   if (open == 0)
     throw std::logic_error{who + "::place: no machine has a free slot"};
   std::size_t best = cluster.kth_open(0);
-  Price best_cost = cost(cluster.view(best));
-  for (std::size_t k = 1; k < open && floor < best_cost; ++k) {
+  Price best_cost = cost(best, cluster.view(best));
+  for (std::size_t k = 1; k < open && !(best_cost <= floor); ++k) {
     const std::size_t m = cluster.kth_open(k);
-    const Price c = cost(cluster.view(m));
+    const Price c = cost(m, cluster.view(m));
     if (c < best_cost) {
       best_cost = c;
       best = m;
@@ -53,105 +56,155 @@ auto cheapest(const ClusterView& cluster, const std::string& who, Price floor,
   return std::pair{best, best_cost};
 }
 
-/// CostModelPolicy's throughput-only pick through the class index: the
-/// open machine with the least placement_delta under `est`, lowest
-/// index on ties -- cheapest()'s pick and cost, exactly -- or nothing
-/// when the index cannot vouch for it (a class whose rate invariant
-/// broke, or prices large enough to overflow).
+/// What cheapest_by_class() found: cheapest()'s pick and cost, and the
+/// exact price of one more machine the caller asked about (0 when that
+/// machine is not open, as a scan that never reaches it would leave
+/// it).
+struct ClassPick {
+  std::size_t machine = 0;
+  double cost = 0.0;
+  double chosen = 0.0;
+};
+
+/// The argmin of a linear price through the class index: the open
+/// machine whose price is least, lowest index on ties -- cheapest()'s
+/// pick and cost, exactly -- or nothing when the index cannot vouch for
+/// it (a class whose rate invariant broke). `terms(types, members,
+/// coef)` returns the own term of a class whose residents have `types`
+/// (slot order) and fills its per-slot coefficients, as
+/// harness::admission_terms() or InterferenceTruth::admission_terms()
+/// do; it is asked once per live class, on behalf of that class's
+/// `members` machines.
 ///
 /// Every member of a class prices as F(r) = A + sum_i coef_i * r_i,
-/// evaluated in placement_delta's order with the class's own A and
-/// coefficients; only the residents' remaining work r differs. Each
-/// float operation is monotone in its operands, so F evaluated at
-/// bounds on the r_i (the least where coef_i >= 0, the most where it is
-/// < 0) is a lower bound on every member's exact price. A class whose
-/// bound exceeds the incumbent is skipped; the others are walked along
-/// one slot's remaining work, where each member's bound also holds for
-/// every later one, and the walk stops at the first bound above the
-/// incumbent. Members inside the bounds are priced through view(), so
-/// ties are decided on exact prices.
-std::optional<std::pair<std::size_t, double>> cheapest_by_class(
-    const OpenClasses& classes, const ClusterView& cluster,
-    const harness::CorunMatrix& est, const JobSpec& job) {
-  if (!classes.ordered()) return std::nullopt;
+/// summed in slot order with the class's own A and coefficients; only
+/// the residents' remaining work r differs. That is placement_delta's
+/// and admission_delta's sum, so a member priced from its class's terms
+/// is priced bit for bit as the scan prices it. Each float operation is
+/// monotone in its operands, so F evaluated at bounds on the r_i (the
+/// least where coef_i >= 0, the most where it is < 0) is a lower bound
+/// on every member's exact price. A class whose bound exceeds the
+/// incumbent is skipped; the others are walked along one slot's
+/// remaining work, where each member's bound also holds for every later
+/// one, and the walk stops at the first bound above the incumbent.
+/// Members inside the bounds are priced exactly, so ties are decided on
+/// exact prices. Prices large enough to overflow void the bounds: the
+/// pick then comes from cheapest()'s scan with `floor`, still priced
+/// from the class terms, so no terms are asked for twice.
+template <class Terms>
+std::optional<ClassPick> cheapest_by_class(const OpenClasses& classes,
+                                           const ClusterView& cluster,
+                                           const std::string& who, double floor,
+                                           std::size_t chosen, Terms terms) {
+  if (!classes.ordered() || classes.live().empty()) return std::nullopt;
   struct Term {
     double coef, least, most;  ///< remaining work in [least, most]
   };
-  static thread_local std::vector<Term> terms;
-  static thread_local std::vector<std::pair<double, std::uint32_t>> bounds;
-  // Fills `terms` for class c and returns its A, the job's own excess
-  // priced as placement_delta prices it.
-  const auto terms_of = [&](std::uint32_t c) {
-    const std::vector<std::uint32_t>& types = classes.types(c);
-    terms.clear();
-    double excess = 0.0;
-    for (const std::uint32_t type : types)
-      excess += est.at(job.type, type) - 1.0;
+  /// A live class: its own term, its bound, and its terms in `slots`.
+  struct Row {
+    double own, bound;
+    std::uint32_t c, first, n;
+  };
+  struct Scratch {
+    std::vector<Term> slots;
+    std::vector<Row> rows;
+    std::vector<std::uint32_t> row_of;  ///< class -> row
+    std::vector<std::size_t> types;
+    std::vector<double> coef;
+  };
+  static thread_local Scratch scratch;
+  auto& [slots, rows, row_of, types, coef] = scratch;
+  slots.clear();
+  rows.clear();
+  bool bounded = true;
+  for (const std::uint32_t c : classes.live()) {
+    types.assign(classes.types(c).begin(), classes.types(c).end());
+    const double own = terms(types, classes.size(c), coef);
+    Row row{own, 0.0, c, static_cast<std::uint32_t>(slots.size()),
+            static_cast<std::uint32_t>(types.size())};
+    // No partial sum of a member's price can overflow under this.
+    double magnitude = std::abs(own);
     for (std::size_t i = 0; i < types.size(); ++i) {
       const auto [least, most] = classes.remaining(c, i);
-      terms.push_back({est.at(types[i], job.type) - 1.0, least, most});
+      slots.push_back({coef[i], least, most});
+      magnitude += std::abs(coef[i]) * most;
     }
-    return (std::max(1.0, 1.0 + excess) - 1.0) * job.work;
+    bounded = bounded && magnitude <= 1e300;
+    if (c >= row_of.size()) row_of.resize(c + 1);
+    row_of[c] = static_cast<std::uint32_t>(rows.size());
+    rows.push_back(row);
+  }
+  // A member's exact price from its class's terms.
+  const auto price = [&](const Row& row, const MachineView& v) {
+    double d = row.own;
+    for (std::size_t i = 0; i < row.n; ++i)
+      d += slots[row.first + i].coef * v.residents[i].remaining;
+    return d;
   };
+  const auto row_for = [&](std::size_t m) -> const Row& {
+    return rows[row_of[classes.class_of(m)]];
+  };
+  ClassPick pick;
+  if (classes.class_of(chosen) != IndexedHeap::kAbsent)
+    pick.chosen = price(row_for(chosen), cluster.view(chosen));
+  if (!bounded) {
+    std::tie(pick.machine, pick.cost) = cheapest(
+        cluster, who, floor, [&](std::size_t m, const MachineView& v) {
+          return price(row_for(m), v);
+        });
+    return pick;
+  }
+
   // F at the class bounds, with slot p's remaining work at `r`.
-  const auto bound = [&](double a, std::size_t p, double r) {
-    double b = a;
-    for (std::size_t i = 0; i < terms.size(); ++i)
-      b += terms[i].coef *
-           (i == p ? r : terms[i].coef >= 0.0 ? terms[i].least : terms[i].most);
+  const auto bound = [&](const Row& row, std::size_t p, double r) {
+    double b = row.own;
+    for (std::size_t i = 0; i < row.n; ++i) {
+      const Term& t = slots[row.first + i];
+      b += t.coef * (i == p ? r : t.coef >= 0.0 ? t.least : t.most);
+    }
     return b;
   };
-
-  bounds.clear();
   std::size_t first = 0;
-  for (const std::uint32_t c : classes.live()) {
-    const double a = terms_of(c);
-    // No partial sum of a member's price can overflow under this.
-    double magnitude = a;
-    for (const Term& t : terms) magnitude += std::abs(t.coef) * t.most;
-    if (!(magnitude <= 1e300)) return std::nullopt;
-    bounds.push_back({bound(a, terms.size(), 0.0), c});
-    if (bounds.back().first < bounds[first].first) first = bounds.size() - 1;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    rows[k].bound = bound(rows[k], rows[k].n, 0.0);
+    if (rows[k].bound < rows[first].bound) first = k;
   }
-  if (bounds.empty()) return std::nullopt;
 
-  std::size_t best = 0;
-  double best_cost = kInf;
-  const auto consider = [&](std::size_t m) {
-    const double cost =
-        placement_delta(est, job.type, job.work, cluster.view(m));
-    if (cost < best_cost || (cost == best_cost && m < best)) {
-      best_cost = cost;
-      best = m;
+  pick.cost = kInf;
+  const auto consider = [&](const Row& row, std::size_t m) {
+    const double cost = price(row, cluster.view(m));
+    if (cost < pick.cost || (cost == pick.cost && m < pick.machine)) {
+      pick.cost = cost;
+      pick.machine = m;
     }
   };
   // The class with the least bound first, for an early incumbent.
-  std::swap(bounds[0], bounds[first]);
-  for (const auto& [lb, c] : bounds) {
-    if (lb > best_cost) continue;
-    const double a = terms_of(c);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const Row& row = rows[k == 0 ? first : k == first ? 0 : k];
+    if (row.bound > pick.cost) continue;
     // Walk the slot whose remaining work spreads the price the most.
-    std::size_t p = terms.size();
+    std::size_t p = row.n;
     double spread = -1.0;
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      const Term& t = terms[i];
+    for (std::size_t i = 0; i < row.n; ++i) {
+      const Term& t = slots[row.first + i];
       const double s = std::abs(t.coef) * (t.most - t.least);
       if (t.coef != 0.0 && s > spread) {
         spread = s;
         p = i;
       }
     }
-    if (p == terms.size()) {
+    if (p == row.n) {
       // Every coefficient is 0: each member prices exactly A.
-      consider(classes.lowest(c));
+      consider(row, classes.lowest(row.c));
       continue;
     }
-    OpenClasses::Walk walk = classes.walk(c, p, terms[p].coef > 0.0);
+    OpenClasses::Walk walk =
+        classes.walk(row.c, p, slots[row.first + p].coef > 0.0);
     std::size_t m = 0;
     double r = 0.0;
-    while (walk.next(m, r) && !(bound(a, p, r) > best_cost)) consider(m);
+    while (walk.next(m, r) && !(bound(row, p, r) > pick.cost)) consider(row, m);
   }
-  return std::pair{best, best_cost};
+  return pick;
 }
 
 /// SLO violation of admitting `job` to `machine`: for each
@@ -261,6 +314,47 @@ double slo_violation(harness::InterferenceTruth& truth, const JobSpec& job,
   });
 }
 
+TruthPrices truth_prices(harness::InterferenceTruth& truth, const JobSpec& job,
+                         const ClusterView& cluster, const OpenClasses* classes,
+                         std::size_t chosen, bool lc, const std::string& who) {
+  TruthPrices p;
+  if (classes != nullptr && !lc)
+    if (const auto pick = cheapest_by_class(
+            *classes, cluster, who, -kInf, chosen,
+            [&](const std::vector<std::size_t>& types, std::size_t members,
+                std::vector<double>& coef) {
+              const std::uint64_t before = truth.fallbacks();
+              const double own =
+                  truth.admission_terms(job.type, job.work, types, coef);
+              // A scan would have asked once per member.
+              truth.count_fallbacks((truth.fallbacks() - before) *
+                                    (members - 1));
+              return own;
+            })) {
+      p.machine = pick->machine;
+      p.least = pick->cost;
+      p.chosen = pick->chosen;
+      return p;
+    }
+  p.least = kInf;
+  if (lc) p.lc_least = kInf;
+  p.machine = cheapest(cluster, who, -kInf,
+                       [&](std::size_t m, const MachineView& v) {
+                         const double d =
+                             placement_delta(truth, job.type, job.work, v);
+                         if (m == chosen) p.chosen = d;
+                         p.least = std::min(p.least, d);
+                         if (lc) {
+                           const double lv = slo_violation(truth, job, v);
+                           if (m == chosen) p.lc_chosen = lv;
+                           p.lc_least = std::min(p.lc_least, lv);
+                         }
+                         return d;
+                       })
+                  .first;
+  return p;
+}
+
 GroupTruthPolicy::GroupTruthPolicy(std::string name,
                                    harness::InterferenceTruth& truth)
     : truth_(truth), name_(std::move(name)) {
@@ -272,12 +366,11 @@ std::size_t GroupTruthPolicy::place(const JobSpec& job,
                                     const ClusterView& cluster) {
   if (job.type >= truth_.size())
     throw std::out_of_range{"GroupTruthPolicy::place: job type outside truth"};
-  const auto [m, delta] =
-      cheapest(cluster, name_, -kInf, [&](const MachineView& v) {
-        return placement_delta(truth_, job.type, job.work, v);
-      });
-  last_delta_ = delta;
-  return m;
+  const TruthPrices p =
+      truth_prices(truth_, job, cluster, cluster.open_classes(),
+                   /*chosen=*/SIZE_MAX, /*lc=*/false, name_);
+  last_delta_ = p.least;
+  return p.machine;
 }
 
 std::size_t CostModelPolicy::place(const JobSpec& job,
@@ -286,27 +379,33 @@ std::size_t CostModelPolicy::place(const JobSpec& job,
     throw std::out_of_range{"CostModelPolicy::place: job type outside matrix"};
   if (tail_.size() == 0) {
     if (const OpenClasses* classes = cluster.open_classes())
-      if (const auto pick =
-              cheapest_by_class(*classes, cluster, estimate_, job)) {
-        last_delta_ = pick->second;
-        return pick->first;
+      if (const auto pick = cheapest_by_class(
+              *classes, cluster, name_, floor_, SIZE_MAX,
+              [&](const std::vector<std::size_t>& types, std::size_t,
+                  std::vector<double>& coef) {
+                return harness::admission_terms(estimate_, job.type, job.work,
+                                                types, coef);
+              })) {
+        last_delta_ = pick->cost;
+        return pick->machine;
       }
-    const auto [m, delta] =
-        cheapest(cluster, name_, floor_, [&](const MachineView& v) {
+    const auto [m, delta] = cheapest(
+        cluster, name_, floor_, [&](std::size_t, const MachineView& v) {
           return placement_delta(estimate_, job.type, job.work, v);
         });
     last_delta_ = delta;
     return m;
   }
   // SLO-aware: (predicted violation, throughput delta), lexicographic.
-  const auto [m, score] = cheapest(
-      cluster, name_, std::pair{floor_, floor_}, [&](const MachineView& v) {
-        const double viol = violation(job, v, [&](std::size_t i) {
-          return composed_tail(tail_, job.type, v, i);
-        });
-        return std::pair{viol,
-                         placement_delta(estimate_, job.type, job.work, v)};
-      });
+  const auto [m, score] =
+      cheapest(cluster, name_, std::pair{floor_, floor_},
+               [&](std::size_t, const MachineView& v) {
+                 const double viol = violation(job, v, [&](std::size_t i) {
+                   return composed_tail(tail_, job.type, v, i);
+                 });
+                 return std::pair{
+                     viol, placement_delta(estimate_, job.type, job.work, v)};
+               });
   last_delta_ = score.second;
   if (score.first > 0.0) ++forced_;
   return m;

@@ -12,8 +12,10 @@
 // oracle directly -- the zero-regret reference the regret bench
 // compares against. Every cost-driven policy picks the argmin over the
 // open machines (lowest index on ties) through one scan; the
-// throughput-only cost model reaches the same pick through the class
-// index when the view offers one. The SLO-aware score and
+// throughput-only cost model and the truth-priced oracle reach the
+// same pick through the class index when the view offers one, and the
+// simulator's regret bill prices through the same argmin. The
+// SLO-aware score and
 // slo_violation() share one violation formula. Policies own
 // all their randomness, so a fresh policy with the same seed replays
 // identically.
@@ -116,9 +118,9 @@ double placement_delta(const harness::CorunMatrix& est, std::size_t job_type,
 /// The same delta priced by a ground-truth oracle instead of a matrix
 /// estimate: the job's true group slowdown for its own work plus the
 /// true slowdown delta it inflicts on each resident (measured group
-/// entries when the truth holds them, additive composition otherwise).
-/// The simulator bills every decision with this at ground truth;
-/// GroupTruthPolicy minimizes it directly.
+/// entries when the truth holds them, additive composition otherwise):
+/// the truth's admission_delta(). truth_prices() minimizes it, for
+/// GroupTruthPolicy and for the simulator's regret bill.
 double placement_delta(harness::InterferenceTruth& truth, std::size_t job_type,
                        double job_work, const MachineView& machine);
 
@@ -136,6 +138,36 @@ double placement_delta(harness::InterferenceTruth& truth, std::size_t job_type,
 /// every billed decision of an LC-carrying trace.
 double slo_violation(harness::InterferenceTruth& truth, const JobSpec& job,
                      const MachineView& machine);
+
+/// One decision priced at ground truth: placement_delta(truth, ...)
+/// and, on request, slo_violation() over the open machines.
+struct TruthPrices {
+  /// The cheapest open machine (lowest index on ties) and the least
+  /// price any open machine has.
+  std::size_t machine = 0;
+  double least = 0.0;
+  /// The price of the machine asked about; 0 when it is not open.
+  double chosen = 0.0;
+  /// With `lc`: that machine's SLO violation and the least one.
+  double lc_chosen = 0.0;
+  double lc_least = 0.0;
+};
+
+/// Prices admitting `job` at ground truth on every open machine --
+/// GroupTruthPolicy's pick and the simulator's regret bill. `chosen` is
+/// a machine whose exact price the caller wants as well (SIZE_MAX for
+/// none); `who` names the caller in errors.
+///
+/// Given `classes` and no `lc`, it asks the truth's admission_terms()
+/// once per class and re-prices exactly only the members that could be
+/// cheapest (CostModelPolicy's class-indexed argmin), counting each
+/// class's fallbacks once per member, as a scan would. Otherwise it
+/// scans the open machines in ascending order, one admission_delta()
+/// and, with `lc`, one slo_violation() per machine. Either way the
+/// prices and the pick are bit-identical.
+TruthPrices truth_prices(harness::InterferenceTruth& truth, const JobSpec& job,
+                         const ClusterView& cluster, const OpenClasses* classes,
+                         std::size_t chosen, bool lc, const std::string& who);
 
 class PlacementPolicy {
  public:
@@ -213,19 +245,21 @@ class RandomPolicy final : public PlacementPolicy {
 /// monotone in each resident's remaining work, so one lower bound per
 /// class (each resident's least remaining work where its coefficient is
 /// >= 0, its most where it is < 0) prunes whole classes. It walks the
-/// rest in order of remaining work, re-prices each member exactly
-/// through view() and stops once a bound exceeds the incumbent, so the
-/// pick (lowest index among the exact minima) and its cost are the
-/// scan's. A class whose coefficients are all 0 prices every member
-/// alike: only its lowest member is priced.
+/// rest in order of remaining work, re-prices each member exactly from
+/// its class's terms at the remaining work view() reports, and stops
+/// once a bound exceeds the incumbent, so the pick (lowest index among
+/// the exact minima) and its cost are the scan's. A class whose
+/// coefficients are all 0 prices every member alike: only its lowest
+/// member is priced. A price large enough to overflow voids the bounds,
+/// and the class terms then price the scan below.
 ///
 /// Otherwise -- the SLO-aware score (its cost depends on the residents'
-/// budgets, which the class does not key), a view without classes, or
-/// a price large enough to overflow -- it scans the open machines in
-/// ascending order. When every estimate entry is >= 1, no candidate can
-/// price below 0 (SLO-aware: (0, 0)), so the scan stops at the first
-/// machine priced at 0 -- the pick the full scan would make. An
-/// estimate with an entry below 1 scans every open machine.
+/// budgets, which the class does not key) or a view without classes --
+/// it scans the open machines in ascending order. When every estimate
+/// entry is >= 1, no candidate can price below 0 (SLO-aware: (0, 0)),
+/// so the scan stops at the first machine priced at 0 -- the pick the
+/// full scan would make. An estimate with an entry below 1 scans every
+/// open machine.
 class CostModelPolicy : public PlacementPolicy {
  public:
   /// An empty `tail` prices throughput only; a non-empty one must
@@ -258,10 +292,11 @@ class CostModelPolicy : public PlacementPolicy {
 };
 
 /// Greedy marginal-cost placement priced directly by a ground-truth
-/// oracle (measured group entries where available). With a fully
-/// measured GroupTruth this is the true oracle: zero decision regret
-/// by construction, because it minimizes exactly the delta the
-/// simulator bills with.
+/// oracle (measured group entries where available) through
+/// truth_prices(), so through the class index when the view offers
+/// one. With a fully measured GroupTruth this is the true oracle: zero
+/// decision regret by construction, because it minimizes exactly the
+/// delta the simulator bills with.
 class GroupTruthPolicy final : public PlacementPolicy {
  public:
   GroupTruthPolicy(std::string name, harness::InterferenceTruth& truth);

@@ -25,10 +25,28 @@ std::vector<std::size_t> others_excluding(const std::vector<std::size_t>& group,
 // --- InterferenceTruth ----------------------------------------------
 
 void InterferenceTruth::count_fallbacks(std::uint64_t n) {
+  // Most billed candidates count none: skip the process-wide atomic.
+  if (n == 0) return;
   fallbacks_ += n;
   static obs::Counter& ctr =
       obs::Registry::instance().counter("truth.pairwise_fallbacks");
   ctr.add(n);
+}
+
+double InterferenceTruth::admission_terms(std::size_t job_type,
+                                          double job_work,
+                                          const std::vector<std::size_t>& types,
+                                          std::vector<double>& coef) {
+  const double own = (slowdown(job_type, types) - 1.0) * job_work;
+  coef.clear();
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    std::vector<std::size_t> others = others_excluding(types, i);
+    const double without = slowdown(types[i], others);
+    others.push_back(job_type);
+    const double with_job = slowdown(types[i], others);
+    coef.push_back(with_job - without);
+  }
+  return own;
 }
 
 double InterferenceTruth::admission_delta(
@@ -38,14 +56,10 @@ double InterferenceTruth::admission_delta(
   if (residents.size() != remaining.size())
     throw std::invalid_argument{
         "admission_delta: residents/remaining size mismatch"};
-  double delta = (slowdown(job_type, residents) - 1.0) * job_work;
-  for (std::size_t i = 0; i < residents.size(); ++i) {
-    std::vector<std::size_t> others = others_excluding(residents, i);
-    const double without = slowdown(residents[i], others);
-    others.push_back(job_type);
-    const double with_job = slowdown(residents[i], others);
-    delta += (with_job - without) * remaining[i];
-  }
+  static thread_local std::vector<double> coef;
+  double delta = admission_terms(job_type, job_work, residents, coef);
+  for (std::size_t i = 0; i < residents.size(); ++i)
+    delta += coef[i] * remaining[i];
   return delta;
 }
 
@@ -66,17 +80,14 @@ double MatrixTruth::slowdown(std::size_t type,
   return corun_slowdown(matrix_, type, others);
 }
 
-double MatrixTruth::admission_delta(std::size_t job_type, double job_work,
-                                    const std::vector<std::size_t>& residents,
-                                    const std::vector<double>& remaining) {
-  if (residents.size() != remaining.size())
-    throw std::invalid_argument{
-        "admission_delta: residents/remaining size mismatch"};
+double MatrixTruth::admission_terms(std::size_t job_type, double job_work,
+                                    const std::vector<std::size_t>& types,
+                                    std::vector<double>& coef) {
   // Count exactly the composed queries the default oracle formula
   // would have issued (the job's group, plus each resident's
   // with-job and without-job groups), so pairwise_fallbacks means
   // the same thing whichever truth backend billed the run.
-  const std::size_t r = residents.size();
+  const std::size_t r = types.size();
   count_fallbacks((r >= 2 ? 1 : 0) +
                   r * ((r >= 2 ? 1 : 0) + (r >= 3 ? 1 : 0)));
   // The pre-grouptruth billing, verbatim: the job's composed slowdown
@@ -84,10 +95,7 @@ double MatrixTruth::admission_delta(std::size_t job_type, double job_work,
   // resident. (The default group formula reduces to this when the
   // matrix entries are >= 1; entries below 1 would differ through the
   // clamp, so the legacy arithmetic is kept exactly.)
-  double delta = (corun_slowdown(matrix_, job_type, residents) - 1.0) * job_work;
-  for (std::size_t i = 0; i < residents.size(); ++i)
-    delta += (matrix_.at(residents[i], job_type) - 1.0) * remaining[i];
-  return delta;
+  return harness::admission_terms(matrix_, job_type, job_work, types, coef);
 }
 
 // --- GroupTruth -----------------------------------------------------

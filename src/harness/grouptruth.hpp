@@ -98,13 +98,26 @@ class InterferenceTruth {
     return slowdown(fg, {bg});
   }
 
+  /// The price terms of admitting `job_type` with `job_work` units of
+  /// work to a machine whose residents have `types` (in slot order).
+  /// Returns the job's own term, its excess slowdown in the group
+  /// times its whole work, and fills `coef` with one coefficient per
+  /// slot: the excess the job inflicts on that resident -- the *group*
+  /// slowdown delta, not a pair entry -- per unit of its remaining
+  /// work. Machines whose residents share `types` share every term, so
+  /// a pricer may ask once per such class. The answers, and the
+  /// fallbacks a call counts, must depend only on the arguments.
+  virtual double admission_terms(std::size_t job_type, double job_work,
+                                 const std::vector<std::size_t>& types,
+                                 std::vector<double>& coef);
+
   /// Machine time that admitting `job_type` with `job_work` units of
   /// work adds to a machine holding `residents` (with `remaining` solo
-  /// work each): the job's own excess persists for its whole work, and
-  /// the excess it inflicts on each resident -- the *group* slowdown
-  /// delta, not a pair entry -- persists for that resident's remaining
-  /// work. This is the billing primitive the cluster simulator prices
-  /// every placement decision with.
+  /// work each): admission_terms()'s own term plus each coefficient
+  /// times that resident's remaining work, summed in slot order. This
+  /// is the billing primitive the cluster simulator prices every
+  /// placement decision with. An override must keep that sum: the
+  /// class-indexed pricers read the terms instead.
   virtual double admission_delta(std::size_t job_type, double job_work,
                                  const std::vector<std::size_t>& residents,
                                  const std::vector<double>& remaining);
@@ -113,19 +126,21 @@ class InterferenceTruth {
   /// measurement covered the group.
   std::uint64_t fallbacks() const { return fallbacks_; }
 
- protected:
   /// Adds to fallbacks() and to the process-wide metrics counter
   /// "truth.pairwise_fallbacks" (obs registry), so every truth
-  /// implementation is counted on the same observable surface.
+  /// implementation is counted on the same observable surface. A
+  /// pricer that answers k machines from one admission_terms() call
+  /// counts that call's fallbacks k - 1 more times here.
   void count_fallbacks(std::uint64_t n = 1);
 
+ protected:
   std::uint64_t fallbacks_ = 0;
 };
 
 /// The legacy model as an oracle: pairwise excesses from a fixed
 /// matrix compose additively (harness::corun_slowdown). Every group of
 /// 3+ residents is by definition a composition, so such queries count
-/// as fallbacks. admission_delta reproduces the pre-grouptruth billing
+/// as fallbacks. admission_terms reproduces the pre-grouptruth billing
 /// bit-for-bit.
 class MatrixTruth final : public InterferenceTruth {
  public:
@@ -140,9 +155,9 @@ class MatrixTruth final : public InterferenceTruth {
   double pair_entry(std::size_t fg, std::size_t bg) override {
     return matrix_.at(fg, bg);
   }
-  double admission_delta(std::size_t job_type, double job_work,
-                         const std::vector<std::size_t>& residents,
-                         const std::vector<double>& remaining) override;
+  double admission_terms(std::size_t job_type, double job_work,
+                         const std::vector<std::size_t>& types,
+                         std::vector<double>& coef) override;
 
  private:
   CorunMatrix matrix_;
@@ -175,9 +190,10 @@ class GroupTruth final : public InterferenceTruth {
     /// fall back to additive composition of the pairwise projection.
     unsigned max_arity = 3;
     /// Host worker lanes for the fan-out builds (prefetch_all and the
-    /// lazy per-query residues). 0 = hardware concurrency. The results
-    /// are bit-identical at any lane count -- each trial simulates an
-    /// isolated Machine -- so this only trades wall time for cores.
+    /// lazy per-query residues). 0 = every CPU the process may run on
+    /// (harness::lane_count). The results are bit-identical at any
+    /// lane count -- each trial simulates an isolated Machine -- so
+    /// this only trades wall time for cores.
     unsigned host_threads = 0;
   };
 

@@ -1,7 +1,5 @@
 #include "harness/matrix.hpp"
 
-#include <algorithm>
-
 namespace coperf::harness {
 
 PairClass CorunMatrix::pair_class(std::size_t i, std::size_t j) const {
@@ -20,13 +18,6 @@ CorunMatrix::ClassCounts CorunMatrix::count_classes() const {
     }
   }
   return c;
-}
-
-double corun_slowdown(const CorunMatrix& m, std::size_t job,
-                      const std::vector<std::size_t>& others) {
-  double excess = 0.0;
-  for (std::size_t o : others) excess += m.at(job, o) - 1.0;
-  return std::max(1.0, 1.0 + excess);
 }
 
 }  // namespace coperf::harness

@@ -4,6 +4,7 @@
 // (harness/plan.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -41,7 +42,27 @@ struct CorunMatrix {
 /// excess slowdowns compose additively (each co-runner independently
 /// steals its share of the channel/LLC), clamped to >= 1.0. With a
 /// single co-runner this is exactly the matrix entry.
-double corun_slowdown(const CorunMatrix& m, std::size_t job,
-                      const std::vector<std::size_t>& others);
+inline double corun_slowdown(const CorunMatrix& m, std::size_t job,
+                             const std::vector<std::size_t>& others) {
+  double excess = 0.0;
+  for (const std::size_t o : others) excess += m.at(job, o) - 1.0;
+  return std::max(1.0, 1.0 + excess);
+}
+
+/// The additive model's price terms for admitting `job` with `work`
+/// units of work next to residents of `types` (slot order): returns
+/// the job's own term, (corun_slowdown(m, job, types) - 1) * work, and
+/// fills `coef` with each resident's pair excess m(type, job) - 1. A
+/// machine's price is the own term plus each coefficient times that
+/// resident's remaining work, summed in slot order.
+inline double admission_terms(const CorunMatrix& m, std::size_t job,
+                              double work,
+                              const std::vector<std::size_t>& types,
+                              std::vector<double>& coef) {
+  coef.resize(types.size());
+  for (std::size_t i = 0; i < types.size(); ++i)
+    coef[i] = m.at(types[i], job) - 1.0;
+  return (corun_slowdown(m, job, types) - 1.0) * work;
+}
 
 }  // namespace coperf::harness

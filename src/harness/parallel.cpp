@@ -1,5 +1,7 @@
 #include "harness/parallel.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -146,11 +148,18 @@ class WorkerPool {
   bool stop_ = false;
 };
 
+/// CPUs this thread may run on; 0 if unknown.
+unsigned host_cpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  return std::thread::hardware_concurrency();
+}
+
 }  // namespace
 
 unsigned lane_count(std::size_t total, unsigned host_threads) {
-  unsigned n = host_threads != 0 ? host_threads
-                                 : std::thread::hardware_concurrency();
+  unsigned n = host_threads != 0 ? host_threads : host_cpus();
   if (n == 0) n = 4;
   return static_cast<unsigned>(
       std::min<std::size_t>(n, std::max<std::size_t>(total, 1)));

@@ -123,12 +123,16 @@ class RegimeChangeTruth final : public harness::InterferenceTruth {
 
   double slowdown(std::size_t type,
                   const std::vector<std::size_t>& others) override {
+    ++queries;
     std::size_t hogs = 0;
     for (const std::size_t o : others) hogs += o == 0 ? 1 : 0;
     if (type == 1 && hogs >= 2) return 4.0;  // the regime change
-    if (others.size() >= 2) ++fallbacks_;
+    if (others.size() >= 2) count_fallbacks();
     return harness::corun_slowdown(matrix_, type, others);
   }
+
+  /// slowdown() calls so far.
+  std::size_t queries = 0;
 
  private:
   harness::CorunMatrix matrix_;

@@ -1,13 +1,17 @@
-// The class index behind CostModelPolicy's fast pick: OpenClasses'
-// upkeep and walks on hand-built members, and the exactness net -- a
-// simulation whose policy sees the engine's class index must log
-// byte for byte what the same simulation logs when the policy sees
-// only the five scan calls of ClusterView. The grid covers 2-4 slots,
-// priorities, faults, migration, admission shed and defer, billing of
-// every decision, an estimate with an all-1.0 column (exact zero-cost
-// ties), one with entries below 1 (negative coefficients), the online
-// policy whose estimate changes between decisions, and traces
-// quantized to force price ties.
+// The class index behind the fast argmin: OpenClasses' upkeep and
+// walks on hand-built members, and the exactness net -- a simulation
+// whose policy sees the engine's class index must log and bill byte
+// for byte what the same simulation logs and bills when the policy
+// sees only the five scan calls of ClusterView (the index then stays
+// off, so the regret bill scans too), with the same fallback counts.
+// The grid covers 2-4 slots, priorities, faults, migration, admission
+// shed and defer, billing of every decision, an estimate with an
+// all-1.0 column (exact zero-cost ties), one with entries below 1
+// (negative coefficients), the online policy whose estimate changes
+// between decisions, a non-additive truth priced through the default
+// admission_terms() by GroupTruthPolicy and by the cost-model oracle,
+// and traces quantized to force price ties. A long-tier case replays a
+// fleet_churn-shaped fleet the same way.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -161,10 +165,11 @@ std::uint64_t bits(double x) {
   return b;
 }
 
-/// Byte-identical audit logs and bills.
+/// Byte-identical audit logs and bills, and the same fallback counts.
 void expect_same_run(const ClusterResult& a, const ClusterResult& b,
                      const std::vector<std::string>& names,
                      const std::string& cell) {
+  ASSERT_EQ(a.pairwise_fallbacks, b.pairwise_fallbacks) << cell;
   ASSERT_EQ(a.log.events.size(), b.log.events.size()) << cell;
   for (std::size_t i = 0; i < a.log.events.size(); ++i) {
     const TraceEvent& x = a.log.events[i];
@@ -284,52 +289,145 @@ TEST(ClassIndex, IndexedPickLogsWhatTheScanLogs) {
   const harness::CorunMatrix tied = tied_matrix();
   const harness::CorunMatrix skewed = skewed_matrix();
   const harness::CorunMatrix small = synthetic_truth();
+  const harness::CorunMatrix regime = RegimeChangeTruth::regime_matrix();
   std::size_t indexed_views = 0, scan_views = 0;
+  std::size_t indexed_queries = 0, scan_queries = 0;
   std::uint64_t seed = 40;
   for (const Cell& c : grid()) {
     ++seed;
     // The fixed estimates price an 8-type fleet; the online policy
-    // learns the 4-type synthetic truth from its own placements.
-    for (const int family : {0, 1, 2}) {
-      const harness::CorunMatrix& truth_matrix = family == 2 ? small : tied;
+    // learns the 4-type synthetic truth from its own placements. The
+    // last two price the non-additive 3-type RegimeChangeTruth, whose
+    // groups of 3+ differ from any matrix: by the truth itself and by
+    // the oracle on its pairwise projection.
+    for (const int family : {0, 1, 2, 3, 4}) {
+      const bool regime_family = family >= 3;
+      if (regime_family && c.slots < 3) continue;
+      const harness::CorunMatrix& truth_matrix =
+          family == 2 ? small : regime_family ? regime : tied;
       const std::vector<JobSpec> trace =
           cell_trace(truth_matrix.size(), c, kMachines, seed);
       const ClusterConfig cfg =
           cell_config(c, kMachines, trace.back().arrival + 1.0);
-      const auto make = [&]() -> std::unique_ptr<PlacementPolicy> {
+      const auto make_truth =
+          [&]() -> std::unique_ptr<harness::InterferenceTruth> {
+        if (regime_family) return std::make_unique<RegimeChangeTruth>();
+        return std::make_unique<harness::MatrixTruth>(truth_matrix);
+      };
+      const auto make = [&](harness::InterferenceTruth& truth)
+          -> std::unique_ptr<PlacementPolicy> {
         if (family == 0) return std::make_unique<CostModelPolicy>("tied", tied);
         if (family == 1)
           return std::make_unique<CostModelPolicy>("skewed", skewed);
-        return std::make_unique<OnlineRefinedPolicy>(
-            "online", distilled_model(small, synthetic_sigs()),
-            synthetic_sigs());
+        if (family == 2)
+          return std::make_unique<OnlineRefinedPolicy>(
+              "online", distilled_model(small, synthetic_sigs()),
+              synthetic_sigs());
+        if (family == 3)
+          return std::make_unique<GroupTruthPolicy>("group-oracle", truth);
+        return std::make_unique<CostModelPolicy>("oracle", regime);
       };
-      const std::string cell = describe(c, make()->name());
 
-      harness::MatrixTruth truth_a{truth_matrix};
-      const auto as_is = make();
-      const ClusterResult a = simulate(cfg, truth_a, trace, *as_is);
+      const auto truth_a = make_truth();
+      const auto as_is = make(*truth_a);
+      const std::string cell = describe(c, as_is->name());
+      const ClusterResult a = simulate(cfg, *truth_a, trace, *as_is);
 
-      harness::MatrixTruth truth_b{truth_matrix};
-      const auto inner = make();
+      const auto truth_b = make_truth();
+      const auto inner = make(*truth_b);
       Forwarding blind{*inner, /*classes=*/false};
-      const ClusterResult b = simulate(cfg, truth_b, trace, blind);
+      const ClusterResult b = simulate(cfg, *truth_b, trace, blind);
       expect_same_run(a, b, truth_matrix.workloads, cell);
       if (HasFatalFailure()) return;
+      ASSERT_EQ(truth_a->fallbacks(), truth_b->fallbacks()) << cell;
 
-      harness::MatrixTruth truth_c{truth_matrix};
-      const auto counted = make();
+      const auto truth_c = make_truth();
+      const auto counted = make(*truth_c);
       Forwarding seeing{*counted, /*classes=*/true};
-      expect_same_run(a, simulate(cfg, truth_c, trace, seeing),
+      expect_same_run(a, simulate(cfg, *truth_c, trace, seeing),
                       truth_matrix.workloads, cell + " (forwarded)");
       if (HasFatalFailure()) return;
+      ASSERT_EQ(truth_a->fallbacks(), truth_c->fallbacks()) << cell;
       indexed_views += seeing.views;
       scan_views += blind.views;
+      if (regime_family) {
+        EXPECT_GT(truth_a->fallbacks(), 0u) << cell;
+        indexed_queries += static_cast<RegimeChangeTruth&>(*truth_c).queries;
+        scan_queries += static_cast<RegimeChangeTruth&>(*truth_b).queries;
+      }
     }
   }
-  // The net is only as good as its use of the index: it must prune.
+  // The net is only as good as its use of the index: it must prune,
+  // and the truth-priced pick and bill must ask per class, not per
+  // machine.
   EXPECT_LT(indexed_views * 2, scan_views)
       << "indexed " << indexed_views << " vs scan " << scan_views;
+  EXPECT_LT(indexed_queries * 2, scan_queries)
+      << "indexed " << indexed_queries << " vs scan " << scan_queries;
+}
+
+/// 8 types on fleet_churn's interference ramp: row f hurts more as f
+/// grows, column b more as b grows, every entry >= 1.
+harness::CorunMatrix ramp_matrix() {
+  constexpr std::size_t kTypes = 8;
+  harness::CorunMatrix m = tied_matrix();
+  const double den = static_cast<double>(kTypes - 1);
+  for (std::size_t f = 0; f < kTypes; ++f)
+    for (std::size_t b = 0; b < kTypes; ++b)
+      m.normalized[f][b] = 1.0 + 1.1 * (0.2 + 0.8 * f / den) * (b / den);
+  return m;
+}
+
+// At fleet scale, in fleet_churn's shape: 2000 machines x 100k jobs at
+// 135% load, a fault schedule, shedding below class 1, preemptive
+// migration and every decision billed. The oracle prices through the
+// class index and so does the bill; index-blind, both scan. No fleet
+// digest hashes the bills, so this diff is what pins them at scale.
+TEST(ClassIndexLong, FleetChurnLogsAndBillsWhatTheScanDoes) {
+  constexpr std::size_t kMachines = 2000, kSlots = 2;
+  const harness::CorunMatrix ramp = ramp_matrix();
+  FleetTraceOptions topt;
+  topt.jobs = 100'000;
+  topt.seed = 3;
+  topt.arrivals = ArrivalModel::Bursty;
+  topt.work = WorkModel::Pareto;
+  topt.class_shares = {0.75, 0.2, 0.05};
+  topt.mean_interarrival =
+      topt.mean_work / (1.35 * static_cast<double>(kMachines * kSlots));
+  const std::vector<JobSpec> trace = fleet_trace(ramp.size(), topt);
+
+  ClusterConfig cfg;
+  cfg.machines = kMachines;
+  cfg.slots = kSlots;
+  cfg.regret_sample = 1;
+  FaultScheduleOptions fopt;
+  fopt.seed = 3;
+  fopt.horizon = trace.back().arrival;
+  fopt.mtbf = fopt.horizon / 3.0;
+  fopt.mttr = fopt.mtbf / 20.0;
+  cfg.faults = fault_schedule(kMachines, fopt);
+  cfg.migration.preempt = true;
+  cfg.admission.queue_limit = kMachines;
+  cfg.admission.shed_below = 1;
+
+  harness::MatrixTruth truth_a{ramp};
+  CostModelPolicy indexed{"oracle", ramp};
+  const ClusterResult a = simulate(cfg, truth_a, trace, indexed);
+
+  harness::MatrixTruth truth_b{ramp};
+  CostModelPolicy inner{"oracle", ramp};
+  Forwarding blind{inner, /*classes=*/false};
+  const ClusterResult b = simulate(cfg, truth_b, trace, blind);
+
+  std::size_t placements = 0;
+  for (const TraceEvent& e : a.log.events)
+    placements += e.kind == TraceEvent::Kind::Place;
+  ASSERT_EQ(a.bills.size(), placements) << "every placement is billed";
+  EXPECT_GT(a.migrations, 0u);
+  EXPECT_GT(a.shed_jobs, 0u);
+  EXPECT_GT(a.fault_kills, 0u);
+  expect_same_run(a, b, ramp.workloads, "fleet_churn shape");
+  EXPECT_EQ(truth_a.fallbacks(), truth_b.fallbacks());
 }
 
 }  // namespace

@@ -545,5 +545,27 @@ TEST(ParallelPool, ExceptionPropagatesAndStopsTheSweep) {
   EXPECT_LT(ran.load(), 10'000u) << "failed sweep must stop claiming work";
 }
 
+TEST(ParallelPool, LaneCountHonoursTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  const unsigned allowed = static_cast<unsigned>(CPU_COUNT(&saved));
+  EXPECT_EQ(harness::lane_count(1000, 0), allowed);
+  EXPECT_EQ(harness::lane_count(1000, 3), 3u) << "an explicit count wins";
+  EXPECT_EQ(harness::lane_count(2, 0), std::min(allowed, 2u));
+
+  // Narrow this thread to its lowest allowed CPU, as `taskset -c` would.
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned narrowed = harness::lane_count(1000, 0);
+  const unsigned explicit_count = harness::lane_count(1000, 4);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(explicit_count, 4u);
+}
+
 }  // namespace
 }  // namespace coperf
