@@ -29,11 +29,18 @@
 //   --trace=FILE      Chrome trace of the run (machine lanes are
 //                     emitted per simulated machine: use small rungs)
 //
+// Each wall time (wall_s, decisions_per_s) is the median of kRuns
+// runs of the same config with a fresh policy, since single runs of a
+// rung spread by up to +-40%. Every other field is deterministic and
+// comes from the last run.
+//
 // --json appends machine-readable output and persists it as
 // BENCH_fleet_throughput.json at the repo root (the perf-CI snapshot),
 // including the fault ladder's per-class breakdown when --faults is on.
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,11 +75,44 @@ struct Rung {
   std::size_t jobs;
 };
 
+constexpr std::size_t kRuns = 5;
+
+/// A config's result and its median wall time over kRuns runs, each
+/// with a fresh policy (a policy's RNG and counters carry over).
+struct Timed {
+  coperf::cluster::ClusterResult res;
+  std::string policy;
+  double wall_s = 0.0;
+};
+
+Timed run_timed(const coperf::cluster::ClusterConfig& cfg,
+                coperf::harness::InterferenceTruth& truth,
+                const std::vector<coperf::cluster::JobSpec>& trace,
+                const coperf::harness::CorunMatrix& estimate, bool oracle) {
+  using Clock = std::chrono::steady_clock;
+  Timed out;
+  std::vector<double> walls;
+  for (std::size_t k = 0; k < kRuns; ++k) {
+    std::unique_ptr<coperf::cluster::PlacementPolicy> policy;
+    if (oracle)
+      policy = std::make_unique<coperf::cluster::CostModelPolicy>("oracle",
+                                                                  estimate);
+    else
+      policy = std::make_unique<coperf::cluster::RandomPolicy>(7);
+    const auto t0 = Clock::now();
+    out.res = coperf::cluster::simulate(cfg, truth, trace, *policy);
+    walls.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
+    out.policy = policy->name();
+  }
+  std::nth_element(walls.begin(), walls.begin() + kRuns / 2, walls.end());
+  out.wall_s = walls[kRuns / 2];
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
   using namespace coperf;
-  using Clock = std::chrono::steady_clock;
 
   unsigned machines = 0, jobs = 0, slots = 2, regret_sample = 1000;
   bool faults = false;
@@ -175,17 +215,13 @@ int main(int argc, char** argv) try {
     cfg.slots = slots;
     cfg.regret_sample = regret_sample;
 
-    cluster::RandomPolicy random{7};
-    cluster::CostModelPolicy oracle{"oracle", truth};
-    cluster::PlacementPolicy* policies[] = {&random, &oracle};
-    for (cluster::PlacementPolicy* policy : policies) {
-      const auto t0 = Clock::now();
-      const auto res = cluster::simulate(cfg, additive, trace, *policy);
-      const double wall =
-          std::chrono::duration<double>(Clock::now() - t0).count();
+    for (const bool oracle : {false, true}) {
+      const Timed run = run_timed(cfg, additive, trace, truth, oracle);
+      const cluster::ClusterResult& res = run.res;
+      const double wall = run.wall_s;
       const double dps = static_cast<double>(rung.jobs) / wall;
       table.add_row({std::to_string(rung.machines), std::to_string(rung.jobs),
-                     policy->name(), harness::Table::fmt(wall, 3),
+                     run.policy, harness::Table::fmt(wall, 3),
                      harness::Table::fmt(dps, 0),
                      harness::Table::fmt(res.mean_stretch, 3),
                      harness::Table::fmt(res.mean_decision_regret, 4),
@@ -193,7 +229,7 @@ int main(int argc, char** argv) try {
       rung_rows.items.push_back(json::object(
           {{"machines", json::integer(rung.machines)},
            {"jobs", json::integer(rung.jobs)},
-           {"policy", json::str(policy->name())},
+           {"policy", json::str(run.policy)},
            {"wall_s", json::real(wall)},
            {"decisions_per_s", json::real(dps)},
            {"mean_stretch", json::real(res.mean_stretch)},
@@ -201,7 +237,7 @@ int main(int argc, char** argv) try {
            {"billed_decisions", json::integer(res.billed_decisions)},
            {"makespan", json::real(res.makespan)}}));
       std::cout << "  " << rung.machines << " machines x " << rung.jobs
-                << " jobs, " << policy->name() << ": "
+                << " jobs, " << run.policy << ": "
                 << harness::Table::fmt(dps / 1e6, 2) << "M decisions/s ("
                 << harness::Table::fmt(wall, 2) << " s)\n";
     }
@@ -258,14 +294,9 @@ int main(int argc, char** argv) try {
           cfg.admission.queue_limit = rung.machines;
           cfg.admission.shed_below = 1;  // only the best-effort class
         }
-        cluster::RandomPolicy random{7};
-        cluster::CostModelPolicy oracle{"oracle", truth};
-        cluster::PlacementPolicy* fpolicies[] = {&random, &oracle};
-        for (cluster::PlacementPolicy* policy : fpolicies) {
-          const auto t0 = Clock::now();
-          const auto res = cluster::simulate(cfg, additive, trace, *policy);
-          const double wall =
-              std::chrono::duration<double>(Clock::now() - t0).count();
+        for (const bool oracle : {false, true}) {
+          const Timed run = run_timed(cfg, additive, trace, truth, oracle);
+          const cluster::ClusterResult& res = run.res;
           const std::vector<cluster::ClassStats>& cls = res.class_stats;
           // Per-class mean solo-normalized placement delay (completed).
           std::vector<double> wait_regret(cls.size(), 0.0);
@@ -283,7 +314,7 @@ int main(int argc, char** argv) try {
               wait_regret[c] /= static_cast<double>(wait_n[c]);
           const cluster::ClassStats& hp = cls.back();
           ftable.add_row({std::to_string(rung.machines),
-                          std::to_string(rung.jobs), policy->name(),
+                          std::to_string(rung.jobs), run.policy,
                           protect ? "protected" : "baseline",
                           std::to_string(res.failures),
                           std::to_string(res.migrations),
@@ -308,9 +339,9 @@ int main(int argc, char** argv) try {
           fault_rows.items.push_back(json::object(
               {{"machines", json::integer(rung.machines)},
                {"jobs", json::integer(rung.jobs)},
-               {"policy", json::str(policy->name())},
+               {"policy", json::str(run.policy)},
                {"config", json::str(protect ? "protected" : "baseline")},
-               {"wall_s", json::real(wall)},
+               {"wall_s", json::real(run.wall_s)},
                {"makespan", json::real(res.makespan)},
                {"failures", json::integer(res.failures)},
                {"migrations", json::integer(res.migrations)},
@@ -318,7 +349,7 @@ int main(int argc, char** argv) try {
                {"shed_work", json::real(res.shed_work)},
                {"classes", std::move(classes)}}));
           std::cout << "  " << rung.machines << " machines x " << rung.jobs
-                    << " jobs, " << policy->name() << ", "
+                    << " jobs, " << run.policy << ", "
                     << (protect ? "protected" : "baseline ")
                     << ": top-class goodput "
                     << harness::Table::fmt(hp.goodput, 2) << ", stretch "

@@ -191,7 +191,7 @@ class GroupTruth final : public InterferenceTruth {
     unsigned max_arity = 3;
     /// Host worker lanes for the fan-out builds (prefetch_all and the
     /// lazy per-query residues). 0 = every CPU the process may run on
-    /// (harness::lane_count). The results are bit-identical at any
+    /// (util::lane_count). The results are bit-identical at any
     /// lane count -- each trial simulates an isolated Machine -- so
     /// this only trades wall time for cores.
     unsigned host_threads = 0;

@@ -5,10 +5,10 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "harness/parallel.hpp"
 #include "harness/runcache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "wl/registry.hpp"
 
 namespace coperf::harness {
@@ -155,7 +155,7 @@ ResultSet ExperimentPlan::execute(unsigned host_threads,
             .set("trials", trials_.size())
             .set("residue", tr.enabled() ? residue_count() : std::size_t{0})
             .str()};
-    parallel_for(
+    util::parallel_for(
         trials_.size(), host_threads,
         [&](std::size_t i) {
           const bool traced = tr.enabled();
@@ -200,10 +200,10 @@ ResultSet ExperimentPlan::execute(unsigned host_threads,
         });
   }
   // The pool spawns lazily inside parallel_for: sample it afterwards.
-  reg.gauge("pool.workers").set(pool_size());
+  reg.gauge("pool.workers").set(util::pool_size());
   // The caller is a lane too, so this is NOT pool_size(), which is 0
   // on the serial path and may exceed this job's cap after larger runs.
-  const unsigned lanes = lane_count(trials_.size(), host_threads);
+  const unsigned lanes = util::lane_count(trials_.size(), host_threads);
   reg.gauge("plan.lanes").set(lanes);
   const double plan_wall = obs::wall_us() - plan_t0;
   if (plan_wall > 0.0)

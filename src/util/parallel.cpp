@@ -1,4 +1,4 @@
-#include "harness/parallel.hpp"
+#include "util/parallel.hpp"
 
 #include <sched.h>
 
@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-namespace coperf::harness {
+namespace coperf::util {
 
 namespace {
 
@@ -179,4 +179,4 @@ void parallel_for(std::size_t total, unsigned host_threads,
 
 unsigned pool_size() { return WorkerPool::instance().size(); }
 
-}  // namespace coperf::harness
+}  // namespace coperf::util

@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <functional>
 
-namespace coperf::harness {
+namespace coperf::util {
 
 /// Runs body(i) for i in [0, total) on up to `host_threads` workers
 /// (0 = as lane_count() counts) from the persistent pool. Workers race on
@@ -32,4 +32,4 @@ unsigned lane_count(std::size_t total, unsigned host_threads);
 /// Number of workers the persistent pool currently holds (diagnostics).
 unsigned pool_size();
 
-}  // namespace coperf::harness
+}  // namespace coperf::util

@@ -13,11 +13,16 @@ class SplitMix64 {
   explicit constexpr SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   constexpr std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
   }
+
+  /// Moves the state forward by `draws` calls of next() in O(1): each
+  /// draw adds the same constant, so a chunk of one stream can start
+  /// its own generator at any draw.
+  constexpr void advance(std::uint64_t draws) { state_ += draws * kGamma; }
 
   /// Uniform in [0, bound) without modulo bias worth caring about here.
   constexpr std::uint64_t below(std::uint64_t bound) {
@@ -37,6 +42,8 @@ class SplitMix64 {
   }
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+
   std::uint64_t state_;
 };
 

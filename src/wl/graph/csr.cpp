@@ -4,9 +4,13 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace coperf::wl::graph {
@@ -33,9 +37,19 @@ std::size_t Graph::bytes() const {
 
 namespace {
 
-/// One R-MAT edge: recursively descend the adjacency matrix quadrants.
-std::pair<std::uint32_t, std::uint32_t> rmat_edge(util::SplitMix64& rng,
-                                                  std::uint32_t scale) {
+/// A base edge. A symmetric graph stores each once and the CSR builds
+/// emit (src, dst) then (dst, src).
+struct Edge {
+  std::uint32_t src;
+  std::uint32_t dst;
+};
+
+/// One R-MAT edge: recursively descend the adjacency matrix quadrants,
+/// two draws per level. r falls in a random quadrant, so a branch on
+/// it cannot be predicted; the quadrant comes from the three
+/// comparisons against a, a + b and a + b + c instead (the bounds only
+/// grow, so past_ab implies past_a and past_abc past_ab).
+Edge rmat_edge(util::SplitMix64& rng, std::uint32_t scale) {
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
   for (std::uint32_t bit = 0; bit < scale; ++bit) {
@@ -46,64 +60,100 @@ std::pair<std::uint32_t, std::uint32_t> rmat_edge(util::SplitMix64& rng,
     const double a = 0.57 + noise;
     const double b = 0.19;
     const double c = 0.19;
-    src <<= 1;
-    dst <<= 1;
-    if (r < a) {
-      // top-left: nothing
-    } else if (r < a + b) {
-      dst |= 1;
-    } else if (r < a + b + c) {
-      src |= 1;
-    } else {
-      src |= 1;
-      dst |= 1;
-    }
+    const std::uint32_t past_a = !(r < a);
+    const std::uint32_t past_ab = !(r < a + b);
+    const std::uint32_t past_abc = !(r < a + b + c);
+    // [a, a+b): dst; [a+b, a+b+c): src; [a+b+c, 1): both.
+    src = (src << 1) | past_ab;
+    dst = (dst << 1) | (past_a ^ past_ab ^ past_abc);
   }
   return {src, dst};
 }
 
-void build_csr(std::uint32_t n,
-               const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+std::uint64_t chunks_of(std::uint64_t items) {
+  return (items + kRmatChunkEdges - 1) / kRmatChunkEdges;
+}
+
+/// CSR over the directed edges the base edges stand for, keyed by
+/// source (out-edges) or by destination (in-edges). `offsets` comes in
+/// zeroed with n + 1 entries and `adjacency` sized to the edge count,
+/// so a pool worker allocates nothing here.
+void build_csr(const std::vector<Edge>& base, bool symmetric, bool by_source,
                std::vector<std::uint64_t>& offsets,
-               std::vector<std::uint32_t>& adjacency, bool by_source) {
-  offsets.assign(n + 1, 0);
-  for (const auto& [s, d] : edges) ++offsets[(by_source ? s : d) + 1];
-  for (std::uint32_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  adjacency.resize(edges.size());
-  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [s, d] : edges) {
-    const std::uint32_t key = by_source ? s : d;
-    adjacency[cursor[key]++] = by_source ? d : s;
-  }
+               std::vector<std::uint32_t>& adjacency) {
+  const auto each_edge = [&](auto&& visit) {
+    for (const Edge& e : base) {
+      const std::uint32_t key = by_source ? e.src : e.dst;
+      const std::uint32_t other = by_source ? e.dst : e.src;
+      visit(key, other);
+      if (symmetric) visit(other, key);
+    }
+  };
+  each_edge([&](std::uint32_t key, std::uint32_t) { ++offsets[key + 1]; });
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  // offsets[key] is key's fill cursor, which ends at the next key's
+  // start; shifting every entry up one slot restores the starts.
+  each_edge([&](std::uint32_t key, std::uint32_t other) {
+    adjacency[offsets[key]++] = other;
+  });
+  std::move_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
 }
 
 }  // namespace
 
 std::shared_ptr<const Graph> make_rmat(const GraphSpec& spec) {
-  util::SplitMix64 rng{util::seed_combine(spec.seed, spec.scale)};
+  // Scale 0 leaves a single vertex, whose only edge is a self loop;
+  // from 32 on, 1u << scale is undefined.
+  if (spec.scale < 1 || spec.scale > 31)
+    throw std::invalid_argument{"make_rmat: scale " +
+                                std::to_string(spec.scale) +
+                                " is outside [1, 31]"};
   const std::uint32_t n = 1u << spec.scale;
   const std::uint64_t m_base = std::uint64_t{n} * spec.avg_degree /
                                (spec.symmetric ? 2 : 1);
 
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  edges.reserve(spec.symmetric ? 2 * m_base : m_base);
-  for (std::uint64_t e = 0; e < m_base; ++e) {
-    auto [s, d] = rmat_edge(rng, spec.scale);
-    if (s == d) d = (d + 1) & (n - 1);  // drop self loops
-    edges.emplace_back(s, d);
-    if (spec.symmetric) edges.emplace_back(d, s);
-  }
+  // Chunk c takes the base edges from c * kRmatChunkEdges on, each
+  // 2 * scale draws into one stream, so it jumps its generator there.
+  const util::SplitMix64 stream{util::seed_combine(spec.seed, spec.scale)};
+  std::vector<Edge> edges(m_base);
+  util::parallel_for(chunks_of(m_base), 0, [&](std::size_t c) {
+    util::SplitMix64 rng = stream;
+    rng.advance(c * kRmatChunkEdges * 2 * spec.scale);
+    const std::uint64_t end = std::min(m_base, (c + 1) * kRmatChunkEdges);
+    for (std::uint64_t e = c * kRmatChunkEdges; e < end; ++e) {
+      auto [s, d] = rmat_edge(rng, spec.scale);
+      if (s == d) d = (d + 1) & (n - 1);  // drop self loops
+      edges[e] = {s, d};
+    }
+  });
 
   auto g = std::make_shared<Graph>();
   g->n = n;
-  g->m = edges.size();
-  build_csr(n, edges, g->out_offsets, g->out_targets, /*by_source=*/true);
-  build_csr(n, edges, g->in_offsets, g->in_sources, /*by_source=*/false);
-
+  g->m = spec.symmetric ? 2 * m_base : m_base;
+  g->out_offsets.assign(n + 1, 0);
+  g->in_offsets.assign(n + 1, 0);
+  g->out_targets.resize(g->m);
+  g->in_sources.resize(g->m);
   g->weights.resize(g->m);
-  util::SplitMix64 wrng{util::seed_combine(spec.seed, 0x57ull)};
-  for (auto& w : g->weights)
-    w = 1.0f + static_cast<float>(wrng.below(16));
+  // One draw per weight, chunked like the edges. Task 0 builds the
+  // out-CSR, task 1 the in-CSR, and the rest fill weight chunks.
+  const util::SplitMix64 wstream{util::seed_combine(spec.seed, 0x57ull)};
+  util::parallel_for(2 + chunks_of(g->m), 0, [&](std::size_t t) {
+    if (t < 2) {
+      const bool by_source = t == 0;
+      build_csr(edges, spec.symmetric, by_source,
+                by_source ? g->out_offsets : g->in_offsets,
+                by_source ? g->out_targets : g->in_sources);
+      return;
+    }
+    const std::uint64_t c = t - 2;
+    util::SplitMix64 wrng = wstream;
+    wrng.advance(c * kRmatChunkEdges);
+    const std::uint64_t end = std::min(g->m, (c + 1) * kRmatChunkEdges);
+    for (std::uint64_t k = c * kRmatChunkEdges; k < end; ++k)
+      g->weights[k] = 1.0f + static_cast<float>(wrng.below(16));
+  });
   return g;
 }
 

@@ -7,6 +7,16 @@
 // ratio drive the same cache/bandwidth behaviour. Graphs are immutable
 // and cached process-wide so the 625-pair sweep does not regenerate
 // them.
+//
+// make_rmat builds on every lane of the process-wide pool and gives
+// the same graph at any lane count. All edges come from one SplitMix64
+// stream, 2 * scale draws each, cut into fixed chunks of
+// kRmatChunkEdges edges. A chunk jumps a copy of the generator to its
+// first draw (SplitMix64::advance) and writes its edges in place, so
+// which lane claims it changes nothing. The weights are one draw each
+// from a second stream, chunked the same way, and fill while the out-
+// and in-CSR build concurrently. Called from inside a pool worker, it
+// runs serially on that worker.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +60,13 @@ struct GraphSpec {
   bool operator==(const GraphSpec&) const = default;
 };
 
-/// Generates an R-MAT graph (a=0.57 b=0.19 c=0.19 d=0.05).
+/// Edges per generation chunk. Not a power of two, so a power-of-two
+/// edge count always ends in a partial chunk, and tests at every scale
+/// cover the last chunk's clamp.
+inline constexpr std::uint64_t kRmatChunkEdges = 10'000;
+
+/// Generates an R-MAT graph (a=0.57 b=0.19 c=0.19 d=0.05). Throws
+/// std::invalid_argument unless 1 <= scale <= 31.
 std::shared_ptr<const Graph> make_rmat(const GraphSpec& spec);
 
 /// Process-wide cache keyed by spec (thread-safe).

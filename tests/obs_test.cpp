@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "harness/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/stats.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 
 namespace coperf::obs {
 namespace {
@@ -118,7 +118,7 @@ TEST(MetricsTest, CounterExactUnderConcurrentPoolUpdates) {
   c.reset();
   h.reset();
   constexpr std::size_t kIters = 10'000;
-  harness::parallel_for(kIters, 8, [&](std::size_t i) {
+  util::parallel_for(kIters, 8, [&](std::size_t i) {
     c.add();
     h.record(i);
   });
@@ -133,7 +133,7 @@ TEST(MetricsTest, GaugeSetAndAtomicAdd) {
   g.reset();
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  harness::parallel_for(1000, 8, [&](std::size_t) { g.add(1.0); });
+  util::parallel_for(1000, 8, [&](std::size_t) { g.add(1.0); });
   EXPECT_DOUBLE_EQ(g.value(), 1002.5);
 }
 
@@ -267,7 +267,7 @@ TEST(TraceTest, HostSpansFormValidDocument) {
   tr.start();
   {
     Trace::Span outer{"outer", Args{}.set("k", 1).str()};
-    harness::parallel_for(64, 4, [&](std::size_t i) {
+    util::parallel_for(64, 4, [&](std::size_t i) {
       const double t0 = tr.now_us();
       tr.complete_host("work", t0, tr.now_us() - t0,
                        Args{}.set("i", i).str());

@@ -23,11 +23,11 @@
 #include <utility>
 #include <vector>
 
-#include "harness/parallel.hpp"
 #include "harness/runcache.hpp"
 #include "harness/runner.hpp"
 #include "result_equality.hpp"
 #include "sim/machine.hpp"
+#include "util/parallel.hpp"
 #include "wl/registry.hpp"
 
 namespace coperf {
@@ -490,27 +490,27 @@ TEST(RunCacheKey, ChecksummedButUnreadableEntryQuarantines) {
 
 TEST(ParallelPool, RunsEveryIndexOnceAndReusesWorkers) {
   std::vector<std::atomic<int>> seen(501);
-  harness::parallel_for(seen.size(), 4,
+  util::parallel_for(seen.size(), 4,
                         [&](std::size_t i) { seen[i].fetch_add(1); });
   for (auto& s : seen) EXPECT_EQ(s.load(), 1);
-  const unsigned after_first = harness::pool_size();
+  const unsigned after_first = util::pool_size();
   EXPECT_GE(after_first, 3u) << "pool must hold persistent workers";
 
   std::atomic<std::size_t> sum{0};
-  harness::parallel_for(1000, 4, [&](std::size_t i) { sum += i; });
+  util::parallel_for(1000, 4, [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 1000u * 999u / 2);
-  EXPECT_EQ(harness::pool_size(), after_first)
+  EXPECT_EQ(util::pool_size(), after_first)
       << "second sweep must reuse the pool, not spawn a new one";
 }
 
 TEST(ParallelPool, ThrowMidPlanPropagatesFirstErrorAndPoolSurvives) {
   // Warm the pool so the failure exercises persistent workers.
-  harness::parallel_for(64, 4, [](std::size_t) {});
-  const unsigned workers_before = harness::pool_size();
+  util::parallel_for(64, 4, [](std::size_t) {});
+  const unsigned workers_before = util::pool_size();
 
   std::atomic<std::size_t> ran{0};
   try {
-    harness::parallel_for(5000, 4, [&](std::size_t i) {
+    util::parallel_for(5000, 4, [&](std::size_t i) {
       ran.fetch_add(1);
       if (i == 137) throw std::runtime_error{"trial 137 went sideways"};
       // Slow the healthy trials slightly so the failure flag is
@@ -527,16 +527,16 @@ TEST(ParallelPool, ThrowMidPlanPropagatesFirstErrorAndPoolSurvives) {
 
   // The pool must come back clean: same workers, full sweeps complete.
   std::atomic<std::size_t> sum{0};
-  harness::parallel_for(2000, 4, [&](std::size_t i) { sum += i; });
+  util::parallel_for(2000, 4, [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 2000u * 1999u / 2);
-  EXPECT_EQ(harness::pool_size(), workers_before)
+  EXPECT_EQ(util::pool_size(), workers_before)
       << "a thrown trial must not wedge or regrow the pool";
 }
 
 TEST(ParallelPool, ExceptionPropagatesAndStopsTheSweep) {
   std::atomic<std::size_t> ran{0};
   EXPECT_THROW(
-      harness::parallel_for(10'000, 4,
+      util::parallel_for(10'000, 4,
                             [&](std::size_t i) {
                               if (i == 3) throw std::runtime_error{"boom"};
                               ran.fetch_add(1);
@@ -549,9 +549,9 @@ TEST(ParallelPool, LaneCountHonoursTheAffinityMask) {
   cpu_set_t saved;
   ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
   const unsigned allowed = static_cast<unsigned>(CPU_COUNT(&saved));
-  EXPECT_EQ(harness::lane_count(1000, 0), allowed);
-  EXPECT_EQ(harness::lane_count(1000, 3), 3u) << "an explicit count wins";
-  EXPECT_EQ(harness::lane_count(2, 0), std::min(allowed, 2u));
+  EXPECT_EQ(util::lane_count(1000, 0), allowed);
+  EXPECT_EQ(util::lane_count(1000, 3), 3u) << "an explicit count wins";
+  EXPECT_EQ(util::lane_count(2, 0), std::min(allowed, 2u));
 
   // Narrow this thread to its lowest allowed CPU, as `taskset -c` would.
   int cpu = 0;
@@ -560,8 +560,8 @@ TEST(ParallelPool, LaneCountHonoursTheAffinityMask) {
   CPU_ZERO(&one);
   CPU_SET(cpu, &one);
   ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
-  const unsigned narrowed = harness::lane_count(1000, 0);
-  const unsigned explicit_count = harness::lane_count(1000, 4);
+  const unsigned narrowed = util::lane_count(1000, 0);
+  const unsigned explicit_count = util::lane_count(1000, 4);
   ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
   EXPECT_EQ(narrowed, 1u);
   EXPECT_EQ(explicit_count, 4u);

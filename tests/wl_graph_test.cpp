@@ -2,11 +2,17 @@
 // real algorithms, so their results must match host oracles (Dijkstra,
 // union-find, BFS, reference PageRank) after a simulated run.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cmath>
+#include <latch>
 #include <set>
+#include <stdexcept>
 
+#include "rmat_reference.hpp"
 #include "sim/machine.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "wl/graph/csr.hpp"
 #include "wl/registry.hpp"
 
@@ -92,6 +98,97 @@ TEST(Rmat, NoSelfLoops) {
   for (std::uint32_t u = 0; u < g->n; ++u)
     for (std::uint64_t k = g->out_offsets[u]; k < g->out_offsets[u + 1]; ++k)
       EXPECT_NE(g->out_targets[k], u);
+}
+
+TEST(Rmat, RejectsScalesOutsideOneToThirtyOne) {
+  // Scale 0 is one vertex, whose only edge would be a self loop; at 32
+  // the vertex count no longer fits.
+  EXPECT_THROW(graph::make_rmat(GraphSpec{0, 8, 7, true}),
+               std::invalid_argument);
+  EXPECT_THROW(graph::make_rmat(GraphSpec{32, 8, 7, true}),
+               std::invalid_argument);
+  EXPECT_THROW(graph::make_rmat(GraphSpec{40, 8, 7, false}),
+               std::invalid_argument);
+  // Scale 1: two vertices, so every edge joins them.
+  const auto g = graph::make_rmat(GraphSpec{1, 8, 7, true});
+  EXPECT_EQ(g->n, 2u);
+  EXPECT_EQ(g->m, 16u);
+  EXPECT_EQ(g->out_degree(0), 8u);
+  EXPECT_EQ(g->out_degree(1), 8u);
+}
+
+TEST(SplitMix64, AdvanceEqualsRepeatedDraws) {
+  for (const std::uint64_t draws : {0ull, 1ull, 2ull, 33ull, 10'000ull,
+                                    123'457ull}) {
+    util::SplitMix64 stepped{42};
+    util::SplitMix64 jumped{42};
+    for (std::uint64_t i = 0; i < draws; ++i) (void)stepped.next();
+    jumped.advance(draws);
+    for (int k = 0; k < 4; ++k)
+      ASSERT_EQ(jumped.next(), stepped.next()) << draws << " draws, k=" << k;
+  }
+  // The state wraps: 2^64 - 1 draws ahead is one draw behind.
+  util::SplitMix64 fresh{7};
+  util::SplitMix64 wrapped{7};
+  wrapped.advance(~0ull);
+  (void)wrapped.next();
+  EXPECT_EQ(wrapped.next(), fresh.next());
+}
+
+void expect_same_graph(const graph::Graph& want, const graph::Graph& got,
+                       const std::string& what) {
+  EXPECT_EQ(got.n, want.n) << what;
+  EXPECT_EQ(got.m, want.m) << what;
+  EXPECT_TRUE(got.out_offsets == want.out_offsets) << what;
+  EXPECT_TRUE(got.out_targets == want.out_targets) << what;
+  EXPECT_TRUE(got.in_offsets == want.in_offsets) << what;
+  EXPECT_TRUE(got.in_sources == want.in_sources) << what;
+  // Bit for bit: the weights are whole numbers, so == is exact.
+  EXPECT_TRUE(got.weights == want.weights) << what;
+}
+
+TEST(Rmat, MatchesSerialReference) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+
+  for (const std::uint32_t scale : {1u, 6u, 10u, 14u})
+    for (const bool symmetric : {true, false})
+      for (const std::uint64_t seed : {42ull, 7ull}) {
+        const GraphSpec spec{scale, 5, seed, symmetric};
+        const std::uint64_t m_base =
+            (std::uint64_t{1} << scale) * 5 / (symmetric ? 2 : 1);
+        ASSERT_NE(m_base % graph::kRmatChunkEdges, 0u)
+            << "every cell must end in a partial chunk";
+        const std::string what = "scale " + std::to_string(scale) +
+                                 (symmetric ? " symmetric" : " directed") +
+                                 " seed " + std::to_string(seed);
+        const auto want = graph::reference::make_rmat(spec);
+
+        expect_same_graph(*want, *graph::make_rmat(spec), what + ", all lanes");
+
+        // One lane, as under `taskset -c`: parallel_for runs serially.
+        ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+        const auto narrowed = graph::make_rmat(spec);
+        ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+        expect_same_graph(*want, *narrowed, what + ", one CPU");
+
+        // Inside a pool worker, where parallel_for runs serially too.
+        // The latch holds each index until the other has started, so
+        // they run on two threads: the caller and one pool worker.
+        std::latch both{2};
+        std::shared_ptr<const graph::Graph> nested[2];
+        util::parallel_for(2, 2, [&](std::size_t i) {
+          both.arrive_and_wait();
+          nested[i] = graph::make_rmat(spec);
+        });
+        for (const auto& g : nested)
+          expect_same_graph(*want, *g, what + ", nested in the pool");
+      }
 }
 
 TEST(HostOracles, BfsAndDijkstraAgreeOnReachability) {
