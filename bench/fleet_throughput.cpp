@@ -305,9 +305,9 @@ int main(int argc, char** argv) try {
           for (std::size_t i = 0; i < res.outcomes.size(); ++i) {
             const cluster::JobOutcome& out = res.outcomes[i];
             if (!out.completed()) continue;
-            const unsigned c = trace[i].priority;
-            wait_regret[c] += (out.start - out.arrival) / out.work;
-            ++wait_n[c];
+            const cluster::JobSpec& job = trace[i];
+            wait_regret[job.priority] += (out.start - job.arrival) / job.work;
+            ++wait_n[job.priority];
           }
           for (std::size_t c = 0; c < wait_regret.size(); ++c)
             if (wait_n[c] != 0)

@@ -55,6 +55,7 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
     prev_fault = f.time;
   }
   const RetryConfig& r = cfg.retry;
+  require(r.max_retries <= UINT16_MAX, "retry max_retries must be <= 65535");
   require(std::isfinite(r.backoff) && r.backoff >= 0.0 &&
               std::isfinite(r.backoff_factor) && r.backoff_factor >= 1.0,
           "retry backoff must be finite and >= 0 with factor >= 1");
@@ -65,6 +66,7 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
           "admission util_limit must be in [0, 1]");
   require(std::isfinite(a.defer_delay) && a.defer_delay >= 0.0,
           "admission defer_delay must be finite and >= 0");
+  require(a.max_defers <= UINT16_MAX, "admission max_defers must be <= 65535");
 }
 
 // --- indexed fleet engine -------------------------------------------
@@ -350,7 +352,8 @@ class Engine {
     const std::size_t jid = remove_resident(m, machines_[m].next_pos).job;
     JobOutcome& out = res_.outcomes[jid];
     out.finish = t_;
-    log(TraceEvent::Kind::Finish, trace_[jid], m, out.corun_slowdown());
+    log(TraceEvent::Kind::Finish, trace_[jid], m,
+        out.corun_slowdown(trace_[jid]));
   }
 
   void fault() {
@@ -385,11 +388,6 @@ class Engine {
     const std::size_t jid = next_arrival_++;
     const JobSpec& job = trace_[jid];
     log(TraceEvent::Kind::Arrive, job, 0, 0.0);
-    JobOutcome& out = res_.outcomes[jid];
-    out.job = job.id;
-    out.type = job.type;
-    out.arrival = job.arrival;
-    out.work = job.work;
     pending_[jid] = job.work;
     admit(jid, /*check_admission=*/true);
   }
@@ -519,6 +517,7 @@ class Engine {
       return;
     }
     log(TraceEvent::Kind::Evict, trace_[jid], m, pending_[jid]);
+    ++res_.retries;
     requeues_.push({t_ + cfg_.retry.delay(++out.retries), jid,
                     /*deferred=*/false});
   }
@@ -618,10 +617,11 @@ class Engine {
     add_resident(m, {jid, static_cast<std::uint32_t>(job.type), job.priority,
                      job.work, 1.0, kInf, job.slo_p99});
     JobOutcome& out = res_.outcomes[jid];
-    out.machine = m;
+    out.machine = static_cast<std::uint32_t>(m);
     // A job places again only after a kill or an eviction.
     if (out.retries == 0 && out.evictions == 0) out.start = t_;
     log(TraceEvent::Kind::Place, job, m, policy_.last_cost_delta());
+    ++res_.placements;
   }
 
   /// Bills a decision at ground truth: how much worse was the chosen
@@ -631,7 +631,7 @@ class Engine {
   /// Without one, and once a policy has asked for the class index, the
   /// prices come through the index; the bill never turns it on itself.
   void bill(const JobSpec& job, std::size_t m) {
-    if (cfg_.regret_sample == 0 || decisions_++ % cfg_.regret_sample != 0)
+    if (cfg_.regret_sample == 0 || res_.placements % cfg_.regret_sample != 0)
       return;
     // With no SLO-carrying job in the trace the LC billing is skipped
     // entirely -- no tail_slowdown queries are issued, so batch-only
@@ -691,16 +691,17 @@ class Engine {
     if (!res.outcomes.empty()) {
       for (std::size_t i = 0; i < res.outcomes.size(); ++i) {
         const JobOutcome& o = res.outcomes[i];
-        ClassStats& cs = res.class_stats[trace_[i].priority];
+        const JobSpec& job = trace_[i];
+        ClassStats& cs = res.class_stats[job.priority];
         ++cs.jobs;
-        cs.work_arrived += o.work;
+        cs.work_arrived += job.work;
         if (o.completed()) {
           ++cs.completed;
           ++res.completed_jobs;
-          cs.work_completed += o.work;
-          cs.mean_stretch += o.stretch();
-          res.mean_stretch += o.stretch();
-          res.mean_corun_slowdown += o.corun_slowdown();
+          cs.work_completed += job.work;
+          cs.mean_stretch += o.stretch(job);
+          res.mean_stretch += o.stretch(job);
+          res.mean_corun_slowdown += o.corun_slowdown(job);
           res.makespan = std::max(res.makespan, o.finish);
         }
         if (o.shed) ++cs.shed;
@@ -760,7 +761,6 @@ class Engine {
   OpenClasses classes_;
   EngineView view_;
 
-  std::size_t decisions_ = 0;  ///< placements so far, billed or not
   ClusterResult res_;
 
   /// Scratch buffers reused across all truth queries and observations.

@@ -25,11 +25,13 @@
 // the cost-model policy prices classes instead of machines) and, with
 // migration on, a per-class victim index (each documented in
 // cluster.cpp). The engine only appends to its ClusterResult -- the
-// audit log and the decision bills -- and render_timeline()
-// (timeline.cpp) derives the obs counters and the Perfetto timeline
-// from that record, so tracing never changes results. The tests pin
-// the loop to the pre-fleet scan loop, kept as the executable
-// specification in tests/cluster_reference.hpp.
+// audit log, the decision bills and the counts it keeps as it logs --
+// and render_timeline() (timeline.cpp) derives the obs counters and
+// the Perfetto timeline from that record, so tracing never changes
+// results. Per job a run keeps its 32-byte JobOutcome, only what the
+// engine decided: the job's spec stays in the caller's trace, at the
+// same index. The tests pin the loop to the pre-fleet scan loop, kept
+// as the executable specification in tests/cluster_reference.hpp.
 #pragma once
 
 #include <cmath>
@@ -42,6 +44,7 @@
 #include "cluster/trace.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
+#include "util/mapped.hpp"
 
 namespace coperf::cluster {
 
@@ -50,7 +53,8 @@ namespace coperf::cluster {
 /// work-loss model.
 struct RetryConfig {
   /// Failure kills a job may survive before the engine gives up and
-  /// sheds it (a Shed event with its work still outstanding).
+  /// sheds it (a Shed event with its work still outstanding); at most
+  /// 65535, the range of JobOutcome::retries.
   unsigned max_retries = 3;
   /// The requeue after a job's k-th failure kill waits delay(k) =
   /// backoff * backoff_factor^(k - 1) in simulated time.
@@ -90,7 +94,7 @@ struct AdmissionConfig {
   double util_limit = 0.0;      ///< busy/alive slot fraction; 0 = off
   unsigned shed_below = 1;      ///< classes < this are sheddable
   double defer_delay = 0.0;     ///< > 0: defer before shedding
-  unsigned max_defers = 0;      ///< defers before an overloaded shed
+  unsigned max_defers = 0;      ///< defers before a shed, <= 65535
 
   bool enabled() const { return queue_limit > 0 || util_limit > 0.0; }
 };
@@ -116,29 +120,36 @@ struct ClusterConfig {
   AdmissionConfig admission;
 };
 
-/// What happened to one job.
+/// What the engine decided for one job: 32 bytes, since a fleet run
+/// keeps one per arrival. ClusterResult::outcomes is indexed by trace
+/// position, so the job's own spec -- id, type, arrival, work -- is
+/// trace[i], never copied here.
 struct JobOutcome {
-  std::size_t job = 0;  ///< JobSpec::id
-  std::size_t type = 0;
-  std::size_t machine = 0;  ///< machine of the most recent placement
-  double arrival = 0.0;
   double start = 0.0;   ///< FIRST placement time (== arrival unless queued)
   double finish = 0.0;  ///< 0 while unfinished (shed jobs never finish)
-  double work = 0.0;    ///< the original solo-work demand
-  unsigned retries = 0;    ///< times killed by a machine failure
-  unsigned evictions = 0;  ///< times preemptively migrated
-  unsigned defers = 0;     ///< times deferred by admission control
-  bool shed = false;       ///< dropped (admission, or retries exhausted)
+  std::uint32_t machine = 0;    ///< machine of the most recent placement
+  std::uint32_t evictions = 0;  ///< times preemptively migrated
+  /// Times killed by a machine failure (<= RetryConfig::max_retries).
+  std::uint16_t retries = 0;
+  /// Times deferred by admission control (<= AdmissionConfig::max_defers).
+  std::uint16_t defers = 0;
+  bool shed = false;  ///< dropped (admission, or retries exhausted)
 
   bool completed() const { return finish > 0.0; }
   /// Solo-normalized turnaround including queueing, backoff, and lost
-  /// work: >= 1.0 for completed jobs.
-  double stretch() const { return (finish - arrival) / work; }
+  /// work: >= 1.0 for completed jobs. `job` is this outcome's trace
+  /// entry.
+  double stretch(const JobSpec& job) const {
+    return (finish - job.arrival) / job.work;
+  }
   /// Solo-normalized time from first placement to completion: >= 1.0
   /// for completed jobs (equals the pure co-run slowdown when the job
   /// was never killed or migrated).
-  double corun_slowdown() const { return (finish - start) / work; }
+  double corun_slowdown(const JobSpec& job) const {
+    return (finish - start) / job.work;
+  }
 };
+static_assert(sizeof(JobOutcome) == 32);
 
 /// Per-priority-class aggregate of a run -- the degradation surface
 /// the fault bench compares policies on.
@@ -166,8 +177,16 @@ struct DecisionBill {
 
 /// Everything a run records: render_timeline() reads nothing else.
 struct ClusterResult {
-  std::vector<JobOutcome> outcomes;  ///< indexed by trace position
+  /// Indexed by trace position. Mapped, not malloc'd: at 30.5 MiB per
+  /// million jobs the block is below glibc's mmap-threshold cap, so a
+  /// freed one would be recycled through the heap (util/mapped.hpp).
+  std::vector<JobOutcome, util::MappedAllocator<JobOutcome>> outcomes;
   TraceLog log;  ///< every event, in the order the engine processed it
+  /// Place events in the log: first placements and re-placements.
+  std::size_t placements = 0;
+  /// Failure kills that requeued the job (its Evict events on a failed
+  /// machine): the sum of JobOutcome::retries.
+  std::size_t retries = 0;
   /// One row per billed decision: decision d (the d-th Place event,
   /// from 0) is billed iff regret_sample != 0 and d % regret_sample ==
   /// 0, so bill k belongs to Place event k * regret_sample.
@@ -238,9 +257,8 @@ ClusterResult simulate(const ClusterConfig& cfg,
                        PlacementPolicy& policy);
 
 /// Publishes a finished run of simulate() (which calls it) from the
-/// result alone: the cluster.* counters (placements = Place events,
-/// retries = sum of JobOutcome::retries, the rest the matching result
-/// fields) and the cluster.goodput.p<class> gauges. When obs::Trace is
+/// result alone: the cluster.* counters (each the matching result
+/// field) and the cluster.goodput.p<class> gauges. When obs::Trace is
 /// recording it also replays the log into a simulated-time process of
 /// its own (1 work unit renders as 1 ms): per machine lane, a span per
 /// constant resident multiset ("hog+victim"), DOWN spans, a "place

@@ -20,16 +20,12 @@ constexpr double kUsPerUnit = 1000.0;
 void render_timeline(const ClusterConfig& cfg,
                      const std::vector<JobSpec>& trace,
                      const std::string& policy, const ClusterResult& res) {
-  std::uint64_t placements = 0, retries = 0;
-  for (const TraceEvent& e : res.log.events)
-    placements += e.kind == Kind::Place;
-  for (const JobOutcome& o : res.outcomes) retries += o.retries;
   obs::Registry& reg = obs::Registry::instance();
   for (const auto& [name, n] :
-       {std::pair{"placements", placements},
+       {std::pair{"placements", res.placements},
         {"completions", res.completed_jobs}, {"failures", res.failures},
         {"recoveries", res.recoveries}, {"fault_kills", res.fault_kills},
-        {"retries", retries}, {"migrations", res.migrations},
+        {"retries", res.retries}, {"migrations", res.migrations},
         {"shed", res.shed_jobs}})
     reg.counter(std::string{"cluster."} + name).add(n);
   for (std::size_t c = 0; c < res.class_stats.size() && !res.outcomes.empty();

@@ -30,8 +30,8 @@ std::uint32_t Graph::max_degree_vertex() const {
 std::size_t Graph::bytes() const {
   return out_offsets.size() * sizeof(std::uint64_t) +
          out_targets.size() * sizeof(std::uint32_t) +
-         in_offsets.size() * sizeof(std::uint64_t) +
-         in_sources.size() * sizeof(std::uint32_t) +
+         directed_in_offsets.size() * sizeof(std::uint64_t) +
+         directed_in_sources.size() * sizeof(std::uint32_t) +
          weights.size() * sizeof(float);
 }
 
@@ -131,23 +131,28 @@ std::shared_ptr<const Graph> make_rmat(const GraphSpec& spec) {
   auto g = std::make_shared<Graph>();
   g->n = n;
   g->m = spec.symmetric ? 2 * m_base : m_base;
+  g->symmetric = spec.symmetric;
   g->out_offsets.assign(n + 1, 0);
-  g->in_offsets.assign(n + 1, 0);
   g->out_targets.resize(g->m);
-  g->in_sources.resize(g->m);
+  if (!spec.symmetric) {
+    g->directed_in_offsets.assign(n + 1, 0);
+    g->directed_in_sources.resize(g->m);
+  }
   g->weights.resize(g->m);
-  // One draw per weight, chunked like the edges. Task 0 builds the
-  // out-CSR, task 1 the in-CSR, and the rest fill weight chunks.
+  // One draw per weight, chunked like the edges. The first tasks build
+  // the CSRs -- the out-CSR, then a directed graph's in-CSR -- and the
+  // rest fill weight chunks.
+  const std::size_t csrs = spec.symmetric ? 1 : 2;
   const util::SplitMix64 wstream{util::seed_combine(spec.seed, 0x57ull)};
-  util::parallel_for(2 + chunks_of(g->m), 0, [&](std::size_t t) {
-    if (t < 2) {
+  util::parallel_for(csrs + chunks_of(g->m), 0, [&](std::size_t t) {
+    if (t < csrs) {
       const bool by_source = t == 0;
       build_csr(edges, spec.symmetric, by_source,
-                by_source ? g->out_offsets : g->in_offsets,
-                by_source ? g->out_targets : g->in_sources);
+                by_source ? g->out_offsets : g->directed_in_offsets,
+                by_source ? g->out_targets : g->directed_in_sources);
       return;
     }
-    const std::uint64_t c = t - 2;
+    const std::uint64_t c = t - csrs;
     util::SplitMix64 wrng = wstream;
     wrng.advance(c * kRmatChunkEdges);
     const std::uint64_t end = std::min(g->m, (c + 1) * kRmatChunkEdges);
@@ -228,11 +233,13 @@ std::vector<double> host_pagerank(const Graph& g, std::uint32_t iters) {
     const auto deg = g.out_degree(v);
     scaled[v] = deg > 0 ? rank[v] / deg : 0.0;
   }
+  const auto in_offsets = g.in_offsets();
+  const auto in_sources = g.in_sources();
   for (std::uint32_t it = 0; it < iters; ++it) {
     for (std::uint32_t dst = 0; dst < g.n; ++dst) {
       double sum = 0.0;
-      for (std::uint64_t k = g.in_offsets[dst]; k < g.in_offsets[dst + 1]; ++k)
-        sum += scaled[g.in_sources[k]];
+      for (std::uint64_t k = in_offsets[dst]; k < in_offsets[dst + 1]; ++k)
+        sum += scaled[in_sources[k]];
       rank[dst] = base + 0.85 * sum;
     }
     for (std::uint32_t v = 0; v < g.n; ++v) {

@@ -14,13 +14,21 @@
 // kRmatChunkEdges edges. A chunk jumps a copy of the generator to its
 // first draw (SplitMix64::advance) and writes its edges in place, so
 // which lane claims it changes nothing. The weights are one draw each
-// from a second stream, chunked the same way, and fill while the out-
-// and in-CSR build concurrently. Called from inside a pool worker, it
-// runs serially on that worker.
+// from a second stream, chunked the same way, and fill while the CSRs
+// build concurrently. Called from inside a pool worker, it runs
+// serially on that worker.
+//
+// A symmetric graph (every graph the models run) stores one CSR: with
+// no self loops, each base edge appends once to each endpoint's list,
+// in the same order whether the lists are keyed by source or by
+// destination, so its in-CSR is its out-CSR. Graph::in_offsets() and
+// in_sources() then alias the out arrays; a directed graph builds and
+// keeps its own.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace coperf::wl::graph {
@@ -28,17 +36,30 @@ namespace coperf::wl::graph {
 struct Graph {
   std::uint32_t n = 0;  ///< vertex count
   std::uint64_t m = 0;  ///< directed edge count
+  /// Every edge also runs the other way, so the in-edges are the
+  /// out-edges and directed_in_* stay empty.
+  bool symmetric = false;
 
   // Out-edges (CSR) -- used by push-style phases and scatter.
   std::vector<std::uint64_t> out_offsets;  ///< n+1
   std::vector<std::uint32_t> out_targets;  ///< m
 
-  // In-edges (CSC) -- used by pull-style gathers (Gemini PR, GAS gather).
-  std::vector<std::uint64_t> in_offsets;  ///< n+1
-  std::vector<std::uint32_t> in_sources;  ///< m
+  // A directed graph's in-edges (CSC); empty when symmetric.
+  std::vector<std::uint64_t> directed_in_offsets;  ///< n+1
+  std::vector<std::uint32_t> directed_in_sources;  ///< m
 
   /// Edge weights aligned with out_targets (1..16, SSSP).
   std::vector<float> weights;
+
+  /// In-edges (CSC) -- used by pull-style gathers (Gemini PR, GAS
+  /// gather): n+1 offsets into m sources, the out arrays themselves
+  /// when the graph is symmetric.
+  std::span<const std::uint64_t> in_offsets() const {
+    return symmetric ? out_offsets : directed_in_offsets;
+  }
+  std::span<const std::uint32_t> in_sources() const {
+    return symmetric ? out_targets : directed_in_sources;
+  }
 
   std::uint32_t out_degree(std::uint32_t v) const {
     return static_cast<std::uint32_t>(out_offsets[v + 1] - out_offsets[v]);
@@ -47,7 +68,8 @@ struct Graph {
   /// Vertex with the largest out-degree (canonical BFS/SSSP root).
   std::uint32_t max_degree_vertex() const;
 
-  /// Host memory consumed by the adjacency structures.
+  /// Host memory consumed by the adjacency structures (a symmetric
+  /// graph's shared CSR counted once).
   std::size_t bytes() const;
 };
 

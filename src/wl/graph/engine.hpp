@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -147,7 +148,7 @@ inline std::pair<std::uint32_t, std::uint32_t> static_range(
 /// splits vertices so each worker owns ~m/T edges (otherwise R-MAT's
 /// hub skew would starve all but one thread).
 inline std::pair<std::uint32_t, std::uint32_t> edge_balanced_range(
-    const std::vector<std::uint64_t>& offsets, unsigned tid,
+    std::span<const std::uint64_t> offsets, unsigned tid,
     unsigned threads) {
   const std::uint32_t n = static_cast<std::uint32_t>(offsets.size() - 1);
   const std::uint64_t m = offsets[n];

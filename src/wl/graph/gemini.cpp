@@ -38,8 +38,8 @@ class GeminiBase : public WorkloadBase {
   GeminiBase(std::string name, const AppParams& p)
       : WorkloadBase(std::move(name), p, sim::ThreadAttr{0.55, 10}),
         g_(graph::rmat_cached(graph::spec_for(p.size))),
-        in_off_(space(), std::span{g_->in_offsets}),
-        in_src_(space(), std::span{g_->in_sources}),
+        in_off_(space(), g_->in_offsets()),
+        in_src_(space(), g_->in_sources()),
         out_off_(space(), std::span{g_->out_offsets}),
         out_tgt_(space(), std::span{g_->out_targets}),
         weights_(space(), std::span{g_->weights}) {
@@ -119,13 +119,13 @@ class GPageRank final : public GeminiBase {
         for (std::uint32_t dst = chunk->first; dst < chunk->second; ++dst) {
           if (off_line.touch(in_off_.addr_of(dst)))
             co_await ctx.load(in_off_.addr_of(dst), kPcOffsets);
-          const std::uint64_t beg = g.in_offsets[dst];
-          const std::uint64_t end = g.in_offsets[dst + 1];
+          const std::uint64_t beg = in_off_[dst];
+          const std::uint64_t end = in_off_[dst + 1];
           double sum = 0.0;
           for (std::uint64_t k = beg; k < end; ++k) {
             if (edge_line.touch(in_src_.addr_of(k)))
               co_await ctx.load(in_src_.addr_of(k), kPcEdges);
-            const std::uint32_t src = g.in_sources[k];
+            const std::uint32_t src = in_src_[k];
             co_await ctx.load(scaled_.addr_of(src), kPcGather);
             sum += scaled_[src].v;
           }

@@ -59,8 +59,8 @@ class PowerGraphBase : public WorkloadBase {
   PowerGraphBase(std::string name, const AppParams& p)
       : WorkloadBase(std::move(name), p, sim::ThreadAttr{0.7, 8}),
         g_(graph::rmat_cached(graph::spec_for(p.size))),
-        in_off_(space(), std::span{g_->in_offsets}),
-        in_src_(space(), std::span{g_->in_sources}),
+        in_off_(space(), g_->in_offsets()),
+        in_src_(space(), g_->in_sources()),
         out_off_(space(), std::span{g_->out_offsets}),
         out_tgt_(space(), std::span{g_->out_targets}),
         in_edges_(space(), g_->m),
@@ -119,7 +119,8 @@ class PPageRank final : public PowerGraphBase {
 
   TraceGen body(ThreadCtx& ctx, unsigned tid) override {
     const Graph& g = *g_;
-    const auto [vbeg, vend] = edge_balanced_range(g.in_offsets, tid, threads());
+    const auto [vbeg, vend] =
+        edge_balanced_range(g.in_offsets(), tid, threads());
     const double base = 0.15 / g.n;
     for (std::uint32_t iter = 0; iter < iters_; ++iter) {
       // ---- gather: per owned dst, fold over in-edges --------------
@@ -129,13 +130,13 @@ class PPageRank final : public PowerGraphBase {
       for (std::uint32_t dst = vbeg; dst < vend; ++dst) {
         if (off_line.touch(in_off_.addr_of(dst)))
           co_await ctx.load(in_off_.addr_of(dst), kPcOffsets);
-        const std::uint64_t beg = g.in_offsets[dst];
-        const std::uint64_t end = g.in_offsets[dst + 1];
+        const std::uint64_t beg = in_off_[dst];
+        const std::uint64_t end = in_off_[dst + 1];
         double sum = 0.0;
         for (std::uint64_t k = beg; k < end; ++k) {
           if (edge_line.touch(in_edges_.addr_of(k)))
             co_await ctx.load(in_edges_.addr_of(k), kPcEdgeRec);
-          const std::uint32_t src = g.in_sources[k];
+          const std::uint32_t src = in_src_[k];
           // The vertex-program indirection: edge.source() -> record.
           co_await ctx.load(vrec_.addr_of(src), kPcVertexRec);
           sum += scaled_[src];
@@ -218,7 +219,8 @@ class PConnectedComponents final : public PowerGraphBase {
 
   TraceGen body(ThreadCtx& ctx, unsigned tid) override {
     const Graph& g = *g_;
-    const auto [vbeg, vend] = edge_balanced_range(g.in_offsets, tid, threads());
+    const auto [vbeg, vend] =
+        edge_balanced_range(g.in_offsets(), tid, threads());
     constexpr std::uint64_t kMaxEpochs = 64;
     co_await ctx.region(rgn_gather_);
     for (std::uint64_t epoch = 0; epoch < kMaxEpochs; ++epoch) {
@@ -232,14 +234,14 @@ class PConnectedComponents final : public PowerGraphBase {
         cur[dst] = 0;
         if (off_line.touch(in_off_.addr_of(dst)))
           co_await ctx.load(in_off_.addr_of(dst), kPcOffsets);
-        const std::uint64_t beg = g.in_offsets[dst];
-        const std::uint64_t end = g.in_offsets[dst + 1];
+        const std::uint64_t beg = in_off_[dst];
+        const std::uint64_t end = in_off_[dst + 1];
         co_await ctx.load(labels_.addr_of(dst), kPcState);
         std::uint32_t lab = labels_[dst].v;
         for (std::uint64_t k = beg; k < end; ++k) {
           if (edge_line.touch(in_edges_.addr_of(k)))
             co_await ctx.load(in_edges_.addr_of(k), kPcEdgeRec);
-          const std::uint32_t src = g.in_sources[k];
+          const std::uint32_t src = in_src_[k];
           co_await ctx.load(labels_.addr_of(src), kPcVertexRec);
           lab = std::min(lab, labels_[src].v);
           co_await ctx.compute(4);  // vertex-program gather per edge

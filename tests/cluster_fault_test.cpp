@@ -227,10 +227,11 @@ TEST(FaultReplay, SameSeedSameAuditLog) {
 
   // Killed-and-completed jobs still satisfy the solo-normalized
   // invariants: lost work and backoff only stretch them.
-  for (const JobOutcome& o : a.outcomes) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const JobOutcome& o = a.outcomes[i];
     if (!o.completed()) continue;
-    EXPECT_GE(o.stretch(), 1.0 - 1e-12);
-    EXPECT_GE(o.corun_slowdown(), 1.0 - 1e-12);
+    EXPECT_GE(o.stretch(trace[i]), 1.0 - 1e-12);
+    EXPECT_GE(o.corun_slowdown(trace[i]), 1.0 - 1e-12);
   }
 }
 
@@ -256,7 +257,7 @@ TEST(Retry, WorkLossModelRestartFromZero) {
   EXPECT_EQ(res.outcomes[0].retries, 1u);
   EXPECT_NEAR(res.outcomes[0].finish, 16.0, 1e-9);  // 6 + full 10 again
   EXPECT_NEAR(res.outcomes[0].start, 0.0, 1e-9);    // first placement
-  EXPECT_NEAR(res.outcomes[0].stretch(), 1.6, 1e-9);
+  EXPECT_NEAR(res.outcomes[0].stretch(trace[0]), 1.6, 1e-9);
   EXPECT_EQ(res.failures, 1u);
   EXPECT_EQ(res.recoveries, 1u);
   EXPECT_EQ(res.fault_kills, 1u);
@@ -276,7 +277,7 @@ TEST(Retry, WorkLossModelPerfectCheckpoint) {
 
   ASSERT_TRUE(res.outcomes[0].completed());
   EXPECT_NEAR(res.outcomes[0].finish, 12.0, 1e-9);  // 6 + remaining 6
-  EXPECT_NEAR(res.outcomes[0].stretch(), 1.2, 1e-9);
+  EXPECT_NEAR(res.outcomes[0].stretch(trace[0]), 1.2, 1e-9);
 }
 
 TEST(Retry, BackoffDelaysPastRecovery) {
@@ -755,18 +756,22 @@ std::vector<GridCell> grid_cells() {
   return cells;
 }
 
-ClusterResult run_grid_cell(const GridCell& c, std::size_t index) {
-  const auto truth = synthetic_truth();
-  harness::MatrixTruth additive{truth};
+std::vector<JobSpec> grid_trace(const GridCell& c) {
   FleetTraceOptions fopt;
   fopt.jobs = 400;
   fopt.seed = 29;
   fopt.mean_interarrival = 0.4;
   fopt.class_shares = {0.7, 0.2, 0.1};
-  auto trace = fleet_trace(truth.size(), fopt);
+  auto trace = fleet_trace(synthetic_truth().size(), fopt);
   if (c.lc)
     for (std::size_t i = 0; i < trace.size(); i += 5) trace[i].slo_p99 = 1.3;
+  return trace;
+}
 
+ClusterResult run_grid_cell(const GridCell& c, std::size_t index,
+                            const std::vector<JobSpec>& trace) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
   ClusterConfig cfg;
   cfg.machines = 8;
   cfg.slots = c.slots;
@@ -832,7 +837,8 @@ TEST(EngineGrid, GoldenDigestsAndInvariants) {
   const auto cells = grid_cells();
   ASSERT_EQ(pins.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ClusterResult res = run_grid_cell(cells[i], i);
+    const std::vector<JobSpec> trace = grid_trace(cells[i]);
+    const ClusterResult res = run_grid_cell(cells[i], i, trace);
     char scalars[256];
     std::snprintf(scalars, sizeof scalars,
                   "regret=%.12g lc=%.12g shed_work=%.12g stretch=%.12g "
@@ -858,10 +864,12 @@ TEST(EngineGrid, GoldenDigestsAndInvariants) {
     std::size_t arrivals = 0, completed = 0, shed = 0;
     for (const TraceEvent& e : res.log.events)
       if (e.kind == TraceEvent::Kind::Arrive) ++arrivals;
-    for (const JobOutcome& o : res.outcomes) {
-      EXPECT_NE(o.completed(), o.shed) << "cell " << i << " job " << o.job;
+    for (std::size_t j = 0; j < trace.size(); ++j) {
+      const JobOutcome& o = res.outcomes[j];
+      EXPECT_NE(o.completed(), o.shed)
+          << "cell " << i << " job " << trace[j].id;
       if (o.completed()) {
-        EXPECT_GE(o.stretch(), 1.0 - 1e-9);
+        EXPECT_GE(o.stretch(trace[j]), 1.0 - 1e-9);
       }
     }
     for (const ClassStats& cs : res.class_stats) {

@@ -203,15 +203,15 @@ TEST(FleetAuditLog, PlaceAndFinishLogJobIdsNotTraceIndices) {
       ++kinds[e.job][static_cast<int>(e.kind)];
     }
     EXPECT_EQ(kinds.size(), trace.size());
-    for (const auto& [id, counts] : kinds) {
-      EXPECT_EQ(counts[0], 1) << "job " << id;
-      EXPECT_EQ(counts[1], 1) << "job " << id;
-      EXPECT_EQ(counts[2], 1) << "job " << id;
+    // The log is where a job's identity lives (outcome i is trace[i]
+    // and stores no id): trace entry i's id must carry its events.
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const auto it = kinds.find(trace[i].id);
+      ASSERT_NE(it, kinds.end()) << "job " << i << " lost its identity";
+      EXPECT_EQ(it->second[0], 1) << "job " << i << " Arrive";
+      EXPECT_EQ(it->second[1], 1) << "job " << i << " Place";
+      EXPECT_EQ(it->second[2], 1) << "job " << i << " Finish";
     }
-    ASSERT_EQ(res.outcomes.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-      EXPECT_EQ(res.outcomes[i].job, trace[i].id)
-          << "outcome " << i << " lost its job identity";
   }
 }
 
@@ -235,9 +235,10 @@ TEST(FleetNumerics, LongTraceStretchStaysAboveOneAndReplays) {
     return simulate(cfg, additive, trace, policy);
   };
   const auto res = run();
-  for (const JobOutcome& o : res.outcomes) {
-    ASSERT_GE(o.stretch(), 1.0 - 1e-9) << "job " << o.job;
-    ASSERT_GE(o.corun_slowdown(), 1.0 - 1e-9) << "job " << o.job;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const JobOutcome& o = res.outcomes[i];
+    ASSERT_GE(o.stretch(trace[i]), 1.0 - 1e-9) << "job " << trace[i].id;
+    ASSERT_GE(o.corun_slowdown(trace[i]), 1.0 - 1e-9) << "job " << trace[i].id;
   }
   EXPECT_GE(res.mean_stretch, 1.0 - 1e-9);
   // Deterministic replay: same inputs, byte-identical audit log.
@@ -475,9 +476,9 @@ TEST(FleetEngine, HandlesAFleetShapedTrace) {
   CostModelPolicy policy{"oracle", truth};
   const auto res = simulate(cfg, additive, trace, policy);
   ASSERT_EQ(res.outcomes.size(), trace.size());
-  for (const JobOutcome& o : res.outcomes) {
-    ASSERT_GT(o.finish, 0.0);
-    ASSERT_GE(o.stretch(), 1.0 - 1e-9);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_GT(res.outcomes[i].finish, 0.0);
+    ASSERT_GE(res.outcomes[i].stretch(trace[i]), 1.0 - 1e-9);
   }
   EXPECT_EQ(res.billed_decisions, (trace.size() + 99) / 100);
   EXPECT_NEAR(res.mean_decision_regret, 0.0, 1e-9)

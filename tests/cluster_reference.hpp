@@ -118,12 +118,9 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
       machines[m].push_back({jid, job.work});
       ++running_count;
       JobOutcome& out = res.outcomes[jid];
-      out.job = job.id;
-      out.type = job.type;
-      out.machine = m;
-      out.arrival = job.arrival;
+      out.machine = static_cast<std::uint32_t>(m);
       out.start = t;
-      out.work = job.work;
+      ++res.placements;
       log(TraceEvent::Kind::Place, job.id, job.type, m,
           policy.last_cost_delta());
     }
@@ -165,8 +162,8 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
       --running_count;
       JobOutcome& out = res.outcomes[jid];
       out.finish = t;
-      log(TraceEvent::Kind::Finish, trace[jid].id, out.type, done_m,
-          out.corun_slowdown());
+      log(TraceEvent::Kind::Finish, trace[jid].id, trace[jid].type, done_m,
+          out.corun_slowdown(trace[jid]));
     } else {
       const JobSpec& job = trace[next_arrival];
       log(TraceEvent::Kind::Arrive, job.id, job.type, 0, 0.0);
@@ -178,9 +175,10 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
 
   if (!res.outcomes.empty()) {
     res.billed_decisions = res.outcomes.size();
-    for (const JobOutcome& o : res.outcomes) {
-      res.mean_stretch += o.stretch();
-      res.mean_corun_slowdown += o.corun_slowdown();
+    for (std::size_t i = 0; i < res.outcomes.size(); ++i) {
+      const JobOutcome& o = res.outcomes[i];
+      res.mean_stretch += o.stretch(trace[i]);
+      res.mean_corun_slowdown += o.corun_slowdown(trace[i]);
       res.makespan = std::max(res.makespan, o.finish);
     }
     res.mean_stretch /= static_cast<double>(res.outcomes.size());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -106,11 +107,12 @@ TEST(Cluster, EveryJobArrivesPlacesAndFinishesOnce) {
   EXPECT_EQ(places, trace.size());
   EXPECT_EQ(finishes, trace.size());
   ASSERT_EQ(res.outcomes.size(), trace.size());
-  for (const JobOutcome& o : res.outcomes) {
-    EXPECT_GE(o.start, o.arrival);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const JobOutcome& o = res.outcomes[i];
+    EXPECT_GE(o.start, trace[i].arrival);
     EXPECT_GT(o.finish, o.start);
-    EXPECT_GE(o.stretch(), 1.0 - 1e-9);
-    EXPECT_GE(o.corun_slowdown(), 1.0 - 1e-9);
+    EXPECT_GE(o.stretch(trace[i]), 1.0 - 1e-9);
+    EXPECT_GE(o.corun_slowdown(trace[i]), 1.0 - 1e-9);
     EXPECT_LT(o.machine, 2u);
   }
   EXPECT_GE(res.mean_stretch, 1.0 - 1e-9);
@@ -134,7 +136,7 @@ TEST(Cluster, JobsQueueWhenTheClusterIsFull) {
   EXPECT_DOUBLE_EQ(res.outcomes[1].start, 0.0);
   EXPECT_DOUBLE_EQ(res.outcomes[2].start, 1.0);
   EXPECT_DOUBLE_EQ(res.outcomes[2].finish, 2.0);
-  EXPECT_DOUBLE_EQ(res.outcomes[2].stretch(), 2.0);
+  EXPECT_DOUBLE_EQ(res.outcomes[2].stretch(trace[2]), 2.0);
 }
 
 TEST(Cluster, OracleKeepsTheVictimOffTheHogsMachine) {
@@ -172,6 +174,38 @@ TEST(Cluster, SimulateValidatesItsInput) {
                              JobSpec{0, 0, 0.0, 1.0, 0, nan}})
     EXPECT_THROW(simulate(ClusterConfig{}, additive, {bad}, policy),
                  std::invalid_argument);
+  // JobOutcome counts retries and defers in 16 bits.
+  ClusterConfig wide;
+  wide.retry.max_retries = 65536;
+  EXPECT_THROW(simulate(wide, additive, ok, policy), std::invalid_argument);
+  wide.retry.max_retries = 65535;
+  wide.admission.max_defers = 65536;
+  EXPECT_THROW(simulate(wide, additive, ok, policy), std::invalid_argument);
+  wide.admission.max_defers = 65535;
+  EXPECT_NO_THROW(simulate(wide, additive, ok, policy));
+}
+
+// A fleet run's outcome block is its own mapping, so freeing it hands
+// its pages back instead of leaving a heap hole the next run may not
+// fit (util/mapped.hpp); small blocks still come from the heap.
+TEST(Cluster, LargeOutcomeBlocksAreMapped) {
+  using Outcomes = decltype(ClusterResult::outcomes);
+  constexpr std::size_t kMapped =
+      util::MappedAllocator<JobOutcome>::kMappedBytes / sizeof(JobOutcome);
+  Outcomes big(kMapped);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % 4096, 0u);
+  big.back().finish = 2.0;
+  const Outcomes copy = big;
+  EXPECT_EQ(copy.size(), kMapped);
+  EXPECT_TRUE(copy.back().completed());
+  EXPECT_FALSE(copy.front().completed());
+  Outcomes small(3);
+  small.resize(kMapped + 1);  // grows from the heap into a mapping
+  small.shrink_to_fit();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data()) % 4096, 0u);
+  small.resize(3);
+  small.shrink_to_fit();  // and back
+  EXPECT_EQ(small.size(), 3u);
 }
 
 // ClusterResult::bills holds one row per billed decision: bill k is

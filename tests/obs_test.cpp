@@ -623,6 +623,8 @@ TEST(MetricsTest, ClusterCountersMatchTheResult) {
   for (const cluster::TraceEvent& e : res.log.events)
     places += e.kind == cluster::TraceEvent::Kind::Place;
   for (const cluster::JobOutcome& o : res.outcomes) retries += o.retries;
+  EXPECT_EQ(res.placements, places);
+  EXPECT_EQ(res.retries, retries);
   const std::map<std::string, std::uint64_t> want = {
       {"placements", places},        {"completions", res.completed_jobs},
       {"failures", res.failures},    {"recoveries", res.recoveries},

@@ -1,13 +1,13 @@
 // The R-MAT generator's executable specification: the serial builder
 // that make_rmat replaced, its arithmetic kept verbatim. One generator
 // draws every edge in order, two draws per level of the quadrant
-// descent, and the edge list holds each symmetric edge twice. The
-// suite pins make_rmat to it: all five arrays of the graph equal,
-// bit for bit, at any lane count.
+// descent, and the edge list holds each symmetric edge twice. It
+// builds the in-CSR even when it equals the out-CSR. The suite pins
+// make_rmat to it: all five arrays of the graph equal, bit for bit, at
+// any lane count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,6 +15,17 @@
 #include "wl/graph/csr.hpp"
 
 namespace coperf::wl::graph::reference {
+
+/// The serial builder's graph: every array stored, symmetric or not.
+struct Graph {
+  std::uint32_t n = 0;
+  std::uint64_t m = 0;
+  std::vector<std::uint64_t> out_offsets;
+  std::vector<std::uint32_t> out_targets;
+  std::vector<std::uint64_t> in_offsets;
+  std::vector<std::uint32_t> in_sources;
+  std::vector<float> weights;
+};
 
 /// One R-MAT edge: recursively descend the adjacency matrix quadrants.
 inline std::pair<std::uint32_t, std::uint32_t> rmat_edge(util::SplitMix64& rng,
@@ -62,7 +73,7 @@ inline void build_csr(
 }
 
 /// Valid for scales in [1, 31] only, the range make_rmat accepts.
-inline std::shared_ptr<const Graph> make_rmat(const GraphSpec& spec) {
+inline Graph make_rmat(const GraphSpec& spec) {
   util::SplitMix64 rng{util::seed_combine(spec.seed, spec.scale)};
   const std::uint32_t n = 1u << spec.scale;
   const std::uint64_t m_base = std::uint64_t{n} * spec.avg_degree /
@@ -77,15 +88,15 @@ inline std::shared_ptr<const Graph> make_rmat(const GraphSpec& spec) {
     if (spec.symmetric) edges.emplace_back(d, s);
   }
 
-  auto g = std::make_shared<Graph>();
-  g->n = n;
-  g->m = edges.size();
-  build_csr(n, edges, g->out_offsets, g->out_targets, /*by_source=*/true);
-  build_csr(n, edges, g->in_offsets, g->in_sources, /*by_source=*/false);
+  Graph g;
+  g.n = n;
+  g.m = edges.size();
+  build_csr(n, edges, g.out_offsets, g.out_targets, /*by_source=*/true);
+  build_csr(n, edges, g.in_offsets, g.in_sources, /*by_source=*/false);
 
-  g->weights.resize(g->m);
+  g.weights.resize(g.m);
   util::SplitMix64 wrng{util::seed_combine(spec.seed, 0x57ull)};
-  for (auto& w : g->weights)
+  for (auto& w : g.weights)
     w = 1.0f + static_cast<float>(wrng.below(16));
   return g;
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <cmath>
 #include <latch>
 #include <set>
@@ -28,9 +29,9 @@ TEST(Rmat, GeometryMatchesSpec) {
   const auto g = graph::make_rmat(tiny_spec());
   EXPECT_EQ(g->n, 1u << 10);
   EXPECT_EQ(g->out_offsets.size(), g->n + 1);
-  EXPECT_EQ(g->in_offsets.size(), g->n + 1);
+  EXPECT_EQ(g->in_offsets().size(), g->n + 1);
   EXPECT_EQ(g->out_targets.size(), g->m);
-  EXPECT_EQ(g->in_sources.size(), g->m);
+  EXPECT_EQ(g->in_sources().size(), g->m);
   EXPECT_EQ(g->weights.size(), g->m);
   // symmetric spec: m ~ n * avg_degree
   EXPECT_NEAR(static_cast<double>(g->m), 1024.0 * 8, 1024.0);
@@ -40,24 +41,55 @@ TEST(Rmat, OffsetsAreMonotoneAndComplete) {
   const auto g = graph::make_rmat(tiny_spec());
   for (std::uint32_t v = 0; v < g->n; ++v) {
     EXPECT_LE(g->out_offsets[v], g->out_offsets[v + 1]);
-    EXPECT_LE(g->in_offsets[v], g->in_offsets[v + 1]);
+    EXPECT_LE(g->in_offsets()[v], g->in_offsets()[v + 1]);
   }
   EXPECT_EQ(g->out_offsets[g->n], g->m);
-  EXPECT_EQ(g->in_offsets[g->n], g->m);
+  EXPECT_EQ(g->in_offsets()[g->n], g->m);
 }
 
 TEST(Rmat, InAndOutEdgesAreConsistent) {
-  const auto g = graph::make_rmat(tiny_spec());
-  // Total in-degree == total out-degree, and each directed edge (u,v)
-  // in the CSR appears in the CSC.
-  std::multiset<std::pair<std::uint32_t, std::uint32_t>> out_edges, in_edges;
-  for (std::uint32_t u = 0; u < g->n; ++u)
-    for (std::uint64_t k = g->out_offsets[u]; k < g->out_offsets[u + 1]; ++k)
-      out_edges.emplace(u, g->out_targets[k]);
-  for (std::uint32_t v = 0; v < g->n; ++v)
-    for (std::uint64_t k = g->in_offsets[v]; k < g->in_offsets[v + 1]; ++k)
-      in_edges.emplace(g->in_sources[k], v);
-  EXPECT_EQ(out_edges, in_edges);
+  for (const bool symmetric : {true, false}) {
+    GraphSpec spec = tiny_spec();
+    spec.symmetric = symmetric;
+    const auto g = graph::make_rmat(spec);
+    // Total in-degree == total out-degree, and each directed edge (u,v)
+    // in the CSR appears in the CSC.
+    std::multiset<std::pair<std::uint32_t, std::uint32_t>> out_edges,
+        in_edges;
+    for (std::uint32_t u = 0; u < g->n; ++u)
+      for (std::uint64_t k = g->out_offsets[u]; k < g->out_offsets[u + 1];
+           ++k)
+        out_edges.emplace(u, g->out_targets[k]);
+    const auto in_offsets = g->in_offsets();
+    const auto in_sources = g->in_sources();
+    for (std::uint32_t v = 0; v < g->n; ++v)
+      for (std::uint64_t k = in_offsets[v]; k < in_offsets[v + 1]; ++k)
+        in_edges.emplace(in_sources[k], v);
+    EXPECT_EQ(out_edges, in_edges) << (symmetric ? "symmetric" : "directed");
+  }
+}
+
+// A symmetric graph's in-CSR equals its out-CSR, so it stores one: the
+// in-edge spans are the out arrays. A directed graph keeps its own.
+TEST(Rmat, SymmetricGraphSharesOneCsr) {
+  GraphSpec spec = tiny_spec();
+  const auto sym = graph::make_rmat(spec);
+  EXPECT_EQ(sym->in_offsets().data(), sym->out_offsets.data());
+  EXPECT_EQ(sym->in_sources().data(), sym->out_targets.data());
+  EXPECT_TRUE(sym->directed_in_offsets.empty());
+  EXPECT_TRUE(sym->directed_in_sources.empty());
+  EXPECT_EQ(sym->bytes(), (sym->n + 1) * sizeof(std::uint64_t) +
+                              sym->m * (sizeof(std::uint32_t) + sizeof(float)));
+
+  spec.symmetric = false;
+  const auto dir = graph::make_rmat(spec);
+  EXPECT_NE(dir->in_offsets().data(), dir->out_offsets.data());
+  EXPECT_NE(dir->in_sources().data(), dir->out_targets.data());
+  EXPECT_EQ(dir->in_offsets().data(), dir->directed_in_offsets.data());
+  EXPECT_EQ(dir->in_sources().data(), dir->directed_in_sources.data());
+  EXPECT_EQ(dir->bytes(),
+            2 * (dir->n + 1) * sizeof(std::uint64_t) +
+                dir->m * (2 * sizeof(std::uint32_t) + sizeof(float)));
 }
 
 TEST(Rmat, SymmetricGraphHasBothDirections) {
@@ -135,14 +167,14 @@ TEST(SplitMix64, AdvanceEqualsRepeatedDraws) {
   EXPECT_EQ(wrapped.next(), fresh.next());
 }
 
-void expect_same_graph(const graph::Graph& want, const graph::Graph& got,
-                       const std::string& what) {
+void expect_same_graph(const graph::reference::Graph& want,
+                       const graph::Graph& got, const std::string& what) {
   EXPECT_EQ(got.n, want.n) << what;
   EXPECT_EQ(got.m, want.m) << what;
   EXPECT_TRUE(got.out_offsets == want.out_offsets) << what;
   EXPECT_TRUE(got.out_targets == want.out_targets) << what;
-  EXPECT_TRUE(got.in_offsets == want.in_offsets) << what;
-  EXPECT_TRUE(got.in_sources == want.in_sources) << what;
+  EXPECT_TRUE(std::ranges::equal(got.in_offsets(), want.in_offsets)) << what;
+  EXPECT_TRUE(std::ranges::equal(got.in_sources(), want.in_sources)) << what;
   // Bit for bit: the weights are whole numbers, so == is exact.
   EXPECT_TRUE(got.weights == want.weights) << what;
 }
@@ -169,13 +201,13 @@ TEST(Rmat, MatchesSerialReference) {
                                  " seed " + std::to_string(seed);
         const auto want = graph::reference::make_rmat(spec);
 
-        expect_same_graph(*want, *graph::make_rmat(spec), what + ", all lanes");
+        expect_same_graph(want, *graph::make_rmat(spec), what + ", all lanes");
 
         // One lane, as under `taskset -c`: parallel_for runs serially.
         ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
         const auto narrowed = graph::make_rmat(spec);
         ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
-        expect_same_graph(*want, *narrowed, what + ", one CPU");
+        expect_same_graph(want, *narrowed, what + ", one CPU");
 
         // Inside a pool worker, where parallel_for runs serially too.
         // The latch holds each index until the other has started, so
@@ -187,7 +219,7 @@ TEST(Rmat, MatchesSerialReference) {
           nested[i] = graph::make_rmat(spec);
         });
         for (const auto& g : nested)
-          expect_same_graph(*want, *g, what + ", nested in the pool");
+          expect_same_graph(want, *g, what + ", nested in the pool");
       }
 }
 
