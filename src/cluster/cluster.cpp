@@ -286,20 +286,17 @@ class Engine {
       holders_.assign(max_priority + 1, OpenSet{cfg.machines});
     res_.class_stats.resize(max_priority + 1);
     res_.outcomes.resize(trace.size());
-    // Every job logs Arrive, Place and Finish, and is billed at most once
-    // per placement; the spare room covers faults, evictions, deferrals
-    // and re-placements. Growing by doubling instead leaves freed blocks
-    // that the allocator keeps, so peak RSS would depend on how many
-    // simulations ran before. The bills get the log's room per job: at
-    // fleet scale both blocks then exceed glibc's largest dynamic mmap
-    // threshold (32 MiB), so each run maps its own and unmaps it. A
-    // smaller bills block is recycled through the heap from the second
-    // run on, and a small allocation that splits it between runs
-    // strands its touched pages (+9 MB at 500k jobs billed per
-    // decision).
+    // Every job logs Arrive, Place and Finish; the spare room covers
+    // faults, evictions, deferrals and re-placements. Growing by
+    // doubling instead leaves freed blocks that the allocator keeps, so
+    // peak RSS would depend on how many simulations ran before. The
+    // bills, one per billed placement, get room for one placement per
+    // job; at fleet scale they are mapped (util/mapped.hpp), so a run
+    // that re-places more jobs grows them without stranding the old
+    // block.
     res_.log.events.reserve(4 * trace.size());
     if (cfg.regret_sample != 0)
-      res_.bills.reserve(4 * trace.size() / cfg.regret_sample + 1);
+      res_.bills.reserve(trace.size() / cfg.regret_sample + 1);
   }
   Engine(const Engine&) = delete;  // view_ refers into this object
 
@@ -745,7 +742,10 @@ class Engine {
   std::size_t waiting_count_ = 0;
   /// Solo work a job still owes at its next placement: its full demand
   /// until a failure kill or eviction applies the work-loss model.
-  std::vector<double> pending_;
+  /// Mapped like the outcomes (util/mapped.hpp): on malloc this 7.6 MiB
+  /// block at 1M jobs is recycled through the heap from the second run
+  /// on and can strand its pages.
+  std::vector<double, util::MappedAllocator<double>> pending_;
   /// The completion index: one entry per busy machine, keyed by its
   /// next_eta (ties to the lowest machine, deterministically), re-keyed
   /// in place through heap_pos_ when its resident set changes.

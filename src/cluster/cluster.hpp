@@ -177,9 +177,11 @@ struct DecisionBill {
 
 /// Everything a run records: render_timeline() reads nothing else.
 struct ClusterResult {
-  /// Indexed by trace position. Mapped, not malloc'd: at 30.5 MiB per
-  /// million jobs the block is below glibc's mmap-threshold cap, so a
-  /// freed one would be recycled through the heap (util/mapped.hpp).
+  /// Indexed by trace position. At fleet scale this block and `bills`
+  /// are mapped, not malloc'd: at 30.5 MiB per million jobs the
+  /// outcomes sit below glibc's mmap-threshold cap, so a freed block
+  /// would be recycled through the heap and strand pages
+  /// (util/mapped.hpp).
   std::vector<JobOutcome, util::MappedAllocator<JobOutcome>> outcomes;
   TraceLog log;  ///< every event, in the order the engine processed it
   /// Place events in the log: first placements and re-placements.
@@ -190,7 +192,7 @@ struct ClusterResult {
   /// One row per billed decision: decision d (the d-th Place event,
   /// from 0) is billed iff regret_sample != 0 and d % regret_sample ==
   /// 0, so bill k belongs to Place event k * regret_sample.
-  std::vector<DecisionBill> bills;
+  std::vector<DecisionBill, util::MappedAllocator<DecisionBill>> bills;
   double mean_stretch = 0.0;         ///< mean JobOutcome::stretch()
   double mean_corun_slowdown = 0.0;  ///< mean JobOutcome::corun_slowdown()
   double makespan = 0.0;             ///< time the last job finished

@@ -185,27 +185,40 @@ TEST(Cluster, SimulateValidatesItsInput) {
   EXPECT_NO_THROW(simulate(wide, additive, ok, policy));
 }
 
-// A fleet run's outcome block is its own mapping, so freeing it hands
-// its pages back instead of leaving a heap hole the next run may not
-// fit (util/mapped.hpp); small blocks still come from the heap.
-TEST(Cluster, LargeOutcomeBlocksAreMapped) {
-  using Outcomes = decltype(ClusterResult::outcomes);
-  constexpr std::size_t kMapped =
-      util::MappedAllocator<JobOutcome>::kMappedBytes / sizeof(JobOutcome);
-  Outcomes big(kMapped);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % 4096, 0u);
-  big.back().finish = 2.0;
-  const Outcomes copy = big;
-  EXPECT_EQ(copy.size(), kMapped);
-  EXPECT_TRUE(copy.back().completed());
-  EXPECT_FALSE(copy.front().completed());
-  Outcomes small(3);
-  small.resize(kMapped + 1);  // grows from the heap into a mapping
-  small.shrink_to_fit();
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data()) % 4096, 0u);
-  small.resize(3);
-  small.shrink_to_fit();  // and back
-  EXPECT_EQ(small.size(), 3u);
+// A fleet run's outcome and bill blocks are mappings of their own, so
+// freeing one hands its pages back instead of leaving a heap hole the
+// next run may not fit (util/mapped.hpp). Blocks under a mebibyte come
+// from the heap, where a small run does not pay for a mapping.
+TEST(Cluster, LargeOutcomeAndBillBlocksAreMapped) {
+  using OutcomeAlloc = util::MappedAllocator<JobOutcome>;
+  using BillAlloc = util::MappedAllocator<DecisionBill>;
+  const std::size_t outcomes = OutcomeAlloc::kMappedBytes / sizeof(JobOutcome);
+  const std::size_t bills =
+      (BillAlloc::kMappedBytes + sizeof(DecisionBill) - 1) / sizeof(DecisionBill);
+  EXPECT_TRUE(OutcomeAlloc::maps(outcomes));
+  EXPECT_FALSE(OutcomeAlloc::maps(outcomes - 1));
+  EXPECT_TRUE(BillAlloc::maps(bills));
+  EXPECT_FALSE(BillAlloc::maps(bills - 1));
+  EXPECT_FALSE(OutcomeAlloc::maps(3));
+
+  const auto page_aligned = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 4096 == 0;
+  };
+  ClusterResult res;
+  res.outcomes.resize(3);
+  res.outcomes.resize(outcomes);  // grows from the heap into a mapping
+  res.bills.resize(bills);
+  EXPECT_TRUE(page_aligned(res.outcomes.data()));
+  EXPECT_TRUE(page_aligned(res.bills.data()));
+  res.outcomes.back().finish = 2.0;
+  const ClusterResult copy = res;
+  EXPECT_TRUE(page_aligned(copy.outcomes.data()));
+  EXPECT_EQ(copy.outcomes.size(), outcomes);
+  EXPECT_TRUE(copy.outcomes.back().completed());
+  EXPECT_FALSE(copy.outcomes.front().completed());
+  res.outcomes.resize(3);
+  res.outcomes.shrink_to_fit();  // and back to the heap
+  EXPECT_EQ(res.outcomes.size(), 3u);
 }
 
 // ClusterResult::bills holds one row per billed decision: bill k is
