@@ -5,10 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cluster/open_classes.hpp"
 
@@ -54,19 +56,6 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
     down[f.machine] = is_down ? 1 : 0;
     prev_fault = f.time;
   }
-  const RetryConfig& r = cfg.retry;
-  require(r.max_retries <= UINT16_MAX, "retry max_retries must be <= 65535");
-  require(std::isfinite(r.backoff) && r.backoff >= 0.0 &&
-              std::isfinite(r.backoff_factor) && r.backoff_factor >= 1.0,
-          "retry backoff must be finite and >= 0 with factor >= 1");
-  require(r.checkpoint >= 0.0 && r.checkpoint <= 1.0,
-          "retry checkpoint must be in [0, 1]");
-  const AdmissionConfig& a = cfg.admission;
-  require(a.util_limit >= 0.0 && a.util_limit <= 1.0,
-          "admission util_limit must be in [0, 1]");
-  require(std::isfinite(a.defer_delay) && a.defer_delay >= 0.0,
-          "admission defer_delay must be finite and >= 0");
-  require(a.max_defers <= UINT16_MAX, "admission max_defers must be <= 65535");
 }
 
 // --- indexed fleet engine -------------------------------------------
@@ -240,21 +229,6 @@ class EngineView final : public ClusterView {
   mutable std::size_t last_m_ = 0;
 };
 
-/// A killed or deferred job waiting out its simulated-time delay before
-/// re-entering the waiting lanes. Min-heap by (ready, jid) so
-/// same-instant requeues drain in trace order.
-struct Requeue {
-  double ready = 0.0;
-  std::size_t jid = 0;
-  bool deferred = false;  ///< re-check admission control on re-entry
-};
-struct RequeueLater {
-  bool operator()(const Requeue& a, const Requeue& b) const {
-    if (a.ready != b.ready) return a.ready > b.ready;
-    return a.jid > b.jid;
-  }
-};
-
 /// The indexed event loop behind simulate(): run() merges the event
 /// sources, and every change to a machine's resident set goes through
 /// edit() ... commit().
@@ -270,8 +244,6 @@ class Engine {
         machines_(cfg.machines),
         open_(cfg.machines),
         alive_(cfg.machines, 1),
-        alive_machines_(cfg.machines),
-        pending_(trace.size(), 0.0),
         heap_pos_(cfg.machines, IndexedHeap::kAbsent),
         classes_(cfg.machines, cfg.slots, t_),
         view_{machines_, open_, classes_, cfg.slots, t_, stamp_} {
@@ -287,7 +259,7 @@ class Engine {
     res_.class_stats.resize(max_priority + 1);
     res_.outcomes.resize(trace.size());
     // Every job logs Arrive, Place and Finish; the spare room covers
-    // faults, evictions, deferrals and re-placements. Growing by
+    // faults, evictions, sheds and re-placements. Growing by
     // doubling instead leaves freed blocks that the allocator keeps, so
     // peak RSS would depend on how many simulations ran before. The
     // bills, one per billed placement, get room for one placement per
@@ -309,7 +281,7 @@ class Engine {
       const double t_fault = next_fault_ < cfg_.faults.size()
                                  ? cfg_.faults[next_fault_].time
                                  : kInf;
-      const double t_req = requeues_.empty() ? kInf : requeues_.top().ready;
+      const double t_req = requeues_.empty() ? kInf : requeues_.top().first;
       if (t_done == kInf && t_arr == kInf && t_fault == kInf && t_req == kInf)
         throw std::logic_error{"simulate: stuck with waiting jobs"};
       t_ = std::min({t_done, t_arr, t_fault, t_req});
@@ -346,7 +318,7 @@ class Engine {
 
   void complete() {
     const std::size_t m = heap_.top().id;
-    const std::size_t jid = remove_resident(m, machines_[m].next_pos).job;
+    const std::size_t jid = remove_resident(m, machines_[m].next_pos);
     JobOutcome& out = res_.outcomes[jid];
     out.finish = t_;
     log(TraceEvent::Kind::Finish, trace_[jid], m,
@@ -359,7 +331,6 @@ class Engine {
       ++res_.recoveries;
       log(TraceEvent::Kind::Recover, JobSpec{}, f.machine, 0.0);
       alive_[f.machine] = 1;
-      ++alive_machines_;
       open_.set(f.machine);
       if (classes_.enabled())
         classes_.insert(f.machine, machines_[f.machine].residents);
@@ -368,25 +339,31 @@ class Engine {
     ++res_.failures;
     log(TraceEvent::Kind::Fail, JobSpec{}, f.machine, 0.0);
     MachineState& ms = edit(f.machine);
-    for (const Resident& r : ms.residents) kill(r.job, r.remaining, f.machine);
+    for (const Resident& r : ms.residents) kill(r.job, f.machine);
     ms.residents.clear();
     alive_[f.machine] = 0;
-    --alive_machines_;
     commit(f.machine);
   }
 
   void reenter() {
-    const Requeue rq = requeues_.top();
+    const std::size_t jid = requeues_.top().second;
     requeues_.pop();
-    admit(rq.jid, /*check_admission=*/rq.deferred);
+    enqueue(jid);
   }
 
+  /// Queues an arrival into its priority lane -- or, under admission
+  /// control, sheds it when the lanes already hold queue_limit jobs and
+  /// its class is below shed_below.
   void arrive() {
     const std::size_t jid = next_arrival_++;
     const JobSpec& job = trace_[jid];
     log(TraceEvent::Kind::Arrive, job, 0, 0.0);
-    pending_[jid] = job.work;
-    admit(jid, /*check_admission=*/true);
+    const AdmissionConfig& adm = cfg_.admission;
+    if (adm.queue_limit > 0 && waiting_count_ >= adm.queue_limit &&
+        job.priority < adm.shed_below)
+      shed(jid);
+    else
+      enqueue(jid);
   }
 
   /// Places waiting jobs, highest class first, while a slot is open --
@@ -443,14 +420,13 @@ class Engine {
     commit(m);
   }
 
-  /// Takes the resident in slot `pos` off machine m; returns it with
-  /// its remaining work materialized to t.
-  Resident remove_resident(std::size_t m, std::size_t pos) {
+  /// Takes the resident in slot `pos` off machine m; returns its job.
+  std::size_t remove_resident(std::size_t m, std::size_t pos) {
     std::vector<Resident>& residents = edit(m).residents;
-    const Resident r = residents[pos];
+    const std::size_t jid = residents[pos].job;
     residents.erase(residents.begin() + static_cast<std::ptrdiff_t>(pos));
     commit(m);
-    return r;
+    return jid;
   }
 
   /// Brings machine m's remaining-work accounting up to t: one
@@ -494,81 +470,35 @@ class Engine {
 
   // --- protection: retry, migration, admission ----------------------
 
-  /// The work-loss model: a resident killed or evicted at t with
-  /// `remaining` solo work left in its attempt keeps the checkpointed
-  /// share of what the attempt executed.
-  void lose_work(std::size_t jid, double remaining) {
-    const double executed = pending_[jid] - remaining;
-    pending_[jid] =
-        std::max(0.0, pending_[jid] - cfg_.retry.checkpoint * executed);
-  }
-
-  /// A failure kill: work loss, then a requeue with exponential backoff
-  /// -- or a shed once the job's retry budget is spent.
-  void kill(std::size_t jid, double remaining, std::size_t m) {
-    lose_work(jid, remaining);
+  /// A failure kill: a requeue after retry_delay() -- or a shed once
+  /// the job has been killed kMaxRetries times.
+  void kill(std::size_t jid, std::size_t m) {
     JobOutcome& out = res_.outcomes[jid];
     ++res_.fault_kills;
-    if (out.retries >= cfg_.retry.max_retries) {
+    if (out.retries >= kMaxRetries) {
       shed(jid);
       return;
     }
-    log(TraceEvent::Kind::Evict, trace_[jid], m, pending_[jid]);
+    log(TraceEvent::Kind::Evict, trace_[jid], m, trace_[jid].work);
     ++res_.retries;
-    requeues_.push({t_ + cfg_.retry.delay(++out.retries), jid,
-                    /*deferred=*/false});
-  }
-
-  /// Queues a job into its priority lane, re-checking admission control
-  /// when asked (fresh arrivals and deferred re-entries; failure
-  /// retries were already admitted and skip the check).
-  void admit(std::size_t jid, bool check_admission) {
-    const JobSpec& job = trace_[jid];
-    const AdmissionConfig& adm = cfg_.admission;
-    if (check_admission && adm.enabled() && job.priority < adm.shed_below &&
-        overloaded()) {
-      JobOutcome& out = res_.outcomes[jid];
-      if (adm.defer_delay > 0.0 && out.defers < adm.max_defers) {
-        ++out.defers;
-        const double until = t_ + adm.defer_delay;
-        log(TraceEvent::Kind::Defer, job, 0, until);
-        requeues_.push({until, jid, /*deferred=*/true});
-      } else {
-        shed(jid);
-      }
-      return;
-    }
-    enqueue(jid);
-  }
-
-  /// Admission-control overload: queue depth at the limit, or busy
-  /// share of the *alive* slot pool at the utilization limit. An
-  /// all-down fleet counts as overloaded.
-  bool overloaded() const {
-    const AdmissionConfig& adm = cfg_.admission;
-    if (adm.queue_limit > 0 && waiting_count_ >= adm.queue_limit) return true;
-    if (adm.util_limit > 0.0) {
-      const double cap = static_cast<double>(alive_machines_ * cfg_.slots);
-      if (cap <= 0.0) return true;
-      if (static_cast<double>(running_) >= adm.util_limit * cap) return true;
-    }
-    return false;
+    requeues_.push({t_ + retry_delay(++out.retries), jid});
   }
 
   /// Drops a job for good: its outstanding solo work is the admission
   /// delta of never running it, billed into shed_work / class stats.
   void shed(std::size_t jid) {
+    const JobSpec& job = trace_[jid];
     res_.outcomes[jid].shed = true;
     ++res_.shed_jobs;
-    res_.shed_work += pending_[jid];
-    log(TraceEvent::Kind::Shed, trace_[jid], 0, pending_[jid]);
+    res_.shed_work += job.work;
+    log(TraceEvent::Kind::Shed, job, 0, job.work);
   }
 
   /// Preemptive migration: the highest waiting class claims a slot from
   /// a strictly lower-priority resident (lowest class first, then the
-  /// lowest machine and slot), which pays the work-loss penalty and
-  /// requeues at once at the back of its lane -- no backoff. Returns
-  /// false, in O(classes), when nothing is strictly lower.
+  /// lowest machine and slot), which restarts from zero and requeues at
+  /// once at the back of its lane -- no backoff. Returns false, in
+  /// O(classes), when nothing is strictly lower.
   bool preempt() {
     const std::size_t top = top_lane();
     std::size_t c = 0;
@@ -578,12 +508,11 @@ class Engine {
     const std::vector<Resident>& slots = machines_[vm].residents;
     std::size_t vs = 0;
     while (slots[vs].priority != c) ++vs;
-    const Resident victim = remove_resident(vm, vs);
-    lose_work(victim.job, victim.remaining);
+    const std::size_t jid = remove_resident(vm, vs);
     ++res_.migrations;
-    ++res_.outcomes[victim.job].evictions;
-    log(TraceEvent::Kind::Evict, trace_[victim.job], vm, pending_[victim.job]);
-    enqueue(victim.job);
+    ++res_.outcomes[jid].evictions;
+    log(TraceEvent::Kind::Evict, trace_[jid], vm, trace_[jid].work);
+    enqueue(jid);
     return true;
   }
 
@@ -602,10 +531,7 @@ class Engine {
   // --- decisions and billing ----------------------------------------
 
   void place(std::size_t jid) {
-    // The job demands only its outstanding work: identical to the
-    // original spec until a kill or eviction shrinks it.
-    JobSpec job = trace_[jid];
-    job.work = pending_[jid];
+    const JobSpec& job = trace_[jid];
     const std::size_t m = policy_.place(job, view_);
     if (m >= cfg_.machines || machines_[m].residents.size() >= cfg_.slots)
       throw std::logic_error{"simulate: policy chose a full machine"};
@@ -735,23 +661,21 @@ class Engine {
   /// exactly when its set is.
   std::vector<OpenSet> holders_;
   std::vector<char> alive_;
-  std::size_t alive_machines_;
   std::size_t running_ = 0;
   /// One FIFO lane per priority class; higher classes drain first.
   std::vector<std::deque<std::size_t>> waiting_;
   std::size_t waiting_count_ = 0;
-  /// Solo work a job still owes at its next placement: its full demand
-  /// until a failure kill or eviction applies the work-loss model.
-  /// Mapped like the outcomes (util/mapped.hpp): on malloc this 7.6 MiB
-  /// block at 1M jobs is recycled through the heap from the second run
-  /// on and can strand its pages.
-  std::vector<double, util::MappedAllocator<double>> pending_;
   /// The completion index: one entry per busy machine, keyed by its
   /// next_eta (ties to the lowest machine, deterministically), re-keyed
   /// in place through heap_pos_ when its resident set changes.
   IndexedHeap heap_;
   std::vector<std::uint32_t> heap_pos_;
-  std::priority_queue<Requeue, std::vector<Requeue>, RequeueLater> requeues_;
+  /// Killed jobs waiting out their retry delay, as (ready, jid): a
+  /// min-heap, so same-instant requeues drain in trace order.
+  std::priority_queue<std::pair<double, std::size_t>,
+                      std::vector<std::pair<double, std::size_t>>,
+                      std::greater<>>
+      requeues_;
   std::size_t next_arrival_ = 0;
   std::size_t next_fault_ = 0;
   double t_ = 0.0;

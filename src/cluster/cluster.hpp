@@ -34,7 +34,6 @@
 // as the executable specification in tests/cluster_reference.hpp.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -48,55 +47,37 @@
 
 namespace coperf::cluster {
 
-/// What happens to a job killed by a machine failure: bounded retries
-/// with exponential backoff in simulated time, and a configurable
-/// work-loss model.
-struct RetryConfig {
-  /// Failure kills a job may survive before the engine gives up and
-  /// sheds it (a Shed event with its work still outstanding); at most
-  /// 65535, the range of JobOutcome::retries.
-  unsigned max_retries = 3;
-  /// The requeue after a job's k-th failure kill waits delay(k) =
-  /// backoff * backoff_factor^(k - 1) in simulated time.
-  double backoff = 1.0;
-  double backoff_factor = 2.0;
-  double delay(unsigned k) const {
-    return backoff * std::pow(backoff_factor, static_cast<double>(k - 1));
-  }
-  /// Work-loss model: the fraction of the killed attempt's executed
-  /// work that survives the kill. 0 = restart-from-zero (the whole
-  /// attempt is lost), 1 = perfect checkpointing (only in-flight time
-  /// is lost). Applies to failure kills and migration evictions alike.
-  double checkpoint = 0.0;
-};
+/// Failure kills a job may survive before the engine gives up and
+/// sheds it (a Shed event with its work still outstanding).
+inline constexpr unsigned kMaxRetries = 3;
+
+/// The requeue after a job's k-th failure kill (1 <= k <= kMaxRetries)
+/// waits 2^(k-1) in simulated time. A killed job restarts from zero:
+/// the whole attempt is lost.
+constexpr double retry_delay(unsigned k) {
+  return static_cast<double>(1u << (k - 1));
+}
 
 /// Policy-driven preemptive migration: when the highest waiting class
 /// would otherwise queue with no slot free, evict a strictly
 /// lower-priority resident (lowest class first, ties to the lowest
-/// machine then slot), charge it the RetryConfig work-loss model as
-/// the restart penalty, and requeue it through the normal decision
-/// path. The victim comes from a per-class index of the machines
-/// holding each class's residents, so a saturated event with no
-/// strictly lower resident costs O(classes), not a scan of the fleet.
+/// machine then slot), which restarts from zero, and requeue it
+/// through the normal decision path. The victim comes from a per-class
+/// index of the machines holding each class's residents, so a saturated
+/// event with no strictly lower resident costs O(classes), not a scan
+/// of the fleet.
 struct MigrationConfig {
   bool preempt = false;
 };
 
-/// Admission control under overload: when the waiting queue is deeper
-/// than `queue_limit` (or alive-slot utilization is at least
-/// `util_limit`), arrivals of classes below `shed_below` are shed
-/// outright -- or deferred by `defer_delay` first, up to `max_defers`
-/// times, when deferral is enabled. Shed work is billed into
-/// ClusterResult::shed_work and the per-class stats (a shed job's
-/// admission delta is the solo work it would have consumed).
+/// Admission control under overload: while the waiting queue holds
+/// `queue_limit` jobs, arrivals of classes below `shed_below` are shed.
+/// Shed work is billed into ClusterResult::shed_work and the per-class
+/// stats (a shed job's admission delta is the solo work it would have
+/// consumed).
 struct AdmissionConfig {
-  std::size_t queue_limit = 0;  ///< 0 = no queue-depth threshold
-  double util_limit = 0.0;      ///< busy/alive slot fraction; 0 = off
+  std::size_t queue_limit = 0;  ///< 0 = off
   unsigned shed_below = 1;      ///< classes < this are sheddable
-  double defer_delay = 0.0;     ///< > 0: defer before shedding
-  unsigned max_defers = 0;      ///< defers before a shed, <= 65535
-
-  bool enabled() const { return queue_limit > 0 || util_limit > 0.0; }
 };
 
 struct ClusterConfig {
@@ -115,7 +96,6 @@ struct ClusterConfig {
   /// Empty = no faults; the fault-free path is byte-identical to the
   /// pre-fault engine. Times must be finite.
   std::vector<FaultEvent> faults;
-  RetryConfig retry;
   MigrationConfig migration;
   AdmissionConfig admission;
 };
@@ -129,10 +109,8 @@ struct JobOutcome {
   double finish = 0.0;  ///< 0 while unfinished (shed jobs never finish)
   std::uint32_t machine = 0;    ///< machine of the most recent placement
   std::uint32_t evictions = 0;  ///< times preemptively migrated
-  /// Times killed by a machine failure (<= RetryConfig::max_retries).
+  /// Times killed by a machine failure (<= kMaxRetries).
   std::uint16_t retries = 0;
-  /// Times deferred by admission control (<= AdmissionConfig::max_defers).
-  std::uint16_t defers = 0;
   bool shed = false;  ///< dropped (admission, or retries exhausted)
 
   bool completed() const { return finish > 0.0; }
@@ -247,12 +225,12 @@ struct ClusterResult {
 /// observe_group() (the legacy observe_pair() feedback for 2-resident
 /// groups).
 ///
-/// Faults, retries, migration and admission control (ClusterConfig)
-/// are off by default, and byte-identical to the fault-free engine
-/// when off; every such action is an audit event, so fault runs replay
-/// byte-identically from the same seed. On ties, completions beat
-/// failures (a job finishing as its machine dies finished), and
-/// recoveries and requeues beat arrivals.
+/// Faults, migration and admission control (ClusterConfig) are off by
+/// default, and byte-identical to the fault-free engine when off; every
+/// such action is an audit event, so fault runs replay byte-identically
+/// from the same seed. On ties, completions beat failures (a job
+/// finishing as its machine dies finished), and recoveries and requeues
+/// beat arrivals.
 ClusterResult simulate(const ClusterConfig& cfg,
                        harness::InterferenceTruth& truth,
                        const std::vector<JobSpec>& trace,

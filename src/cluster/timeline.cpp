@@ -67,13 +67,8 @@ void render_timeline(const ClusterConfig& cfg,
     since[m] = t;
   };
 
-  // Waiting-lane joins (+1) and departures (-1) by simulated time. A
-  // job whose admission is checked at check[j] (its arrival, or the end
-  // of a deferral) joins then, unless its next event is the Defer or
-  // Shed of that check.
-  constexpr double kNone = -1.0;
+  // Waiting-lane joins (+1) and departures (-1) by simulated time.
   std::vector<std::pair<double, int>> depth;
-  std::vector<double> check(trace.size(), kNone);
   std::vector<unsigned> kills(trace.size(), 0);
   const std::vector<TraceEvent>& log = res.log.events;
   std::size_t decision = 0, bill = 0;
@@ -96,13 +91,12 @@ void render_timeline(const ClusterConfig& cfg,
       continue;
     }
     const std::size_t j = index.at(e.job);
-    if (check[j] != kNone) {
-      if ((e.kind != Kind::Defer && e.kind != Kind::Shed) || t != check[j])
-        depth.emplace_back(check[j], 1);
-      check[j] = kNone;
-    }
-    if (e.kind == Kind::Arrive || e.kind == Kind::Defer) {
-      check[j] = e.kind == Kind::Arrive ? t : e.value;
+    if (e.kind == Kind::Arrive) {
+      // An arrival joins the lanes unless admission sheds it at once:
+      // then its Shed is the next line.
+      const bool shed = i + 1 < log.size() && log[i + 1].kind == Kind::Shed &&
+                        log[i + 1].job == e.job;
+      if (!shed) depth.emplace_back(t, 1);
     } else if (e.kind == Kind::Place) {
       close(m, t);
       residents[m].emplace_back(e.job, e.type);
@@ -120,7 +114,7 @@ void render_timeline(const ClusterConfig& cfg,
                     args.str());
     } else if (e.kind == Kind::Evict && !up[m]) {
       // A failure kill: the job re-enters after the retry backoff.
-      depth.emplace_back(t + cfg.retry.delay(++kills[j]), 1);
+      depth.emplace_back(t + retry_delay(++kills[j]), 1);
     } else if (e.kind != Kind::Shed) {  // Finish, or a preemptive Evict
       close(m, t);
       std::vector<Job>& r = residents[m];

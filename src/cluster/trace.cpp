@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -12,16 +13,30 @@
 namespace coperf::cluster {
 
 namespace {
+
 constexpr double kTwoPi = 6.283185307179586476925287;
+
+// fleet_trace()'s shapes (see ArrivalModel and WorkModel).
+constexpr double kDiurnalPeriod = 1024.0;   // simulated time per "day"
+constexpr double kDiurnalAmplitude = 0.75;  // peak-to-mean swing
+constexpr double kBurstBoost = 8.0;         // rate multiplier in a burst
+constexpr double kBurstOn = 0.1;            // share of arrivals in bursts
+constexpr double kBurstMeanLen = 50.0;      // mean arrivals per burst
+constexpr double kParetoAlpha = 1.8;        // tail index, > 1: finite mean
+constexpr double kWorkCap = 256.0;          // cap on the Pareto multiplier
+
+/// True for a finite x > 0; false for NaN, as every check here must be.
+bool positive(double x) { return std::isfinite(x) && x > 0.0; }
+
 }  // namespace
 
 std::vector<JobSpec> synthetic_trace(std::size_t n_types,
                                      const TraceOptions& opt) {
   if (n_types == 0)
     throw std::invalid_argument{"synthetic_trace: no workload types"};
-  if (opt.mean_interarrival <= 0.0 || opt.mean_work <= 0.0)
+  if (!positive(opt.mean_interarrival) || !positive(opt.mean_work))
     throw std::invalid_argument{
-        "synthetic_trace: interarrival/work means must be positive"};
+        "synthetic_trace: interarrival/work means must be finite and > 0"};
   util::SplitMix64 rng{opt.seed};
   std::vector<JobSpec> trace;
   trace.reserve(opt.jobs);
@@ -43,44 +58,29 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
                                  const FleetTraceOptions& opt) {
   if (n_types == 0)
     throw std::invalid_argument{"fleet_trace: no workload types"};
-  if (opt.mean_interarrival <= 0.0 || opt.mean_work <= 0.0)
+  if (!positive(opt.mean_interarrival) || !positive(opt.mean_work))
     throw std::invalid_argument{
-        "fleet_trace: interarrival/work means must be positive"};
-  if (opt.diurnal_amplitude < 0.0 || opt.diurnal_amplitude >= 1.0)
-    throw std::invalid_argument{
-        "fleet_trace: diurnal_amplitude must be in [0, 1)"};
-  if (opt.diurnal_period <= 0.0)
-    throw std::invalid_argument{"fleet_trace: diurnal_period must be positive"};
-  if (opt.burst_boost < 1.0 || opt.burst_on <= 0.0 || opt.burst_on >= 1.0 ||
-      opt.burst_mean_len < 1.0)
-    throw std::invalid_argument{
-        "fleet_trace: need burst_boost >= 1, burst_on in (0, 1), "
-        "burst_mean_len >= 1"};
-  if (opt.pareto_alpha <= 1.0)
-    throw std::invalid_argument{
-        "fleet_trace: pareto_alpha must be > 1 (finite mean)"};
-  if (opt.work_cap <= 1.0)
-    throw std::invalid_argument{"fleet_trace: work_cap must be > 1"};
+        "fleet_trace: interarrival/work means must be finite and > 0"};
   if (opt.class_shares.size() > kMaxPriority + 1)
     throw std::invalid_argument{"fleet_trace: too many priority classes"};
   double share_sum = 0.0;
   for (const double s : opt.class_shares) {
-    if (s <= 0.0)
+    if (!positive(s))
       throw std::invalid_argument{
-          "fleet_trace: class shares must be positive"};
+          "fleet_trace: class shares must be finite and > 0"};
     share_sum += s;
   }
 
   util::SplitMix64 rng{opt.seed};
   // Pareto scaled to unit mean: multiplier = xm / (1-u)^(1/alpha) with
   // xm = (alpha-1)/alpha, so E[multiplier] = 1 before the cap.
-  const double xm = (opt.pareto_alpha - 1.0) / opt.pareto_alpha;
+  constexpr double xm = (kParetoAlpha - 1.0) / kParetoAlpha;
   const double base_rate = 1.0 / opt.mean_interarrival;
-  // Burst state flips per arrival: exit with probability 1/mean_len,
-  // enter so the long-run arrival fraction inside bursts is burst_on.
-  const double p_exit = 1.0 / opt.burst_mean_len;
-  const double p_enter =
-      opt.burst_on / (1.0 - opt.burst_on) / opt.burst_mean_len;
+  // Burst state flips per arrival: exit with probability
+  // 1/kBurstMeanLen, enter so the long-run arrival fraction inside
+  // bursts is kBurstOn.
+  constexpr double p_exit = 1.0 / kBurstMeanLen;
+  constexpr double p_enter = kBurstOn / (1.0 - kBurstOn) / kBurstMeanLen;
 
   std::vector<JobSpec> trace;
   trace.reserve(opt.jobs);
@@ -96,12 +96,12 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
       case ArrivalModel::Poisson:
         break;
       case ArrivalModel::Diurnal:
-        rate *= 1.0 + opt.diurnal_amplitude *
-                          std::sin(kTwoPi * t / opt.diurnal_period);
+        rate *= 1.0 + kDiurnalAmplitude *
+                          std::sin(kTwoPi * t / kDiurnalPeriod);
         break;
       case ArrivalModel::Bursty:
         if (bursting) {
-          rate *= opt.burst_boost;
+          rate *= kBurstBoost;
           if (rng.uniform() < p_exit) bursting = false;
         } else if (rng.uniform() < p_enter) {
           bursting = true;
@@ -120,9 +120,8 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
         break;
       case WorkModel::Pareto:
         j.work = opt.mean_work *
-                 std::min(opt.work_cap,
-                          xm / std::pow(1.0 - rng.uniform(),
-                                        1.0 / opt.pareto_alpha));
+                 std::min(kWorkCap, xm / std::pow(1.0 - rng.uniform(),
+                                                  1.0 / kParetoAlpha));
         break;
     }
     if (!opt.class_shares.empty()) {
@@ -141,10 +140,10 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
 
 std::vector<FaultEvent> fault_schedule(std::size_t machines,
                                        const FaultScheduleOptions& opt) {
-  if (opt.horizon <= 0.0)
-    throw std::invalid_argument{"fault_schedule: horizon must be positive"};
-  if (opt.mtbf <= 0.0 || opt.mttr <= 0.0)
-    throw std::invalid_argument{"fault_schedule: mtbf/mttr must be positive"};
+  // A NaN or infinite horizon would never end the draw loop below.
+  if (!positive(opt.horizon) || !positive(opt.mtbf) || !positive(opt.mttr))
+    throw std::invalid_argument{
+        "fault_schedule: horizon, mtbf and mttr must be finite and > 0"};
   std::vector<FaultEvent> events;
   for (std::size_t m = 0; m < machines; ++m) {
     // Per-machine stream: machine m's schedule is invariant under
@@ -191,8 +190,11 @@ constexpr LineFormat kLineFormats[] = {
     {"arrive", true, false, nullptr},    {"place", true, true, "cost+="},
     {"finish", true, true, "slowdown="}, {"fail", false, true, nullptr},
     {"recover", false, true, nullptr},   {"evict", true, true, "work_left="},
-    {"shed", true, false, "work_left="}, {"defer", true, false, "until="},
+    {"shed", true, false, "work_left="},
 };
+// One row per kind (Shed is the last enumerator).
+static_assert(std::size(kLineFormats) ==
+              static_cast<std::size_t>(TraceEvent::Kind::Shed) + 1);
 
 }  // namespace
 

@@ -5,13 +5,13 @@
 // arrival time and a solo-work demand. synthetic_trace() draws one
 // deterministically from a seed (exponential interarrivals, uniform
 // work, uniform types); fleet_trace() generalizes it to datacenter
-// shapes -- diurnal load, bursty (two-state modulated) arrivals,
-// heavy-tailed Pareto durations, and job priority classes -- so every
-// experiment is reproducible bit-for-bit at any scale. TraceLog is the
-// simulator's output side: every arrival, placement, and completion,
-// rendered to text with fixed precision so the same seed yields
-// byte-identical logs (the determinism property tests/cluster_test.cpp
-// locks).
+// shapes -- diurnal load, bursty (two-state modulated) arrivals and
+// heavy-tailed Pareto durations, each at fixed parameters, and job
+// priority classes -- so every experiment is reproducible bit-for-bit
+// at any scale. TraceLog is the simulator's output side: every arrival,
+// placement, and completion, rendered to text with fixed precision so
+// the same seed yields byte-identical logs (the determinism property
+// tests/cluster_test.cpp locks).
 #pragma once
 
 #include <cstddef>
@@ -62,20 +62,22 @@ std::vector<JobSpec> synthetic_trace(std::size_t n_types,
 /// Arrival-process shapes for fleet_trace().
 enum class ArrivalModel {
   Poisson,  ///< constant-rate exponential interarrivals
-  /// Rate modulated sinusoidally: rate(t) = base * (1 + amplitude *
-  /// sin(2*pi*t / period)) -- the day/night load swing.
+  /// Rate modulated sinusoidally: rate(t) = base * (1 + 0.75 *
+  /// sin(2*pi*t / 1024)) -- the day/night load swing, one "day" per
+  /// 1024 simulated time units.
   Diurnal,
   /// Two-state modulated Poisson: a burst state multiplies the rate by
-  /// burst_boost; state flips per arrival with probabilities derived
-  /// from burst_on / burst_mean_len. Models incast/retry storms.
+  /// 8; state flips per arrival so bursts last 50 arrivals on average
+  /// and hold 10% of all arrivals. Models incast/retry storms.
   Bursty,
 };
 
 /// Work-demand shapes for fleet_trace().
 enum class WorkModel {
   Uniform,  ///< uniform in [0.5, 1.5] x mean_work (synthetic_trace's law)
-  /// Pareto(alpha) scaled to unit mean, capped at work_cap x -- the
-  /// heavy tail real cluster traces show (most jobs short, a few huge).
+  /// Pareto with tail index 1.8, scaled to unit mean and capped at 256x
+  /// -- the heavy tail real cluster traces show (most jobs short, a few
+  /// huge).
   Pareto,
 };
 
@@ -83,18 +85,9 @@ struct FleetTraceOptions {
   std::size_t jobs = 100'000;
   std::uint64_t seed = 1;
   double mean_interarrival = 1.0;  ///< base (long-run) interarrival mean
-
   ArrivalModel arrivals = ArrivalModel::Poisson;
-  double diurnal_period = 1024.0;   ///< simulated time units per "day"
-  double diurnal_amplitude = 0.75;  ///< in [0, 1): peak-to-mean swing
-  double burst_boost = 8.0;         ///< rate multiplier inside a burst
-  double burst_on = 0.1;            ///< long-run fraction of bursty arrivals
-  double burst_mean_len = 50.0;     ///< mean arrivals per burst episode
-
   WorkModel work = WorkModel::Uniform;
   double mean_work = 8.0;
-  double pareto_alpha = 1.8;  ///< tail index, > 1 so the mean exists
-  double work_cap = 256.0;    ///< cap on the Pareto multiplier
 
   /// Priority-class mix: share per class, class index == priority
   /// (normalized internally; at most kMaxPriority + 1 classes). Empty
@@ -143,8 +136,10 @@ std::vector<FaultEvent> fault_schedule(std::size_t machines,
 /// run logs millions. simulate() bounds the truth axis to 65536 types
 /// and the fleet to 2^32 machines, so `type` and `machine` fit.
 struct TraceEvent {
+  /// Numbered in order, and hashed by number into audit-log digests, so
+  /// a new kind goes last, with its row in kLineFormats (trace.cpp).
   enum class Kind : std::uint8_t {
-    Arrive, Place, Finish, Fail, Recover, Evict, Shed, Defer
+    Arrive, Place, Finish, Fail, Recover, Evict, Shed
   };
   Kind kind = Kind::Arrive;
   std::uint16_t type = 0;
@@ -153,8 +148,8 @@ struct TraceEvent {
   std::size_t job = 0;  ///< JobSpec::id -- the same identity in all kinds
   /// Place: the policy's predicted cost delta for the chosen machine;
   /// Finish: the slowdown the job actually experienced;
-  /// Evict/Shed: the solo work the job still needed;
-  /// Defer: the time the job re-enters the waiting queue.
+  /// Evict/Shed: the solo work the job still needed (all of it: a
+  /// killed or evicted job restarts from zero).
   double value = 0.0;
 };
 static_assert(sizeof(TraceEvent) == 32);

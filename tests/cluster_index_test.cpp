@@ -5,9 +5,9 @@
 // sees only the five scan calls of ClusterView (the index then stays
 // off, so the regret bill scans too), with the same fallback counts.
 // The grid covers 2-4 slots, priorities, faults, migration, admission
-// shed and defer, billing of every decision, an estimate with an
-// all-1.0 column (exact zero-cost ties), one with entries below 1
-// (negative coefficients), the online policy whose estimate changes
+// shed, billing of every decision, an estimate with an all-1.0 column
+// (exact zero-cost ties), one with entries below 1 (negative
+// coefficients), the online policy whose estimate changes
 // between decisions, a non-additive truth priced through the default
 // admission_terms() by GroupTruthPolicy and by the cost-model oracle,
 // and traces quantized to force price ties. A long-tier case replays a
@@ -215,7 +215,7 @@ harness::CorunMatrix skewed_matrix() {
   return m;
 }
 
-enum class Protection { None, Shed, Defer };
+enum class Protection { None, Shed };
 
 struct Cell {
   std::size_t slots;
@@ -259,26 +259,20 @@ ClusterConfig cell_config(const Cell& c, std::size_t machines, double horizon) {
     cfg.migration.preempt = true;
     cfg.admission.queue_limit = machines / 4;
   }
-  if (c.protection == Protection::Defer) {
-    cfg.admission.util_limit = 0.9;
-    cfg.admission.defer_delay = 0.5;
-    cfg.admission.max_defers = 2;
-  }
   return cfg;
 }
 
 std::vector<Cell> grid() {
   std::vector<Cell> cells;
   for (const std::size_t slots : {2u, 3u, 4u})
-    for (const Protection p :
-         {Protection::None, Protection::Shed, Protection::Defer})
+    for (const Protection p : {Protection::None, Protection::Shed})
       for (const bool quantized : {false, true})
         cells.push_back({slots, p, quantized});
   return cells;
 }
 
 std::string describe(const Cell& c, const std::string& policy) {
-  static const char* kProt[] = {"none", "shed", "defer"};
+  static const char* kProt[] = {"none", "shed"};
   return policy + " slots=" + std::to_string(c.slots) + " protection=" +
          kProt[static_cast<int>(c.protection)] +
          (c.quantized ? " quantized" : "");

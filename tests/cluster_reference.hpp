@@ -37,7 +37,7 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
                                         const std::vector<JobSpec>& trace,
                                         PlacementPolicy& policy) {
   bool fifo_batch = cfg.faults.empty() && !cfg.migration.preempt &&
-                    !cfg.admission.enabled();
+                    cfg.admission.queue_limit == 0;
   for (const JobSpec& j : trace)
     fifo_batch = fifo_batch && j.priority == 0 && !j.latency_critical();
   if (!fifo_batch)

@@ -374,8 +374,8 @@ TEST(TraceTest, ClusterTimelineWellFormed) {
 }
 
 // A run through every traced path: machine faults (DOWN spans),
-// preemptive migration (evict instants), admission shed and defer,
-// priority lanes, and latency-critical jobs (lc_regret args).
+// preemptive migration (evict instants), admission shed, priority
+// lanes, and latency-critical jobs (lc_regret args).
 cluster::ClusterResult run_protected_cluster() {
   cluster::ClusterConfig cfg;
   cfg.machines = 4;
@@ -389,8 +389,6 @@ cluster::ClusterResult run_protected_cluster() {
   cfg.faults = cluster::fault_schedule(cfg.machines, sched);
   cfg.migration.preempt = true;
   cfg.admission.queue_limit = 6;
-  cfg.admission.defer_delay = 2.0;
-  cfg.admission.max_defers = 1;
   cluster::FleetTraceOptions fopt;
   fopt.jobs = 150;
   fopt.seed = 12;
@@ -430,7 +428,6 @@ TEST(TraceTest, TracingNeverChangesClusterResults) {
   EXPECT_GT(plain.shed_jobs, 0u);
   const std::vector<std::string> names = synthetic_matrix().workloads;
   const std::string log = plain.log.str(names);
-  EXPECT_NE(log.find(" defer job="), std::string::npos);
 
   // ...and changed nothing.
   EXPECT_EQ(log, traced.log.str(names));
@@ -541,16 +538,16 @@ TEST(TraceTest, ClusterTimelineMatchesPinnedEventSet) {
 }
 
 // One machine, two slots, every co-run at 1.00x (neutral), migration
-// on, retry backoff 2 with factor 3:
+// on, retries backing off 1, then 2 (retry_delay):
 //   t=0, 1  class-0 jobs 0 and 1 arrive and place at once;
 //   t=2     class-1 job 2 arrives to a full machine and evicts job 0
 //           (the lowest class, first slot), which waits;
 //   t=3     job 2 finishes and job 0 places again;
-//   t=5     the machine fails, killing jobs 1 and 0: back at 5 + 2;
-//   t=7     both re-enter while the machine is still down;
+//   t=5     the machine fails, killing jobs 1 and 0: back at 5 + 1;
+//   t=6     both re-enter while the machine is still down;
 //   t=8     it recovers and both place;
-//   t=9     it fails again: the second kill backs off 2 * 3, to 15;
-//   t=10    it recovers; t=15 both re-enter and place at once.
+//   t=9     it fails again: the second kill backs off 2, to 11;
+//   t=10    it recovers; t=11 both re-enter and place at once.
 TEST(TraceTest, RenderedTimelineOfAFaultScenario) {
   ObsSandbox sandbox;
   cluster::ClusterConfig cfg;
@@ -558,8 +555,6 @@ TEST(TraceTest, RenderedTimelineOfAFaultScenario) {
   cfg.slots = 2;
   cfg.type_names = {"hog", "victim", "neutral"};
   cfg.migration.preempt = true;
-  cfg.retry.backoff = 2.0;
-  cfg.retry.backoff_factor = 3.0;
   using F = cluster::FaultEvent;
   cfg.faults = {{5.0, 0, F::Kind::Down}, {8.0, 0, F::Kind::Up},
                 {9.0, 0, F::Kind::Down}, {10.0, 0, F::Kind::Up}};
@@ -596,13 +591,14 @@ TEST(TraceTest, RenderedTimelineOfAFaultScenario) {
   // depth after that instant (ts in us: 1 work unit = 1 ms).
   const std::vector<std::pair<double, double>> want_depth = {
       {0, 0}, {1000, 0}, {2000, 1}, {3000, 0},
-      {7000, 2}, {8000, 0}, {15000, 0}};
+      {6000, 2}, {8000, 0}, {11000, 0}};
   EXPECT_EQ(depth, want_depth);
   const std::vector<std::pair<double, double>> want_down = {{5000, 3000},
                                                            {9000, 1000}};
   EXPECT_EQ(down, want_down);
   // Only the preemption draws an instant (kills do not), claimed for
-  // the class of job 2; job 0 still owed all its work (checkpoint 0).
+  // the class of job 2; job 0 still owed all its work (a restart from
+  // zero).
   ASSERT_EQ(evicts.size(), 1u);
   EXPECT_EQ(evicts[0],
             "evict neutral{\"job\": 0, \"for_class\": 1, \"work_left\": 10}\n");
