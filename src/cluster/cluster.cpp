@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,14 +25,68 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument{std::string{"simulate: "} + what};
 }
 
+// --- indexed fleet engine -------------------------------------------
+
+/// One running job in the indexed engine, in one cache line.
+/// `remaining` is materialized as of the owning machine's `upd` time;
+/// `slowdown` and `eta` are valid for the machine's current resident
+/// multiset. It carries what its completion logs (id, start, work), so
+/// a Finish reads neither the trace nor the outcomes. simulate() bounds
+/// the trace to 2^32 - 1 jobs and the truth axis to 65536 types.
+struct alignas(64) Resident {
+  double remaining = 0.0;
+  double slowdown = 1.0;
+  double eta = kInf;         ///< absolute completion estimate
+  double slo = 0.0;          ///< JobSpec::slo_p99 (0 = best-effort)
+  double start = 0.0;        ///< JobOutcome::start
+  double work = 0.0;         ///< JobSpec::work
+  std::size_t id = 0;        ///< JobSpec::id
+  std::uint32_t job = 0;     ///< trace index
+  std::uint16_t type = 0;
+  std::uint8_t priority = 0; ///< JobSpec::priority, for victim search
+};
+static_assert(sizeof(Resident) == 64);
+
+struct alignas(32) MachineState {
+  double upd = 0.0;        ///< time `remaining` values were materialized
+  double next_eta = kInf;  ///< min resident eta (ties: lowest slot)
+  std::size_t count = 0;   ///< residents, in its first `count` slots
+  std::size_t next_pos = 0;
+};
+static_assert(sizeof(MachineState) == 32);  // never straddles a line
+
+/// Every machine's state, and its residents in one flat array: machine
+/// m owns slots [m * slots, (m + 1) * slots), in slot order, so an
+/// event reads one state line and its machine's resident lines. Both
+/// blocks pass 1 MiB at fleet scale (the residents at 8k machines of 2
+/// slots), so they are mapped (util/mapped.hpp).
+struct Machines {
+  Machines(std::size_t machines, std::size_t slots)
+      : slots(slots), state(machines), slot(machines * slots) {}
+
+  std::span<Resident> residents(std::size_t m) {
+    return {slot.data() + m * slots, state[m].count};
+  }
+  std::span<const Resident> residents(std::size_t m) const {
+    return {slot.data() + m * slots, state[m].count};
+  }
+
+  std::size_t slots;
+  std::vector<MachineState, util::MappedAllocator<MachineState>> state;
+  std::vector<Resident, util::MappedAllocator<Resident>> slot;
+};
+
 // Every range check is written so that NaN fails it.
 void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
               const std::vector<JobSpec>& trace) {
   require(cfg.machines > 0 && cfg.machines <= UINT32_MAX,
           "need 1 to 2^32 - 1 machines");
   require(cfg.slots >= 2, "co-run machines need >= 2 slots");
+  require(cfg.slots <= SIZE_MAX / sizeof(Resident) / cfg.machines,
+          "machines x slots exceeds the address space");
   require(truth.size() > 0 && truth.size() <= 65536,
           "truth axis needs 1 to 65536 types");
+  require(trace.size() <= UINT32_MAX, "need at most 2^32 - 1 jobs");
   double prev = 0.0;
   for (const JobSpec& j : trace) {
     require(j.type < truth.size(), "job type outside the truth axis");
@@ -57,29 +112,6 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
     prev_fault = f.time;
   }
 }
-
-// --- indexed fleet engine -------------------------------------------
-
-/// One running job in the indexed engine. `remaining` is materialized
-/// as of the owning machine's `upd` time; `slowdown` and `eta` are
-/// valid for the machine's current resident multiset.
-struct Resident {
-  std::size_t job = 0;         ///< trace index
-  std::uint32_t type = 0;
-  std::uint32_t priority = 0;  ///< JobSpec::priority, for victim search
-  double remaining = 0.0;
-  double slowdown = 1.0;
-  double eta = kInf;           ///< absolute completion estimate
-  double slo = 0.0;            ///< JobSpec::slo_p99 (0 = best-effort)
-};
-static_assert(sizeof(Resident) == 48);
-
-struct MachineState {
-  std::vector<Resident> residents;
-  double upd = 0.0;        ///< time `remaining` values were materialized
-  double next_eta = kInf;  ///< min resident eta (ties: lowest slot)
-  std::size_t next_pos = 0;
-};
 
 /// A set of machines as a bitset: O(1) toggle, O(1) count, word-scan
 /// enumeration, and rank select through a Fenwick tree over the
@@ -165,19 +197,19 @@ class OpenSet {
 /// the engine keeps it current.
 class EngineView final : public ClusterView {
  public:
-  EngineView(const std::vector<MachineState>& ms, const OpenSet& open,
-             OpenClasses& classes, std::size_t slots, const double& t,
+  EngineView(const Machines& ms, const std::vector<char>& alive,
+             const OpenSet& open, OpenClasses& classes, const double& t,
              const std::uint64_t& stamp)
       : ms_(ms),
+        alive_(alive),
         open_(open),
         classes_(classes),
-        slots_(slots),
         t_(t),
         stamp_(stamp) {
-    scratch_.residents.reserve(slots);
+    scratch_.residents.reserve(ms.slots);
   }
 
-  std::size_t machines() const override { return ms_.size(); }
+  std::size_t machines() const override { return ms_.state.size(); }
   std::size_t open_count() const override { return open_.count(); }
 
   std::size_t kth_open(std::size_t k) const override {
@@ -192,15 +224,16 @@ class EngineView final : public ClusterView {
     return last_m_;
   }
 
+  /// A down machine has no free slot: it takes no job until it is up.
   std::size_t free_slots(std::size_t m) const override {
-    return slots_ - ms_[m].residents.size();
+    return alive_[m] ? ms_.slots - ms_.state[m].count : 0;
   }
 
   const MachineView& view(std::size_t m) const override {
-    const MachineState& s = ms_[m];
-    scratch_.free_slots = slots_ - s.residents.size();
+    const MachineState& s = ms_.state[m];
+    scratch_.free_slots = free_slots(m);
     scratch_.residents.clear();
-    for (const Resident& r : s.residents)
+    for (const Resident& r : ms_.residents(m))
       scratch_.residents.push_back(
           {r.type, std::max(0.0, r.remaining - (t_ - s.upd) / r.slowdown),
            r.slo});
@@ -210,17 +243,18 @@ class EngineView final : public ClusterView {
   const OpenClasses* open_classes() const override {
     if (!classes_.enabled()) {
       classes_.enable();
-      for (std::size_t m = open_.next(0); m < ms_.size(); m = open_.next(m + 1))
-        classes_.insert(m, ms_[m].residents);
+      for (std::size_t m = open_.next(0); m < machines();
+           m = open_.next(m + 1))
+        classes_.insert(m, ms_.residents(m));
     }
     return &classes_;
   }
 
  private:
-  const std::vector<MachineState>& ms_;
+  const Machines& ms_;
+  const std::vector<char>& alive_;
   const OpenSet& open_;
   OpenClasses& classes_;
-  std::size_t slots_;
   const double& t_;
   const std::uint64_t& stamp_;
   mutable MachineView scratch_;
@@ -241,12 +275,12 @@ class Engine {
         trace_(trace),
         policy_(policy),
         fallbacks_before_(truth.fallbacks()),
-        machines_(cfg.machines),
+        machines_(cfg.machines, cfg.slots),
         open_(cfg.machines),
         alive_(cfg.machines, 1),
         heap_pos_(cfg.machines, IndexedHeap::kAbsent),
         classes_(cfg.machines, cfg.slots, t_),
-        view_{machines_, open_, classes_, cfg.slots, t_, stamp_} {
+        view_{machines_, alive_, open_, classes_, t_, stamp_} {
     for (std::size_t m = 0; m < cfg.machines; ++m) open_.set(m);
     unsigned max_priority = 0;
     for (const JobSpec& j : trace) {
@@ -257,16 +291,24 @@ class Engine {
     if (cfg.migration.preempt)
       holders_.assign(max_priority + 1, OpenSet{cfg.machines});
     res_.class_stats.resize(max_priority + 1);
+    // Every outcome is written now, and every job that is not shed logs
+    // Arrive, Place and Finish. At fleet scale both blocks are
+    // mappings: fault those pages in with one call each
+    // (util/mapped.hpp) instead of one fault per page.
+    res_.outcomes.reserve(trace.size());
+    util::MappedAllocator<JobOutcome>::populate(res_.outcomes.data(),
+                                                trace.size(), trace.size());
     res_.outcomes.resize(trace.size());
-    // Every job logs Arrive, Place and Finish; the spare room covers
-    // faults, evictions, sheds and re-placements. Growing by
-    // doubling instead leaves freed blocks that the allocator keeps, so
-    // peak RSS would depend on how many simulations ran before. The
-    // bills, one per billed placement, get room for one placement per
-    // job; at fleet scale they are mapped (util/mapped.hpp), so a run
-    // that re-places more jobs grows them without stranding the old
-    // block.
+    // The log's spare room covers faults, evictions, sheds and
+    // re-placements. Growing by doubling instead leaves freed blocks
+    // that the allocator keeps, so peak RSS would depend on how many
+    // simulations ran before. The bills, one per billed placement, get
+    // room for one placement per job; at fleet scale they are mapped
+    // (util/mapped.hpp), so a run that re-places more jobs grows them
+    // without stranding the old block.
     res_.log.events.reserve(4 * trace.size());
+    util::MappedAllocator<TraceEvent>::populate(
+        res_.log.events.data(), res_.log.events.capacity(), 3 * trace.size());
     if (cfg.regret_sample != 0)
       res_.bills.reserve(trace.size() / cfg.regret_sample + 1);
   }
@@ -316,13 +358,13 @@ class Engine {
     return heap_.empty() ? kInf : heap_.top().key;
   }
 
+  /// Logs JobOutcome::corun_slowdown() from the resident's own copy of
+  /// start and work, with the same float operations.
   void complete() {
     const std::size_t m = heap_.top().id;
-    const std::size_t jid = remove_resident(m, machines_[m].next_pos);
-    JobOutcome& out = res_.outcomes[jid];
-    out.finish = t_;
-    log(TraceEvent::Kind::Finish, trace_[jid], m,
-        out.corun_slowdown(trace_[jid]));
+    const Resident r = remove_resident(m, machines_.state[m].next_pos);
+    res_.outcomes[r.job].finish = t_;
+    log(TraceEvent::Kind::Finish, r.type, r.id, m, (t_ - r.start) / r.work);
   }
 
   void fault() {
@@ -330,17 +372,19 @@ class Engine {
     if (f.kind == FaultEvent::Kind::Up) {
       ++res_.recoveries;
       log(TraceEvent::Kind::Recover, JobSpec{}, f.machine, 0.0);
+      // A down machine takes no job (place()), so it comes back empty.
       alive_[f.machine] = 1;
       open_.set(f.machine);
       if (classes_.enabled())
-        classes_.insert(f.machine, machines_[f.machine].residents);
+        classes_.insert(f.machine, machines_.residents(f.machine));
       return;
     }
     ++res_.failures;
     log(TraceEvent::Kind::Fail, JobSpec{}, f.machine, 0.0);
-    MachineState& ms = edit(f.machine);
-    for (const Resident& r : ms.residents) kill(r.job, f.machine);
-    ms.residents.clear();
+    edit(f.machine);
+    for (const Resident& r : machines_.residents(f.machine))
+      kill(r.job, f.machine);
+    machines_.state[f.machine].count = 0;
     alive_[f.machine] = 0;
     commit(f.machine);
   }
@@ -387,54 +431,60 @@ class Engine {
   /// Opens a change to machine m's resident set at time t: brings its
   /// remaining work up to t, and takes its residents out of the running
   /// count, the victim index and the class index until commit().
-  MachineState& edit(std::size_t m) {
-    MachineState& ms = machines_[m];
-    materialize(ms);
-    running_ -= ms.residents.size();
+  void edit(std::size_t m) {
+    materialize(m);
+    running_ -= machines_.state[m].count;
     if (cfg_.migration.preempt)
-      for (const Resident& r : ms.residents) holders_[r.priority].clear(m);
+      for (const Resident& r : machines_.residents(m))
+        holders_[r.priority].clear(m);
     if (classes_.enabled()) classes_.erase(m);
-    return ms;
   }
 
   /// Closes the change: open-set and victim-index membership, fresh
   /// rates and ETAs, the machine's completion entry, its class while it
   /// is open, and a new view stamp.
   void commit(std::size_t m) {
-    const MachineState& ms = machines_[m];
-    const bool open = alive_[m] && ms.residents.size() < cfg_.slots;
+    const std::span<const Resident> residents = machines_.residents(m);
+    const bool open = alive_[m] && residents.size() < cfg_.slots;
     if (open)
       open_.set(m);
     else
       open_.clear(m);
     if (cfg_.migration.preempt)
-      for (const Resident& r : ms.residents) holders_[r.priority].set(m);
+      for (const Resident& r : residents) holders_[r.priority].set(m);
     reindex(m);
-    if (open && classes_.enabled()) classes_.insert(m, ms.residents);
-    running_ += ms.residents.size();
+    if (open && classes_.enabled()) classes_.insert(m, residents);
+    running_ += residents.size();
     ++stamp_;
   }
 
   void add_resident(std::size_t m, const Resident& r) {
-    edit(m).residents.push_back(r);
+    edit(m);
+    machines_.slot[m * cfg_.slots + machines_.state[m].count++] = r;
     commit(m);
   }
 
-  /// Takes the resident in slot `pos` off machine m; returns its job.
-  std::size_t remove_resident(std::size_t m, std::size_t pos) {
-    std::vector<Resident>& residents = edit(m).residents;
-    const std::size_t jid = residents[pos].job;
-    residents.erase(residents.begin() + static_cast<std::ptrdiff_t>(pos));
+  /// Takes the resident in slot `pos` off machine m, keeping the others
+  /// in slot order; returns it.
+  Resident remove_resident(std::size_t m, std::size_t pos) {
+    edit(m);
+    const std::span<Resident> residents = machines_.residents(m);
+    const Resident r = residents[pos];
+    std::copy(residents.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
+              residents.end(),
+              residents.begin() + static_cast<std::ptrdiff_t>(pos));
+    --machines_.state[m].count;
     commit(m);
-    return jid;
+    return r;
   }
 
   /// Brings machine m's remaining-work accounting up to t: one
   /// decrement per resident per constant-rate interval, clamped at zero
   /// so completion arithmetic never leaves a negative residue.
-  void materialize(MachineState& ms) {
+  void materialize(std::size_t m) {
+    MachineState& ms = machines_.state[m];
     if (ms.upd == t_) return;
-    for (Resident& r : ms.residents)
+    for (Resident& r : machines_.residents(m))
       r.remaining = std::max(0.0, r.remaining - (t_ - ms.upd) / r.slowdown);
     ms.upd = t_;
   }
@@ -444,17 +494,18 @@ class Engine {
   /// resident, fresh ETAs, and the machine's completion entry re-keyed
   /// in place (dropped once the machine is empty).
   void reindex(std::size_t m) {
-    MachineState& ms = machines_[m];
+    MachineState& ms = machines_.state[m];
+    const std::span<Resident> residents = machines_.residents(m);
     ms.next_eta = kInf;
     ms.next_pos = 0;
-    for (std::size_t i = 0; i < ms.residents.size(); ++i) {
+    for (std::size_t i = 0; i < residents.size(); ++i) {
       others_.clear();
-      for (std::size_t j = 0; j < ms.residents.size(); ++j)
-        if (j != i) others_.push_back(ms.residents[j].type);
-      ms.residents[i].slowdown = truth_.slowdown(ms.residents[i].type, others_);
+      for (std::size_t j = 0; j < residents.size(); ++j)
+        if (j != i) others_.push_back(residents[j].type);
+      residents[i].slowdown = truth_.slowdown(residents[i].type, others_);
     }
-    for (std::size_t i = 0; i < ms.residents.size(); ++i) {
-      Resident& r = ms.residents[i];
+    for (std::size_t i = 0; i < residents.size(); ++i) {
+      Resident& r = residents[i];
       r.eta = t_ + std::max(0.0, r.remaining) * r.slowdown;
       if (r.eta < ms.next_eta) {
         ms.next_eta = r.eta;
@@ -462,7 +513,7 @@ class Engine {
       }
     }
     const auto id = static_cast<std::uint32_t>(m);
-    if (ms.residents.empty())
+    if (residents.empty())
       heap_.erase(id, heap_pos_);
     else
       heap_.update(id, ms.next_eta, heap_pos_);
@@ -505,10 +556,10 @@ class Engine {
     while (c < top && holders_[c].count() == 0) ++c;
     if (c == top) return false;
     const std::size_t vm = holders_[c].next(0);
-    const std::vector<Resident>& slots = machines_[vm].residents;
+    const std::span<const Resident> slots = machines_.residents(vm);
     std::size_t vs = 0;
     while (slots[vs].priority != c) ++vs;
-    const std::size_t jid = remove_resident(vm, vs);
+    const std::size_t jid = remove_resident(vm, vs).job;
     ++res_.migrations;
     ++res_.outcomes[jid].evictions;
     log(TraceEvent::Kind::Evict, trace_[jid], vm, trace_[jid].work);
@@ -533,16 +584,18 @@ class Engine {
   void place(std::size_t jid) {
     const JobSpec& job = trace_[jid];
     const std::size_t m = policy_.place(job, view_);
-    if (m >= cfg_.machines || machines_[m].residents.size() >= cfg_.slots)
-      throw std::logic_error{"simulate: policy chose a full machine"};
+    if (m >= cfg_.machines || view_.free_slots(m) == 0)
+      throw std::logic_error{"simulate: policy chose a full or down machine"};
     bill(job, m);
     observe(m, job.type);
-    add_resident(m, {jid, static_cast<std::uint32_t>(job.type), job.priority,
-                     job.work, 1.0, kInf, job.slo_p99});
     JobOutcome& out = res_.outcomes[jid];
     out.machine = static_cast<std::uint32_t>(m);
     // A job places again only after a kill or an eviction.
     if (out.retries == 0 && out.evictions == 0) out.start = t_;
+    add_resident(m, {job.work, 1.0, kInf, job.slo_p99, out.start, job.work,
+                     job.id, static_cast<std::uint32_t>(jid),
+                     static_cast<std::uint16_t>(job.type),
+                     static_cast<std::uint8_t>(job.priority)});
     log(TraceEvent::Kind::Place, job, m, policy_.last_cost_delta());
     ++res_.placements;
   }
@@ -582,7 +635,7 @@ class Engine {
   /// group to the policy. The new job leads, so a 2-resident group
   /// decomposes into the historical observe_pair order.
   void observe(std::size_t m, std::size_t type) {
-    const std::vector<Resident>& residents = machines_[m].residents;
+    const std::span<const Resident> residents = machines_.residents(m);
     if (residents.empty()) return;
     group_.clear();
     group_.push_back(type);
@@ -604,9 +657,12 @@ class Engine {
   /// Appends one audit-log line at the current time.
   void log(TraceEvent::Kind kind, const JobSpec& job, std::size_t m,
            double value) {
-    res_.log.events.push_back({kind, static_cast<std::uint16_t>(job.type),
-                               static_cast<std::uint32_t>(m), t_, job.id,
-                               value});
+    log(kind, job.type, job.id, m, value);
+  }
+  void log(TraceEvent::Kind kind, std::size_t type, std::size_t id,
+           std::size_t m, double value) {
+    res_.log.events.push_back({kind, static_cast<std::uint16_t>(type),
+                               static_cast<std::uint32_t>(m), t_, id, value});
   }
 
   void summarize() {
@@ -654,7 +710,7 @@ class Engine {
   PlacementPolicy& policy_;
   const std::uint64_t fallbacks_before_;
 
-  std::vector<MachineState> machines_;
+  Machines machines_;
   OpenSet open_;
   /// The victim index, kept only with migration on: per priority class,
   /// the machines holding a resident of that class. A class is empty

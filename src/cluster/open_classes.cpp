@@ -38,12 +38,17 @@ void IndexedHeap::put(std::size_t i, const Entry& e,
 /// Moves the entry in slot i up or down to its place.
 void IndexedHeap::sift(std::size_t i, std::vector<std::uint32_t>& pos) {
   const Entry e = heap_[i];
-  while (i > 0 && before(e, heap_[(i - 1) / 2])) {
-    put(i, heap_[(i - 1) / 2], pos);
-    i = (i - 1) / 2;
+  while (i > 0 && before(e, heap_[(i - 1) / kArity])) {
+    put(i, heap_[(i - 1) / kArity], pos);
+    i = (i - 1) / kArity;
   }
-  for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
-    if (c + 1 < heap_.size() && before(heap_[c + 1], heap_[c])) ++c;
+  const std::size_t n = heap_.size();
+  for (std::size_t first = kArity * i + 1; first < n;
+       first = kArity * i + 1) {
+    std::size_t c = first;
+    const std::size_t end = std::min(first + kArity, n);
+    for (std::size_t k = first + 1; k < end; ++k)
+      if (before(heap_[k], heap_[c])) c = k;
     if (!before(heap_[c], e)) break;
     put(i, heap_[c], pos);
     i = c;
@@ -172,7 +177,7 @@ OpenClasses::Walk OpenClasses::walk(std::uint32_t c, std::size_t slot,
 }
 
 OpenClasses::Walk::Walk(const OpenClasses& index,
-                        const std::vector<IndexedHeap::Entry>& heap,
+                        const IndexedHeap::Entries& heap,
                         double slowdown, bool ascending)
     : index_(index), heap_(heap), slowdown_(slowdown), ascending_(ascending) {
   index_.frontier_.clear();
@@ -190,8 +195,9 @@ bool OpenClasses::Walk::next(std::size_t& machine, double& remaining) {
   std::pop_heap(frontier.begin(), frontier.end(), later);
   const std::uint32_t at = frontier.back();
   frontier.pop_back();
-  for (std::size_t kid = 2 * std::size_t{at} + 1;
-       kid <= 2 * std::size_t{at} + 2 && kid < heap_.size(); ++kid) {
+  const std::size_t first = IndexedHeap::kArity * at + 1;
+  const std::size_t end = std::min(first + IndexedHeap::kArity, heap_.size());
+  for (std::size_t kid = first; kid < end; ++kid) {
     frontier.push_back(static_cast<std::uint32_t>(kid));
     std::push_heap(frontier.begin(), frontier.end(), later);
   }

@@ -22,20 +22,31 @@
 #include <utility>
 #include <vector>
 
+#include "util/mapped.hpp"
+
 namespace coperf::cluster {
 
-/// A binary min-heap of (key, id) entries, ties to the lower id, that
+/// A 4-ary min-heap of (key, id) entries, ties to the lower id, that
 /// records each entry's heap position in a caller-owned handle array
 /// (`pos[id]`), so an entry is re-keyed or erased in place. Heaps that
-/// never hold the same id at once may share one handle array.
+/// never hold the same id at once may share one handle array. Four
+/// children per entry halve a binary heap's depth, and a sibling group
+/// spans at most two cache lines, so a sift touches fewer lines; the
+/// engine's completion heap and every class heap use it.
 class IndexedHeap {
  public:
   struct Entry {
     double key = 0.0;
     std::uint32_t id = 0;
   };
+  /// One entry per machine at most: mapped from 1 MiB on, as the
+  /// engine's other per-machine blocks are (util/mapped.hpp).
+  using Entries = std::vector<Entry, util::MappedAllocator<Entry>>;
   /// The handle of an id that is in no heap.
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
+  /// Children per entry: entry i's are kArity * i + 1 through
+  /// kArity * i + kArity, and its parent is (i - 1) / kArity.
+  static constexpr std::size_t kArity = 4;
 
   static bool before(const Entry& a, const Entry& b) {
     if (a.key != b.key) return a.key < b.key;
@@ -43,9 +54,10 @@ class IndexedHeap {
   }
 
   bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
   const Entry& top() const { return heap_.front(); }
-  /// The heap array itself: entry i's children are 2i + 1 and 2i + 2.
-  const std::vector<Entry>& entries() const { return heap_; }
+  /// The heap array itself, laid out as kArity describes.
+  const Entries& entries() const { return heap_; }
 
   /// Keys `id` at `key`, inserting it if absent.
   void update(std::uint32_t id, double key, std::vector<std::uint32_t>& pos);
@@ -56,7 +68,7 @@ class IndexedHeap {
   void put(std::size_t i, const Entry& e, std::vector<std::uint32_t>& pos);
   void sift(std::size_t i, std::vector<std::uint32_t>& pos);
 
-  std::vector<Entry> heap_;
+  Entries heap_;
 };
 
 /// The open machines of a fleet, grouped by the types of their
@@ -105,9 +117,7 @@ class OpenClasses {
     return classes_[c].members.top().id;
   }
   /// Class c's member count.
-  std::size_t size(std::uint32_t c) const {
-    return classes_[c].members.entries().size();
-  }
+  std::size_t size(std::uint32_t c) const { return classes_[c].members.size(); }
   /// Machine m's class; IndexedHeap::kAbsent when m is not a member
   /// (or not a machine at all).
   std::uint32_t class_of(std::size_t m) const {
@@ -134,11 +144,11 @@ class OpenClasses {
 
    private:
     friend class OpenClasses;
-    Walk(const OpenClasses& index, const std::vector<IndexedHeap::Entry>& heap,
+    Walk(const OpenClasses& index, const IndexedHeap::Entries& heap,
          double slowdown, bool ascending);
 
     const OpenClasses& index_;
-    const std::vector<IndexedHeap::Entry>& heap_;
+    const IndexedHeap::Entries& heap_;
     double slowdown_;
     bool ascending_;
   };
@@ -178,7 +188,8 @@ class OpenClasses {
   /// `latest`.
   std::vector<std::uint32_t> class_of_, member_pos_;
   std::vector<std::vector<std::uint32_t>> soonest_pos_, latest_pos_;
-  /// The walk's frontier: heap positions, itself a binary heap.
+  /// The walk's frontier: heap positions, itself a binary heap
+  /// (std::push_heap).
   mutable std::vector<std::uint32_t> frontier_;
 };
 

@@ -120,8 +120,10 @@ std::optional<ClassPick> cheapest_by_class(const OpenClasses& classes,
   for (const std::uint32_t c : classes.live()) {
     types.assign(classes.types(c).begin(), classes.types(c).end());
     const double own = terms(types, classes.size(c), coef);
-    Row row{own, 0.0, c, static_cast<std::uint32_t>(slots.size()),
-            static_cast<std::uint32_t>(types.size())};
+    if (c >= row_of.size()) row_of.resize(c + 1);
+    row_of[c] = static_cast<std::uint32_t>(rows.size());
+    rows.push_back({own, 0.0, c, static_cast<std::uint32_t>(slots.size()),
+                    static_cast<std::uint32_t>(types.size())});
     // No partial sum of a member's price can overflow under this.
     double magnitude = std::abs(own);
     for (std::size_t i = 0; i < types.size(); ++i) {
@@ -130,9 +132,6 @@ std::optional<ClassPick> cheapest_by_class(const OpenClasses& classes,
       magnitude += std::abs(coef[i]) * most;
     }
     bounded = bounded && magnitude <= 1e300;
-    if (c >= row_of.size()) row_of.resize(c + 1);
-    row_of[c] = static_cast<std::uint32_t>(rows.size());
-    rows.push_back(row);
   }
   // A member's exact price from its class's terms.
   const auto price = [&](const Row& row, const MachineView& v) {

@@ -90,6 +90,7 @@ class ClusterView {
   /// simulator's implementation selects any k in O(log(machines / 64))
   /// and the next ascending k (k = previous + 1) in O(1) amortized.
   virtual std::size_t kth_open(std::size_t k) const = 0;
+  /// 0 for a full machine, and for one that is down.
   virtual std::size_t free_slots(std::size_t m) const = 0;
   /// Machine m's residents and free slots, materialized on demand. The
   /// reference is valid only until the next view() call: the
@@ -175,8 +176,8 @@ class PlacementPolicy {
   virtual std::string name() const = 0;
 
   /// Chooses a machine index with free_slots > 0. At least one such
-  /// machine is guaranteed; choosing a full one is a policy bug the
-  /// simulator rejects.
+  /// machine is guaranteed; choosing a full or down one (a down machine
+  /// reports no free slot) is a policy bug the simulator rejects.
   virtual std::size_t place(const JobSpec& job,
                             const ClusterView& cluster) = 0;
 

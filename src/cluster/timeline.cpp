@@ -70,7 +70,7 @@ void render_timeline(const ClusterConfig& cfg,
   // Waiting-lane joins (+1) and departures (-1) by simulated time.
   std::vector<std::pair<double, int>> depth;
   std::vector<unsigned> kills(trace.size(), 0);
-  const std::vector<TraceEvent>& log = res.log.events;
+  const TraceLog::Events& log = res.log.events;
   std::size_t decision = 0, bill = 0;
   for (std::size_t i = 0; i < log.size(); ++i) {
     const TraceEvent& e = log[i];

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "util/mapped.hpp"
+
 namespace coperf::cluster {
 
 /// Highest admissible JobSpec::priority (inclusive): the simulator
@@ -155,7 +157,10 @@ struct TraceEvent {
 static_assert(sizeof(TraceEvent) == 32);
 
 struct TraceLog {
-  std::vector<TraceEvent> events;
+  /// Mapped from 1 MiB on, as the outcomes are (util/mapped.hpp): a
+  /// fleet run reserves four events per job.
+  using Events = std::vector<TraceEvent, util::MappedAllocator<TraceEvent>>;
+  Events events;
 
   /// Fixed-precision text rendering; workload names label the types.
   void write(std::ostream& os,

@@ -1,6 +1,7 @@
 // Fault-injection and graceful-degradation tests: the fault schedule
 // generator, fault-free byte-identity against the reference loop,
 // deterministic fault replay, retry backoff and its exhaustion,
+// down machines (no free slots, and a placement on one is rejected),
 // preemptive migration ordering (pinned on fixtures and replayed from
 // audit logs against a brute-force victim scan), and admission-control
 // shed billing.
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -291,6 +293,67 @@ TEST(Retry, ExhaustedRetriesShed) {
   EXPECT_EQ(res.completed_jobs, 0u);
   EXPECT_NE(res.log.str(truth.workloads).find("t=11.000000 shed job=0"),
             std::string::npos);
+}
+
+// --- down machines -------------------------------------------------
+
+/// Picks the first machine that reports a free slot, as a policy that
+/// ignores kth_open might; checks that view() agrees with free_slots().
+class FirstFreePolicy final : public PlacementPolicy {
+ public:
+  std::string name() const override { return "first-free"; }
+  std::size_t place(const JobSpec&, const ClusterView& cluster) override {
+    for (std::size_t m = 0; m < cluster.machines(); ++m) {
+      EXPECT_EQ(cluster.view(m).free_slots, cluster.free_slots(m));
+      if (cluster.free_slots(m) > 0) return m;
+    }
+    ADD_FAILURE() << "no machine reports a free slot";
+    return 0;
+  }
+};
+
+/// Always picks machine 0.
+class FirstMachinePolicy final : public PlacementPolicy {
+ public:
+  std::string name() const override { return "machine-0"; }
+  std::size_t place(const JobSpec&, const ClusterView&) override { return 0; }
+};
+
+// Machine 0 is down from t=1 to t=100, so it has no free slot: jobs 0
+// and 1 go to machine 1, and jobs 2 and 3 wait for machine 0 to come
+// back instead of running on it while it is down.
+TEST(DownMachine, ReportsNoFreeSlots) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  const auto trace =
+      neutral_jobs({{2.0, 200.0}, {3.0, 200.0}, {4.0, 200.0}, {5.0, 200.0}});
+  ClusterConfig cfg{2, 2};
+  cfg.faults = {{1.0, 0, FaultEvent::Kind::Down},
+                {100.0, 0, FaultEvent::Kind::Up}};
+  FirstFreePolicy p;
+  const ClusterResult res = simulate(cfg, additive, trace, p);
+
+  ASSERT_EQ(res.completed_jobs, 4u);
+  const std::uint32_t machine[] = {1, 1, 0, 0};
+  const double start[] = {2.0, 3.0, 100.0, 100.0};
+  const double finish[] = {202.0, 203.0, 300.0, 300.0};
+  for (std::size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(res.outcomes[j].machine, machine[j]) << "job " << j;
+    EXPECT_NEAR(res.outcomes[j].start, start[j], 1e-9) << "job " << j;
+    EXPECT_NEAR(res.outcomes[j].finish, finish[j], 1e-9) << "job " << j;
+  }
+  EXPECT_EQ(res.fault_kills, 0u);
+}
+
+TEST(DownMachine, PlacingOnOneIsRejected) {
+  const auto truth = synthetic_truth();
+  harness::MatrixTruth additive{truth};
+  const auto trace = neutral_jobs({{2.0, 10.0}});
+  ClusterConfig cfg{2, 2};
+  cfg.faults = {{1.0, 0, FaultEvent::Kind::Down},
+                {100.0, 0, FaultEvent::Kind::Up}};
+  FirstMachinePolicy p;
+  EXPECT_THROW(simulate(cfg, additive, trace, p), std::logic_error);
 }
 
 // --- preemptive migration -------------------------------------------

@@ -1,9 +1,10 @@
-// The class index behind the fast argmin: OpenClasses' upkeep and
-// walks on hand-built members, and the exactness net -- a simulation
-// whose policy sees the engine's class index must log and bill byte
-// for byte what the same simulation logs and bills when the policy
-// sees only the five scan calls of ClusterView (the index then stays
-// off, so the regret bill scans too), with the same fallback counts.
+// The class index behind the fast argmin: IndexedHeap against an
+// ordered-set reference, OpenClasses' upkeep and walks on hand-built
+// members, and the exactness net -- a simulation whose policy sees the
+// engine's class index must log and bill byte for byte what the same
+// simulation logs and bills when the policy sees only the five scan
+// calls of ClusterView (the index then stays off, so the regret bill
+// scans too), with the same fallback counts.
 // The grid covers 2-4 slots, priorities, faults, migration, admission
 // shed, billing of every decision, an estimate with an all-1.0 column
 // (exact zero-cost ties), one with entries below 1 (negative
@@ -14,11 +15,15 @@
 // fleet_churn-shaped fleet the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -101,6 +106,95 @@ TEST(OpenClasses, GroupsBySlotOrderAndWalksByRemainingWork) {
   EXPECT_FALSE(idx.ordered());
   for (const std::size_t m : {0u, 1u, 7u}) idx.erase(m);
   EXPECT_TRUE(idx.ordered());
+}
+
+/// Checks heap h against its reference set: size, top, every handle,
+/// and the heap property at IndexedHeap::kArity.
+void expect_matches(const IndexedHeap& h,
+                    const std::set<std::pair<double, std::uint32_t>>& ref,
+                    const std::vector<std::uint32_t>& pos) {
+  ASSERT_EQ(h.size(), ref.size());
+  ASSERT_EQ(h.empty(), ref.empty());
+  if (!ref.empty()) {
+    EXPECT_EQ(h.top().key, ref.begin()->first);
+    EXPECT_EQ(h.top().id, ref.begin()->second);
+  }
+  const IndexedHeap::Entries& e = h.entries();
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    ASSERT_EQ(pos[e[i].id], i) << "handle of id " << e[i].id;
+    ASSERT_TRUE(ref.count({e[i].key, e[i].id})) << "entry " << i;
+    if (i > 0)
+      ASSERT_FALSE(
+          IndexedHeap::before(e[i], e[(i - 1) / IndexedHeap::kArity]))
+          << "entry " << i << " sorts before its parent";
+  }
+}
+
+// Seeded updates and erases over few distinct keys (so most entries tie
+// on key and order by id), on two heaps that share one handle array
+// the way OpenClasses' per-class heaps do: an id is in at most one.
+TEST(IndexedHeap, MatchesAnOrderedSetReference) {
+  constexpr std::uint32_t kIds = 96;
+  std::mt19937_64 rng{2024};
+  std::vector<std::uint32_t> pos(kIds, IndexedHeap::kAbsent);
+  IndexedHeap heaps[2];
+  std::set<std::pair<double, std::uint32_t>> ref[2];
+  std::vector<int> owner(kIds, -1);
+  std::vector<double> key(kIds, 0.0);
+  for (int step = 0; step < 20000; ++step) {
+    const auto id = static_cast<std::uint32_t>(rng() % kIds);
+    const double k = static_cast<double>(rng() % 6) * 0.5 - 1.0;
+    const int h = owner[id] >= 0 ? owner[id] : static_cast<int>(rng() % 2);
+    if (owner[id] >= 0 && rng() % 3 == 0) {
+      heaps[h].erase(id, pos);
+      ref[h].erase({key[id], id});
+      owner[id] = -1;
+    } else {
+      heaps[h].update(id, k, pos);
+      ref[h].erase({key[id], id});
+      ref[h].insert({k, id});
+      owner[id] = h;
+      key[id] = k;
+    }
+    if (rng() % 5 == 0) {  // erasing an id a heap does not hold: no-op
+      const auto other = static_cast<std::uint32_t>(rng() % kIds);
+      if (owner[other] < 0) heaps[rng() % 2].erase(other, pos);
+    }
+    for (int i = 0; i < 2; ++i) expect_matches(heaps[i], ref[i], pos);
+    for (std::uint32_t i = 0; i < kIds; ++i)
+      if (owner[i] < 0) ASSERT_EQ(pos[i], IndexedHeap::kAbsent) << i;
+    if (HasFatalFailure()) return;
+  }
+}
+
+// A best-first walk over a class heap yields its members in (key, id)
+// order at any arity: by eta ascending, by -eta descending, ties to the
+// lower machine either way.
+TEST(OpenClasses, WalkYieldsKeyThenIdOrder) {
+  constexpr std::size_t kMachines = 300;
+  double now = 0.0;
+  OpenClasses idx{kMachines, 2, now};
+  std::mt19937_64 rng{11};
+  std::vector<double> eta(kMachines);
+  for (std::size_t m = 0; m < kMachines; ++m) {
+    eta[m] = 1.0 + static_cast<double>(rng() % 7);
+    idx.insert(m, std::vector<Res>{{1, eta[m], 1.0}});
+  }
+  for (std::size_t m = 0; m < kMachines; m += 3) idx.erase(m);
+  ASSERT_EQ(idx.live().size(), 1u);
+  const std::uint32_t c = idx.live()[0];
+  std::vector<std::size_t> up, down;
+  for (std::size_t m = 0; m < kMachines; ++m)
+    if (m % 3 != 0) up.push_back(m);
+  down = up;
+  std::sort(up.begin(), up.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair{eta[a], a} < std::pair{eta[b], b};
+  });
+  std::sort(down.begin(), down.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair{-eta[a], a} < std::pair{-eta[b], b};
+  });
+  EXPECT_EQ(walk_all(idx, c, 0, true), up);
+  EXPECT_EQ(walk_all(idx, c, 0, false), down);
 }
 
 /// Forwards the five scan calls of ClusterView and counts view()s;
